@@ -24,6 +24,8 @@ from wavemix.nlw import (
     SimConfig,
     Trajectory,
     apply_modewise,
+    check_finite,
+    draw_normals,
     linear_ops,
     make_energy_fn,
     trajectory_streams,
@@ -193,10 +195,11 @@ def _run_coupled(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
                 states_out[lo:hi, i] = states
 
         do_record(0)
+        normals = np.empty((nb, min(chunk_steps, n_steps), 2, 2, m))
         step = 0
         while step < n_steps:
             chunk = min(chunk_steps, n_steps - step)
-            normals = np.stack([r.standard_normal((chunk, 2, 2, m)) for r in rngs])
+            draw_normals(rngs, normals, chunk)
             for s in range(chunk):
                 t_now = (step + s) * cfg.dt
                 states = apply_modewise(ops.P_half, states)
@@ -251,6 +254,7 @@ def _run_coupled(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
                 if step_now in rec_set:
                     do_record(step_now)
             step += chunk
+            check_finite(states, step * cfg.dt, lo)
         taus[lo:hi] = tau
 
     tau_tilde = np.min(taus, axis=1)
@@ -532,10 +536,9 @@ class MaximalCoupling:
         return x, y
 
 
-def maximal_coupling_discrete(p, q, rng: np.random.Generator | None = None) -> MaximalCoupling:
-    coupling = MaximalCoupling(p, q)
-    coupling.rng = rng or np.random.default_rng()
-    return coupling
+def maximal_coupling_discrete(p, q) -> MaximalCoupling:
+    """Maximal coupling of p and q; randomness comes only from ``sample``'s rng."""
+    return MaximalCoupling(p, q)
 
 
 # --------------------------------------------------------------------------

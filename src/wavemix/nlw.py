@@ -366,8 +366,44 @@ def linear_ops(cfg: SimConfig, noise: NoiseModel) -> LinearOps:
 
 
 def apply_modewise(mats: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Apply per-mode 2x2 matrices to stacked states of shape (..., 2, M)."""
-    return np.einsum("jab,...bj->...aj", mats, states)
+    """Apply per-mode 2x2 matrices ``mats`` (M, 2, 2) to states of shape (..., 2, M).
+
+    Layout contract: the result equals ``np.einsum("jab,...bj->...aj", mats,
+    states)`` bit for bit, and has the same memory layout for C-ordered
+    leading axes (including ``broadcast_to`` views and strided slices): a
+    fresh (..., M, 2) array seen through ``swapaxes(-1, -2)``, so its last two
+    strides are (8, 16).  The layout matters downstream: the Girsanov
+    ``einsum`` reductions in ``coupling`` sum in an order set by the strides
+    of their operands, so a C-contiguous result would move their last digit.
+    """
+    x = states[..., 0, :]
+    v = states[..., 1, :]
+    out = np.empty(states.shape[:-2] + (states.shape[-1], 2),
+                   dtype=np.result_type(mats, states)).swapaxes(-1, -2)
+    for a in range(2):
+        row = out[..., a, :]
+        np.multiply(mats[:, a, 0], x, out=row)
+        row += mats[:, a, 1] * v
+    return out
+
+
+def draw_normals(rngs, buf: np.ndarray, chunk: int) -> None:
+    """Fill ``buf[i, :chunk]`` from trajectory stream ``i``, in place.
+
+    ``buf`` is a reusable (n_traj, chunk_steps, ...) block; row ``i`` gets the
+    same numbers as ``rngs[i].standard_normal((chunk,) + buf.shape[2:])``
+    without a second copy of the block being built and stacked.
+    """
+    for row, r in zip(buf, rngs):
+        r.standard_normal(out=row[:chunk])
+
+
+def check_finite(states: np.ndarray, t: float, offset: int) -> None:
+    """Raise ``BlowupError`` if any path of a block (axis 0) holds a nonfinite value."""
+    if not np.isfinite(states).all():
+        bad = np.where(~np.isfinite(states).reshape(len(states), -1).any(axis=1))[0]
+        raise BlowupError(f"nonfinite state near t={t:.4g} "
+                          f"(trajectory offset {offset}, local index {bad[:4]})")
 
 
 def trajectory_streams(seed: int, n: int, offset: int = 0):
@@ -499,11 +535,11 @@ def run_flow(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel, y0: PhaseState
                 all_states[lo:hi, i] = states
 
         record(0)
+        normals = np.empty((nb, min(_CHUNK_STEPS, n_steps), 2, 2, cfg.basis.mode_count))
         step = 0
         while step < n_steps:
             chunk = min(_CHUNK_STEPS, n_steps - step)
-            normals = np.stack([r.standard_normal((chunk, 2, 2, cfg.basis.mode_count))
-                                for r in rngs])
+            draw_normals(rngs, normals, chunk)
             for s in range(chunk):
                 states = apply_modewise(ops.P_half, states)
                 states += apply_modewise(ops.chol_half, normals[:, s, 0])
@@ -518,11 +554,7 @@ def run_flow(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel, y0: PhaseState
                 if step_now in rec_set:
                     record(step_now)
             step += chunk
-            if not np.isfinite(states).all():
-                bad = np.where(~np.isfinite(states).reshape(nb, -1).any(axis=1))[0]
-                raise BlowupError(
-                    f"nonfinite state near t={step * cfg.dt:.4g} "
-                    f"(trajectory offset {lo}, local index {bad[:4]})")
+            check_finite(states, step * cfg.dt, lo)
         finals[lo:hi] = states
 
     blocks = [(lo, min(lo + block_size, n_traj)) for lo in range(0, n_traj, block_size)]

@@ -68,9 +68,14 @@ def mean_se(samples, axis=0) -> tuple[np.ndarray, np.ndarray]:
 
 
 def jackknife_log_mean(values) -> tuple[float, float]:
-    """log(mean(values)) with a delete-one jackknife standard error."""
+    """log(mean(values)) with a delete-one jackknife standard error.
+
+    A single value has no leave-one-out estimate; its error is infinite.
+    """
     v = np.asarray(values, float)
     n = v.size
+    if n == 1:
+        return math.log(v.item()), math.inf
     total = v.sum()
     est = math.log(total / n)
     loo = np.log((total - v) / (n - 1))

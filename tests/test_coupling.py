@@ -15,7 +15,7 @@ from wavemix.coupling import (
     tv_bound,
     tv_estimate_likelihood,
 )
-from wavemix.nlw import NoiseModel, Nonlinearity, SimConfig, simulate
+from wavemix.nlw import BlowupError, NoiseModel, Nonlinearity, SimConfig, simulate
 from wavemix.spectral import PhaseState, SpectralBasis, phase_norm
 
 PI = np.pi
@@ -220,22 +220,37 @@ def test_tv_experiment_bound_dominates(basis, noise):
     assert exp.bounds[-1].value < exp.bounds[0].value
 
 
+
+def test_nonfinite_coupled_state_raises(basis, noise):
+    # a blow-up must abort the run, not surface as a NaN likelihood ratio
+    cfg = make_cfg(basis, horizon=0.5)
+    nl = Nonlinearity.klein_gordon(1.0)
+    z = smooth_state(basis, 0.5, 1, cfg.alpha)
+    c1 = z.u1.coeffs.copy()
+    c1[3] = np.nan
+    bad = PhaseState.from_coeffs(basis, c1, z.u2.coeffs, cfg.alpha)
+    with pytest.raises(BlowupError, match="nonfinite"):
+        couple_fp_batch(cfg, nl, noise, bad, z, 4, n_traj=3)
+    with pytest.raises(BlowupError, match="nonfinite"):
+        couple_fp(cfg, nl, noise, z, bad, 4)
+
+
 # ------------------------------------------------------------ maximal coupling
 
 
 def test_maximal_coupling_exact_cases():
     rng = np.random.default_rng(0)
-    eq = maximal_coupling_discrete([0.3, 0.7], [0.3, 0.7], rng)
+    eq = maximal_coupling_discrete([0.3, 0.7], [0.3, 0.7])
     x, y = eq.sample(rng, 500)
     assert np.all(x == y)
     assert eq.tv == 0.0
 
-    disjoint = maximal_coupling_discrete([1.0, 0.0], [0.0, 1.0], rng)
+    disjoint = maximal_coupling_discrete([1.0, 0.0], [0.0, 1.0])
     x, y = disjoint.sample(rng, 500)
     assert np.all(x != y)
     assert disjoint.tv == 1.0
 
-    mid = maximal_coupling_discrete([0.5, 0.5], [0.75, 0.25], rng)
+    mid = maximal_coupling_discrete([0.5, 0.5], [0.75, 0.25])
     assert mid.tv == pytest.approx(0.25)
 
 
@@ -243,7 +258,7 @@ def test_maximal_coupling_statistics():
     rng = np.random.default_rng(1)
     p = np.array([0.5, 0.3, 0.2])
     q = np.array([0.2, 0.2, 0.6])
-    mc = maximal_coupling_discrete(p, q, rng)
+    mc = maximal_coupling_discrete(p, q)
     n = 40000
     x, y = mc.sample(rng, n)
     # disagreement frequency estimates TV at the CLT rate

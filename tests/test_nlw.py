@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from wavemix import nlw
 from wavemix.nlw import (
     GrowthMonitor,
     NoiseModel,
     Nonlinearity,
     SimConfig,
+    apply_modewise,
     check_dissipativity,
     energy_audit,
     exp_moment_probe,
@@ -368,3 +371,80 @@ def test_regularity_split_stable_under_refinement(basis16, noise16):
         sups.append(np.max(sp.z_norm_hs))
     assert np.isfinite(sups).all()
     assert sups[1] == pytest.approx(sups[0], rel=0.2)
+
+
+# ------------------------------------------------------------ per-mode kernel
+
+
+def _einsum_modewise(mats, states):
+    return np.einsum("jab,...bj->...aj", mats, states)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(m=st.integers(2, 9), lead=st.lists(st.integers(1, 4), max_size=2),
+       layout=st.sampled_from(["contiguous", "broadcast", "strided", "swapped"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_apply_modewise_matches_einsum_values_and_strides(m, lead, layout, seed):
+    rng = np.random.default_rng(seed)
+    mats = rng.standard_normal((m, 2, 2))
+    shape = tuple(lead) + (2, m)
+    if layout == "contiguous":
+        states = rng.standard_normal(shape)
+    elif layout == "broadcast":
+        states = np.broadcast_to(rng.standard_normal((2, m)), shape)
+    elif layout == "strided":
+        # a step's slice of a (batch, chunk, 2, 2, M) noise block
+        states = rng.standard_normal(tuple(lead) + (3, 2, 2, m))[..., 1, 0, :, :]
+    else:
+        # the layout apply_modewise itself returns, fed back in by the stepper
+        states = rng.standard_normal(tuple(lead) + (m, 2)).swapaxes(-1, -2)
+    ref = _einsum_modewise(mats, states)
+    out = apply_modewise(mats, states)
+    assert np.array_equal(out, ref)
+    assert out.strides == ref.strides
+
+
+def test_apply_modewise_layout_feeds_girsanov_einsum_unchanged():
+    # the Girsanov quadratic form reads apply_modewise output; its reduction
+    # order follows the operand strides, so the layout must match einsum's
+    rng = np.random.default_rng(3)
+    m, nb, nf = 32, 64, 6
+    mats = rng.standard_normal((m, 2, 2))
+    noise = rng.standard_normal((nb, 5, 2, 2, m))[:, 2, 1]
+    inv_cov = rng.standard_normal((nf, 2, 2))
+    mv = rng.standard_normal((nb, 2, nf))
+    quad = [np.einsum("naj,jab,nbj->n", mv, inv_cov, w[:, :, :nf])
+            for w in (apply_modewise(mats, noise), _einsum_modewise(mats, noise))]
+    assert np.array_equal(quad[0], quad[1])
+
+
+def test_short_last_chunk_is_batching_invariant(basis16, noise16, monkeypatch):
+    cfg = make_cfg(basis16, horizon=10.0, stride=50, seed=21)
+    assert cfg.n_steps % 256 != 0 and cfg.n_steps > 256
+    nl = Nonlinearity.klein_gordon(1.0)
+    y0 = smooth_state(basis16, alpha=cfg.alpha)
+    draws = []
+
+    def counted_streams(seed, n, offset=0):
+        gens = trajectory_streams(seed, n, offset)
+
+        class Counted:
+            def __init__(self, g):
+                self.g = g
+
+            def standard_normal(self, *args, **kwargs):
+                out = self.g.standard_normal(*args, **kwargs)
+                draws.append(out.size)
+                return out
+        return [Counted(g) for g in gens]
+
+    monkeypatch.setattr(nlw, "trajectory_streams", counted_streams)
+    n_traj = 7
+    finals = []
+    for block in (128, 5):
+        draws.clear()
+        finals.append(run_flow(cfg, nl, noise16, y0, n_traj=n_traj,
+                               block_size=block).final_states)
+        # every stream draws exactly its steps' worth, short last chunk included
+        assert sum(draws) == n_traj * cfg.n_steps * 2 * 2 * basis16.mode_count
+    np.testing.assert_array_equal(finals[0], finals[1])
