@@ -20,7 +20,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from wavemix import stats
-from wavemix.nlw import NoiseModel, Nonlinearity
+from wavemix.nlw import BlowupError, NoiseModel, Nonlinearity
 from wavemix.spectral import PhaseState, SpectralBasis
 from wavemix.toys import GradientSDE, gradient_sde_exact_density, simulate_toy, \
     autocorrelation_time
@@ -330,8 +330,7 @@ def _toy_action_and_grad(x, model, z1, z2, dt, pen, exclude, radius):
     u = np.concatenate([[z1], x])
     mids = 0.5 * (u[1:] + u[:-1])
     b = model.drift(mids)
-    bp_coeffs = [k * c for k, c in enumerate(model.drift_coeffs)][1:] or [0.0]
-    bp = np.polyval(list(reversed(bp_coeffs)), mids)
+    bp = model.drift_prime(mids)
     phi = np.diff(u) / dt + b
     J = 0.5 * dt * np.sum(phi ** 2)
     grad_u = np.zeros_like(u)
@@ -452,18 +451,6 @@ def _nlw_action_and_grad(x, p1, v1, p2, v2, lam, gamma, alpha, inv_b2, nl, E, w,
     grad[-1] += pen * (2 * lam * dp + 2 * g * (alpha + 1.0 / dt))
     grad[-2] += pen * (-2 * g / dt)
     return J, grad[2:].ravel()
-
-
-def quasipotential(system, z1, z2, eta: float = 0.05, **kw) -> QuasipotentialResult:
-    """Dispatch on the system type: gradient toys or spectral wave setups.
-
-    For toys ``system`` is a GradientSDE; for the wave equation pass a tuple
-    (basis, nl, gamma, noise) and PhaseState endpoints.
-    """
-    if isinstance(system, GradientSDE):
-        return toy_quasipotential(system, float(z1), float(z2), eta=eta, **kw)
-    basis, nl, gamma, noise = system
-    return nlw_quasipotential(basis, nl, gamma, noise, z1, z2, eta=eta, **kw)
 
 
 # --------------------------------------------------------------------------
@@ -766,8 +753,8 @@ class BoundaryChainConfig:
     """Radii of the nested neighborhoods: rho1p < rho0p < rho1 < rho0 < rho_star.
 
     The theory fixes only the ordering; at finite noise the prefactors shift
-    the measured exponents, so the defaults come from a sweep over radii (see
-    ``boundary_chain_sweep``) at the desk scale eps ~ 0.1.
+    the measured exponents, so the defaults come from a sweep of
+    ``boundary_chain`` over a ladder of radii at the desk scale eps ~ 0.1.
     """
 
     rho1p: float = 0.15
@@ -828,35 +815,27 @@ def boundary_chain(model: GradientSDE, bc: BoundaryChainConfig, eps: float,
     u = nodes[resident].astype(float)
     waiting_exit = np.ones(n_replicas, bool)
     n_steps = int(horizon_per_replica / dt)
-    chunk = 20000
+    chunk = min(20000, n_steps)
     root_eps_dt = math.sqrt(eps * dt)
+    noise = np.empty((n_replicas, chunk))
+    path = np.empty((chunk, n_replicas))
     done = 0
     while done < n_steps and counts.sum() < bc.max_transitions:
         k = min(chunk, n_steps - done)
-        xi = np.stack([r.standard_normal(k) for r in rngs])
-        path = np.empty((n_replicas, k))
+        xi = noise[:, :k]
+        for rng, row in zip(rngs, xi):
+            rng.standard_normal(out=row)
+        xi *= root_eps_dt
         for s in range(k):
-            u = u - model.drift(u) * dt + root_eps_dt * xi[:, s]
-            path[:, s] = u
-        for r in range(n_replicas):
-            d = np.abs(path[r][:, None] - nodes[None, :])
-            cur = 0
-            while cur < k:
-                if waiting_exit[r]:
-                    out = np.flatnonzero(d[cur:, resident[r]] >= bc.rho0)
-                    if out.size == 0:
-                        break
-                    cur += out[0]
-                    waiting_exit[r] = False
-                else:
-                    near = np.flatnonzero(np.min(d[cur:], axis=1) <= bc.rho1)
-                    if near.size == 0:
-                        break
-                    cur += near[0]
-                    j = int(np.argmin(d[cur]))
-                    counts[resident[r], j] += 1
-                    resident[r] = j
-                    waiting_exit[r] = True
+            u = u - model.drift(u) * dt + xi[:, s]
+            path[s] = u
+        finite = np.isfinite(path[:k])
+        if not finite.all():
+            step, replica = np.argwhere(~finite)[0]
+            raise BlowupError(f"nonfinite toy state at t={(done + step + 1) * dt:.4g} "
+                              f"(replica {replica}); decrease dt")
+        _first_passages(path[:k], nodes, bc.rho0, bc.rho1, resident,
+                        waiting_exit, counts)
         done += k
 
     totals = counts.sum(axis=1, keepdims=True)
@@ -876,36 +855,29 @@ def boundary_chain(model: GradientSDE, bc: BoundaryChainConfig, eps: float,
                                inconclusive)
 
 
-def boundary_chain_sweep(model: GradientSDE, eps: float,
-                         configs: Sequence[BoundaryChainConfig] | None = None,
-                         seed: int = 0, n_replicas: int = 48,
-                         horizon_per_replica: float = 150.0,
-                         dt: float = 1e-3) -> tuple[list[BoundaryChainReport], int]:
-    """Run the boundary chain over a ladder of radii; report all, flag best.
+def _first_passages(path, nodes, rho0, rho1, resident, waiting_exit, counts):
+    """Advance each replica's boundary chain through one chunk of its path.
 
-    The best-conforming configuration minimizes the worst relative gap
-    between eps log P-hat and -Vtilde over the sufficiently-sampled cells.
+    ``path`` has shape (steps, replicas).  A replica waiting to exit looks for
+    the first step at distance >= rho0 from its resident node; otherwise for
+    the first step within rho1 of any node, which it records in ``counts``
+    and makes its new resident.  The crossing indices of a chunk are found
+    once per replica and walked with ``searchsorted``.  ``resident``,
+    ``waiting_exit`` and ``counts`` are updated in place.
     """
-    if configs is None:
-        base = [(0.05, 0.075, 0.1, 0.15, 0.3),
-                (0.1, 0.15, 0.2, 0.3, 0.45),
-                (0.15, 0.2, 0.3, 0.45, 0.6),
-                (0.2, 0.3, 0.4, 0.6, 0.8)]
-        configs = [BoundaryChainConfig(*r) for r in base]
-    reports = []
-    scores = []
-    for k, bc in enumerate(configs):
-        rep = boundary_chain(model, bc, eps, seed=seed + 37 * k,
-                             n_replicas=n_replicas,
-                             horizon_per_replica=horizon_per_replica, dt=dt)
-        reports.append(rep)
-        gaps = []
-        n = rep.nodes.size
-        for i in range(n):
-            for j in range(n):
-                if i != j and np.isfinite(rep.eps_log_p[i, j]) \
-                        and np.isfinite(rep.vtilde[i, j]) and rep.vtilde[i, j] > 0:
-                    gaps.append(abs(rep.eps_log_p[i, j] + rep.vtilde[i, j])
-                                / rep.vtilde[i, j])
-        scores.append(max(gaps) if gaps else math.inf)
-    return reports, int(np.argmin(scores))
+    for r in range(path.shape[1]):
+        d = np.abs(path[:, r] - nodes[:, None])     # (node, step)
+        exits = [np.flatnonzero(di >= rho0) for di in d]
+        hits = np.flatnonzero(d.min(0) <= rho1)
+        cur = 0
+        while True:
+            idx = exits[resident[r]] if waiting_exit[r] else hits
+            pos = np.searchsorted(idx, cur)
+            if pos == idx.size:
+                break
+            cur = idx[pos]
+            if not waiting_exit[r]:
+                j = int(np.argmin(d[:, cur]))
+                counts[resident[r], j] += 1
+                resident[r] = j
+            waiting_exit[r] = not waiting_exit[r]

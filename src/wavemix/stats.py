@@ -89,14 +89,3 @@ def tail_dominated(values, threshold: float = 0.1) -> bool:
     total = v.sum()
     return bool(total > 0 and v.max() > threshold * total)
 
-
-def kahan_sum(values) -> float:
-    """Compensated summation; order-independent reductions for ensemble stats."""
-    total = 0.0
-    comp = 0.0
-    for x in np.asarray(values, float).ravel():
-        y = x - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total

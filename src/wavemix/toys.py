@@ -27,6 +27,11 @@ class GradientSDE:
     name: str = "gradient_sde"
 
     def __post_init__(self):
+        # descending coefficients of b and b', as np.polyval receives them
+        b = list(self.drift_coeffs)
+        db = [k * c for k, c in enumerate(b)][1:] or [0.0]
+        object.__setattr__(self, "_b_desc", tuple(np.asarray(b[::-1])))
+        object.__setattr__(self, "_db_desc", tuple(np.asarray(db[::-1])))
         # potential consistency: A' = b checked on a dense grid
         u = np.linspace(-10, 10, 1000)
         dA = np.polyval(np.polyder(np.poly1d(self._poly_A())), u)
@@ -39,7 +44,11 @@ class GradientSDE:
         return list(reversed(A))
 
     def drift(self, u):
-        return np.polyval(list(reversed(self.drift_coeffs)), u)
+        return _horner(self._b_desc, u)
+
+    def drift_prime(self, u):
+        """b'(u), evaluated as np.polyval evaluates it."""
+        return _horner(self._db_desc, u)
 
     def potential(self, u):
         return np.polyval(self._poly_A(), u)
@@ -53,9 +62,24 @@ class GradientSDE:
             if not dedup or abs(r - dedup[-1]) > 1e-8:
                 dedup.append(r)
         pts = np.array(dedup)
-        dcoef = list(reversed([k * c for k, c in enumerate(self.drift_coeffs)][1:] or [0.0]))
-        stable = np.polyval(dcoef, pts) > 0
-        return pts, stable
+        return pts, self.drift_prime(pts) > 0
+
+
+def _horner(coeffs: tuple, u):
+    """``np.polyval(coeffs, u)`` bit for bit, without its per-call set-up.
+
+    polyval starts from y = 0 and applies y = y*u + c for each coefficient;
+    for finite u its first step yields c0 exactly, so the loop here starts
+    from u*c0 + c1 and continues in place in the same order.
+    """
+    u = np.asanyarray(u)
+    if len(coeffs) == 1:
+        return np.zeros_like(u) * u + coeffs[0]
+    y = u * coeffs[0] + coeffs[1]
+    for c in coeffs[2:]:
+        y *= u
+        y += c
+    return y
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wavemix.nlw import NoiseModel, Nonlinearity
+from wavemix.nlw import BlowupError, NoiseModel, Nonlinearity
 from wavemix.rates import (
     BoundaryChainConfig,
     ControlPath,
     EquilibriumNetwork,
+    _first_passages,
     action,
     action_value,
     boundary_chain,
@@ -24,7 +26,7 @@ from wavemix.rates import (
     w_graph_weights,
 )
 from wavemix.spectral import Field, PhaseState, SpectralBasis, phase_norm
-from wavemix.toys import builtin_cubic, builtin_doublewell
+from wavemix.toys import GradientSDE, builtin_cubic, builtin_doublewell
 
 PI = np.pi
 
@@ -386,6 +388,9 @@ def test_boundary_chain_large_eps_visits_everything():
     rows = rep.probabilities.sum(axis=1)
     np.testing.assert_allclose(rows[np.isfinite(rows)], 1.0, atol=1e-9)
     assert (rep.counts > 0).all()
+    # golden counts of the original per-replica scan: 40 000 steps, two full
+    # 20 000-step chunks with the chain state carried across
+    np.testing.assert_array_equal(rep.counts, [[861, 67], [64, 964]])
 
 
 def test_boundary_chain_small_eps_barrier():
@@ -402,6 +407,75 @@ def test_boundary_chain_small_eps_barrier():
     n0, n1 = rep.counts[0].sum(), rep.counts[1].sum()
     se = math.sqrt(p01 * (1 - p01) / n0 + p10 * (1 - p10) / n1)
     assert abs(p01 - p10) <= 3 * se
+
+
+def test_boundary_chain_golden_counts_three_wells():
+    # golden counts of the original per-replica scan; a change of the noise
+    # stream, the Euler step or the first-passage rules moves them.  Wells at
+    # 0, 2 and 4; 25 000 steps end in a short chunk
+    quintic = GradientSDE((0.0, 24.0, -50.0, 35.0, -10.0, 1.0), name="quintic")
+    rep = boundary_chain(quintic, BoundaryChainConfig(), eps=1.5, seed=7,
+                         n_replicas=6, horizon_per_replica=50.0, dt=2e-3)
+    np.testing.assert_allclose(rep.nodes, [0.0, 2.0, 4.0], atol=1e-12)
+    np.testing.assert_array_equal(rep.counts, [[209, 12, 0], [13, 252, 9], [0, 9, 208]])
+
+
+def test_boundary_chain_blowup_raises():
+    # explicit Euler at dt = 0.5 is unstable for the cubic drift
+    with np.errstate(all="ignore"), pytest.raises(BlowupError, match="nonfinite"):
+        boundary_chain(builtin_doublewell(), BoundaryChainConfig(), eps=1.0, seed=0,
+                       n_replicas=4, horizon_per_replica=50.0, dt=0.5)
+
+
+def _scan_reference(path, nodes, rho0, rho1, resident, waiting_exit, counts):
+    """The original per-replica scan of ``boundary_chain``; path is (replicas, steps)."""
+    n_replicas, k = path.shape
+    for r in range(n_replicas):
+        d = np.abs(path[r][:, None] - nodes[None, :])
+        cur = 0
+        while cur < k:
+            if waiting_exit[r]:
+                out = np.flatnonzero(d[cur:, resident[r]] >= rho0)
+                if out.size == 0:
+                    break
+                cur += out[0]
+                waiting_exit[r] = False
+            else:
+                near = np.flatnonzero(np.min(d[cur:], axis=1) <= rho1)
+                if near.size == 0:
+                    break
+                cur += near[0]
+                j = int(np.argmin(d[cur]))
+                counts[resident[r], j] += 1
+                resident[r] = j
+                waiting_exit[r] = True
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(n_nodes=st.integers(1, 4), n_replicas=st.integers(1, 5),
+       steps=st.tuples(st.integers(1, 400), st.integers(1, 400)),
+       radii=st.tuples(st.integers(1, 8), st.integers(1, 8)),
+       snap=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_first_passages_match_reference_scan(n_nodes, n_replicas, steps, radii,
+                                             snap, seed):
+    rng = np.random.default_rng(seed)
+    # dyadic nodes, radii and (when snapped) paths make distances hit the
+    # radii exactly, so the >= and <= boundaries are exercised
+    nodes = np.sort(rng.choice(np.arange(-24, 25), n_nodes, replace=False)) / 8.0
+    rho1 = min(radii) / 8.0
+    rho0 = rho1 + max(radii) / 8.0
+    start = rng.integers(0, n_nodes, n_replicas)
+    walk = nodes[start] + np.cumsum(rng.normal(0, 0.25, (sum(steps), n_replicas)), 0)
+    if snap:
+        walk = np.round(walk * 8.0) / 8.0
+    state = (start.copy(), rng.random(n_replicas) < 0.5, np.zeros((n_nodes,) * 2, int))
+    ref = tuple(a.copy() for a in state)
+    # two consecutive chunks, the chain state carried from the first
+    for chunk in np.split(walk, [steps[0]]):
+        _first_passages(chunk, nodes, rho0, rho1, *state)
+        _scan_reference(np.ascontiguousarray(chunk.T), nodes, rho0, rho1, *ref)
+        for got, want in zip(state, ref):
+            np.testing.assert_array_equal(got, want)
 
 
 def test_action_of_reversed_flow_instanton():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import erf
 
 from wavemix.toys import (
@@ -45,6 +46,34 @@ def test_potential_derivative_matches_drift():
         u = np.linspace(-5, 8, 100001)
         dA = np.gradient(model.potential(u), u)
         assert np.max(np.abs(dA[1:-1] - model.drift(u)[1:-1])) < 1e-4
+
+
+_coeff = st.one_of(st.integers(-5, 5), st.just(0.0),
+                   st.floats(-10.0, 10.0, allow_nan=False, width=64))
+_point = st.one_of(st.integers(-50, 50), st.floats(-50.0, 50.0, allow_nan=False))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(coeffs=st.lists(_coeff, min_size=1, max_size=6), lead_zeros=st.integers(0, 2),
+       kind=st.sampled_from(["python", "0-d", "1-d", "n-d"]),
+       points=st.lists(_point, min_size=1, max_size=12))
+def test_horner_drift_matches_polyval(coeffs, lead_zeros, kind, points):
+    coeffs = coeffs + [0.0] * lead_zeros     # zero leading (highest) powers
+    model = GradientSDE(tuple(coeffs))
+    if kind == "python":
+        u = points[0]
+    elif kind == "0-d":
+        u = np.asarray(points[0])
+    elif kind == "1-d":
+        u = np.asarray(points)
+    else:
+        u = np.resize(np.asarray(points), (2, 3, 2))
+    slopes = [k * c for k, c in enumerate(coeffs)][1:] or [0.0]
+    for got, want in ((model.drift(u), np.polyval(list(reversed(coeffs)), u)),
+                      (model.drift_prime(u), np.polyval(list(reversed(slopes)), u))):
+        assert type(got) is type(want)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 def test_exact_density_gaussian():
