@@ -27,7 +27,7 @@ from wavemix import nlw
 from wavemix import rates
 from wavemix import toys
 from wavemix.observables import default_observables
-from wavemix.spectral import Field, PhaseState, SpectralBasis
+from wavemix.spectral import Field, PhaseState, SpectralBasis, phase_norm_sq_arr
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -390,10 +390,8 @@ def _cmd_energy_audit(cfg: RunConfig, out_dir: Path, threads: int) -> int:
         n_traj = cfg["experiment"]["n_traj"]
         res = nlw.run_flow(sim, nl, noise, y0, n_traj=n_traj,
                            probes={"energy": nlw.make_energy_fn(basis, nl, sim.alpha)},
-                           integrands={"normH2": lambda s:
-                                       np.sum(basis.eigenvalues * s[..., 0, :] ** 2
-                                              + (s[..., 1, :] + sim.alpha * s[..., 0, :]) ** 2,
-                                              axis=-1)},
+                           integrands={"normH2": lambda s: phase_norm_sq_arr(
+                               s, basis.eigenvalues, sim.alpha)},
                            threads=threads)
         trajs = [nlw.Trajectory(res.t, np.zeros((res.t.size, 2, basis.mode_count)),
                                 res.probes["energy"][i], sim, nl, noise, y0,

@@ -23,9 +23,8 @@ from wavemix.nlw import (
     Nonlinearity,
     SimConfig,
     Trajectory,
-    apply_modewise,
-    check_finite,
-    draw_normals,
+    _strang_drive,
+    apply_modewise,  # noqa: F401  (re-exported; perfbench checks this binding)
     linear_ops,
     make_energy_fn,
     trajectory_streams,
@@ -129,19 +128,15 @@ def _run_coupled(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
     if np.any(b_eff[:n_feedback] == 0):
         raise ValueError("feedback modes must carry non-degenerate noise")
     ops = linear_ops(cfg, noise)
-    E = basis.eigenfunctions
-    w = basis.weights
     h = cfg.h_coeffs()
     lam = basis.eigenvalues
     alpha = cfg.alpha
+    dt = cfg.dt
     energy_fn = make_energy_fn(basis, nl, alpha)
 
     n_steps = cfg.n_steps
-    rec = list(range(0, n_steps + 1, cfg.stride))
-    if rec[-1] != n_steps:
-        rec.append(n_steps)
-    rec_set = {s: i for i, s in enumerate(rec)}
-    t_rec = np.array(rec) * cfg.dt
+    rec = stats.record_steps(n_steps, cfg.stride)
+    t_rec = np.array(list(rec)) * dt
     nr = len(rec)
 
     # inverse covariance of the half-step convolution on the feedback modes
@@ -164,7 +159,6 @@ def _run_coupled(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
     block_max = np.zeros((n_traj, n_blocks))
 
     block_size = max(min(128, n_traj), 1)
-    chunk_steps = 128
 
     for lo in range(0, n_traj, block_size):
         hi = min(lo + block_size, n_traj)
@@ -175,14 +169,14 @@ def _run_coupled(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
         hen = np.zeros(nb)
         llr = np.zeros(nb)
         last_drift = np.zeros((nb, n_feedback))
+        d_n = np.zeros((nb, n_feedback))  # this step's feedback P_N[f(u) - f(v)]
         int_part = np.zeros((nb, 3))  # alpha * int_0^t |E| ds per system
         absE_prev = np.abs(energy_fn(states))
         F0 = absE_prev.copy()
         tau = np.full((nb, 3), math.inf)
         active = np.ones(nb, bool)  # drift active while t <= tau_tilde
 
-        def do_record(step_idx):
-            i = rec_set[step_idx]
+        def record(i, states):
             dvu = states[:, 2] - states[:, 0]
             diff_vu[lo:hi, i] = np.sqrt(phase_norm_sq_arr(dvu, lam, alpha))
             low = dvu[:, :, :n_feedback]
@@ -194,67 +188,57 @@ def _run_coupled(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
             if states_out is not None:
                 states_out[lo:hi, i] = states
 
-        do_record(0)
-        normals = np.empty((nb, min(chunk_steps, n_steps), 2, 2, m))
-        step = 0
-        while step < n_steps:
-            chunk = min(chunk_steps, n_steps - step)
-            draw_normals(rngs, normals, chunk)
-            for s in range(chunk):
-                t_now = (step + s) * cfg.dt
-                states = apply_modewise(ops.P_half, states)
-                states += apply_modewise(ops.chol_half, normals[:, s, 0])[:, None]
+        def kick(states):
+            # -f + h for u, u'; v adds -P_N[f(u) - f(v)]
+            nonlocal d_n
+            fcoef = basis.analyze(nl.f(basis.synthesize(states[:, :, 0, :])))
+            d_n = fcoef[:, 0, :n_feedback] - fcoef[:, 2, :n_feedback]
+            d_n = d_n * active[:, None]
+            acc = -fcoef + h
+            acc[:, 2, :n_feedback] -= d_n
+            return acc
 
-                pos = states[:, :, 0, :]
-                fcoef = (nl.f(pos @ E.T) * w) @ E
-                # kicks: -f + h for u, u'; v adds -P_N[f(u) - f(v)]
-                d_n = fcoef[:, 0, :n_feedback] - fcoef[:, 2, :n_feedback]
-                d_n = d_n * active[:, None]
-                kick = -fcoef + h
-                kick[:, 2, :n_feedback] -= d_n
-                states[:, :, 1, :] += cfg.dt * kick
+        def girsanov(w2):
+            # the feedback kick shifts the second half-step convolution
+            nonlocal llr, nov, hen, last_drift
+            mv = np.empty((nb, 2, n_feedback))
+            mv[:, 0] = -dt * P_half_fb[:, 0, 1] * d_n
+            mv[:, 1] = -dt * P_half_fb[:, 1, 1] * d_n
+            w2f = w2[:, :, :n_feedback]
+            quad_mm = np.einsum("naj,jab,nbj->nj", mv, inv_cov, mv)
+            quad_mw = np.einsum("naj,jab,nbj->n", mv, inv_cov, w2f)
+            llr += -quad_mw - 0.5 * quad_mm.sum(axis=1)
+            a_noise = d_n / b_eff[:n_feedback]
+            nov += dt * np.sum(a_noise ** 2, axis=1)
+            # exact discrete shift energy, mapped back to mode frame
+            hen += quad_mm @ (b_eff[:n_feedback] ** 2)
+            last_drift = a_noise
 
-                # Girsanov shift on the second half-step convolution
-                if n_feedback:
-                    mv = np.empty((nb, 2, n_feedback))
-                    mv[:, 0] = -cfg.dt * P_half_fb[:, 0, 1] * d_n
-                    mv[:, 1] = -cfg.dt * P_half_fb[:, 1, 1] * d_n
-                    w2 = apply_modewise(ops.chol_half, normals[:, s, 1])
-                    w2f = w2[:, :, :n_feedback]
-                    quad_mm = np.einsum("naj,jab,nbj->nj", mv, inv_cov, mv)
-                    quad_mw = np.einsum("naj,jab,nbj->n", mv, inv_cov, w2f)
-                    llr += -quad_mw - 0.5 * quad_mm.sum(axis=1)
-                    a_noise = d_n / b_eff[:n_feedback]
-                    nov += cfg.dt * np.sum(a_noise ** 2, axis=1)
-                    # exact discrete shift energy, mapped back to mode frame
-                    hen += quad_mm @ (b_eff[:n_feedback] ** 2)
-                    last_drift = a_noise
+        def on_step(step, states):
+            nonlocal absE_prev, int_part, active
+            t_now = (step - 1) * dt
+            t_next = t_now + dt
+            absE = np.abs(energy_fn(states))
+            int_part += 0.5 * dt * alpha * (absE_prev + absE)
+            absE_prev = absE
+            if monitor is not None:
+                growth = int_part + absE
+                crossed = growth >= (F0 + (monitor.L + monitor.M_rate) * t_next
+                                     + monitor.r)
+                newly = crossed & np.isinf(tau)
+                tau[newly] = t_next
+                active = np.min(tau, axis=1) > t_next
 
-                states = apply_modewise(ops.P_half, states)
-                states += apply_modewise(ops.chol_half, normals[:, s, 1])[:, None]
+            # agreement bookkeeping on unit blocks: track |xi_v - xi_u'|_H
+            dvup = np.sqrt(phase_norm_sq_arr(states[:, 2] - states[:, 1], lam, alpha))
+            b_idx = min(int(t_now), n_blocks - 1)
+            np.maximum(block_max[lo:hi, b_idx], dvup, out=block_max[lo:hi, b_idx])
+            if step in rec:
+                record(rec[step], states)
 
-                t_next = t_now + cfg.dt
-                absE = np.abs(energy_fn(states))
-                int_part += 0.5 * cfg.dt * alpha * (absE_prev + absE)
-                absE_prev = absE
-                if monitor is not None:
-                    growth = int_part + absE
-                    crossed = growth >= (F0 + (monitor.L + monitor.M_rate) * t_next
-                                         + monitor.r)
-                    newly = crossed & np.isinf(tau)
-                    tau[newly] = t_next
-                    active = np.min(tau, axis=1) > t_next
-
-                # agreement bookkeeping on unit blocks: track |xi_v - xi_u'|_H
-                dvup = np.sqrt(phase_norm_sq_arr(states[:, 2] - states[:, 1], lam, alpha))
-                b_idx = min(int(t_now), n_blocks - 1)
-                np.maximum(block_max[lo:hi, b_idx], dvup, out=block_max[lo:hi, b_idx])
-
-                step_now = step + s + 1
-                if step_now in rec_set:
-                    do_record(step_now)
-            step += chunk
-            check_finite(states, step * cfg.dt, lo)
+        record(0, states)
+        _strang_drive(states, ops, rngs, kick, n_steps, on_step,
+                      girsanov if n_feedback else None, chunk_steps=128, offset=lo)
         taus[lo:hi] = tau
 
     tau_tilde = np.min(taus, axis=1)

@@ -7,6 +7,15 @@ stochastic convolution), the nonlinearity kicks the velocity explicitly over
 the full step, and a second exact linear half-step closes the update.
 Trajectories are deterministic functions of (seed, config); ensembles split
 the master seed into per-trajectory counter-based streams.
+
+Every stepper of the package -- ``run_flow``, ``step_stochastic``,
+``regularity_split``, the coupled triple in ``coupling`` and the noiseless
+stabilization in ``rates`` -- runs the one driver ``_strang_drive`` on a block
+of paths.  The driver owns the chunked noise buffer and the per-chunk
+finiteness check; a caller supplies the kick and two hooks: ``mid``, which
+sees the second half-step's noise increment (the Girsanov bookkeeping), and
+``on_step``, called after every step (integrands, monitors, recording on the
+grid of ``stats.record_steps``).
 """
 
 from __future__ import annotations
@@ -112,13 +121,6 @@ class Nonlinearity:
             out += k * c * u ** (k - 1)
         return out
 
-    def describe(self) -> str:
-        if self.kind == "klein_gordon":
-            return f"klein_gordon(rho={self.rho}, lam={self.lam})"
-        if self.kind == "sine_gordon":
-            return "sine_gordon"
-        return f"polynomial({list(self.coeffs)})"
-
 
 @dataclass(frozen=True)
 class DissipativityReport:
@@ -137,10 +139,6 @@ class DissipativityReport:
     ok: bool
     violations: tuple[str, ...]
     u_range: tuple[float, float]
-
-    @property
-    def c_max(self) -> float:
-        return max(self.c_lower, self.c_balance, self.c_gradient)
 
 
 def check_dissipativity(nl: Nonlinearity, u_max: float = 1e4,
@@ -466,27 +464,65 @@ class Trajectory:
 
 def make_energy_fn(basis: SpectralBasis, nl: Nonlinearity, alpha: float) -> Callable:
     lam = basis.eigenvalues
-    w = basis.weights
-    E = basis.eigenfunctions
 
     def fn(states: np.ndarray) -> np.ndarray:
-        pot = (nl.F(states[..., 0, :] @ E.T)) @ w
+        pot = basis.quadrature(nl.F(basis.synthesize(states[..., 0, :])))
         return phase_norm_sq_arr(states, lam, alpha) + 2.0 * pot
     return fn
 
 
 def make_kick_fn(basis: SpectralBasis, nl: Nonlinearity, h_coeffs: np.ndarray) -> Callable:
     """Velocity increment coefficients of -f(u)+h, evaluated pseudo-spectrally."""
-    w = basis.weights
-    E = basis.eigenfunctions
 
     def fn(pos_coeffs: np.ndarray) -> np.ndarray:
-        vals = nl.f(pos_coeffs @ E.T)
-        return -(vals * w) @ E + h_coeffs
+        return -basis.analyze(nl.f(basis.synthesize(pos_coeffs))) + h_coeffs
     return fn
 
 
 _CHUNK_STEPS = 256
+
+
+def _strang_drive(states: np.ndarray, ops: LinearOps, rngs, kick: Callable,
+                  n_steps: int, on_step: Callable | None = None,
+                  mid: Callable | None = None, *, chunk_steps: int = _CHUNK_STEPS,
+                  offset: int = 0) -> np.ndarray:
+    """Advance a block of states ``n_steps`` Strang steps and return it.
+
+    ``states`` has shape (n_paths, ..., 2, M); path ``i`` draws both half-step
+    convolutions from ``rngs[i]``, shared by every system of the path, and
+    ``rngs=None`` runs the noiseless scheme without drawing.  One step is an
+    exact linear half-step, the velocity kick ``dt * kick(states)``,
+    ``mid(w2)`` with the (n_paths, 2, M) noise increment of the second
+    half-step, and the second exact half-step; ``on_step(step, states)``
+    follows.  A nonfinite block raises ``BlowupError`` once per chunk.
+    """
+    dt = ops.dt
+    lift = (slice(None),) + (None,) * (states.ndim - 3)  # one increment per path
+    normals = None
+    if rngs is not None:
+        normals = np.empty((len(states), min(chunk_steps, n_steps), 2, 2,
+                            ops.P_half.shape[0]))
+    step = 0
+    while step < n_steps:
+        chunk = min(chunk_steps, n_steps - step)
+        if normals is not None:
+            draw_normals(rngs, normals, chunk)
+        for s in range(chunk):
+            states = apply_modewise(ops.P_half, states)
+            if normals is not None:
+                states += apply_modewise(ops.chol_half, normals[:, s, 0])[lift]
+            states[..., 1, :] += dt * kick(states)
+            w2 = None if normals is None else apply_modewise(ops.chol_half, normals[:, s, 1])
+            if mid is not None:
+                mid(w2)
+            states = apply_modewise(ops.P_half, states)
+            if w2 is not None:
+                states += w2[lift]
+            if on_step is not None:
+                on_step(step + s + 1, states)
+        step += chunk
+        check_finite(states, step * dt, offset)
+    return states
 
 
 def run_flow(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel, y0: PhaseState,
@@ -503,17 +539,13 @@ def run_flow(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel, y0: PhaseState
     integrands = dict(integrands or {})
     ops = linear_ops(cfg, noise)
     kick = make_kick_fn(cfg.basis, nl, cfg.h_coeffs())
-    n_steps = cfg.n_steps
-    rec_steps = list(range(0, n_steps + 1, cfg.stride))
-    if rec_steps[-1] != n_steps:
-        rec_steps.append(n_steps)
-    rec_set = {s: i for i, s in enumerate(rec_steps)}
-    t_rec = np.array(rec_steps) * cfg.dt
+    rec = stats.record_steps(cfg.n_steps, cfg.stride)
+    t_rec = np.array(list(rec)) * cfg.dt
 
-    out_probes = {k: np.empty((n_traj, len(rec_steps))) for k in probes}
-    out_ints = {k: np.empty((n_traj, len(rec_steps))) for k in integrands}
+    out_probes = {k: np.empty((n_traj, len(rec))) for k in probes}
+    out_ints = {k: np.empty((n_traj, len(rec))) for k in integrands}
     finals = np.empty((n_traj, 2, cfg.basis.mode_count))
-    all_states = (np.empty((n_traj, len(rec_steps), 2, cfg.basis.mode_count))
+    all_states = (np.empty((n_traj, len(rec), 2, cfg.basis.mode_count))
                   if return_states else None)
 
     y0_arr = y0.as_array()
@@ -525,8 +557,7 @@ def run_flow(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel, y0: PhaseState
         acc = {k: np.zeros(nb) for k in integrands}
         prev = {k: fn(states) for k, fn in integrands.items()}
 
-        def record(step_idx: int):
-            i = rec_set[step_idx]
+        def record(i: int, states: np.ndarray):
             for k, fn in probes.items():
                 out_probes[k][lo:hi, i] = fn(states)
             for k in integrands:
@@ -534,28 +565,17 @@ def run_flow(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel, y0: PhaseState
             if all_states is not None:
                 all_states[lo:hi, i] = states
 
-        record(0)
-        normals = np.empty((nb, min(_CHUNK_STEPS, n_steps), 2, 2, cfg.basis.mode_count))
-        step = 0
-        while step < n_steps:
-            chunk = min(_CHUNK_STEPS, n_steps - step)
-            draw_normals(rngs, normals, chunk)
-            for s in range(chunk):
-                states = apply_modewise(ops.P_half, states)
-                states += apply_modewise(ops.chol_half, normals[:, s, 0])
-                states[:, 1, :] += cfg.dt * kick(states[:, 0, :])
-                states = apply_modewise(ops.P_half, states)
-                states += apply_modewise(ops.chol_half, normals[:, s, 1])
-                step_now = step + s + 1
-                for k, fn in integrands.items():
-                    cur = fn(states)
-                    acc[k] += 0.5 * cfg.dt * (prev[k] + cur)
-                    prev[k] = cur
-                if step_now in rec_set:
-                    record(step_now)
-            step += chunk
-            check_finite(states, step * cfg.dt, lo)
-        finals[lo:hi] = states
+        def on_step(step: int, states: np.ndarray):
+            for k, fn in integrands.items():
+                cur = fn(states)
+                acc[k] += 0.5 * cfg.dt * (prev[k] + cur)
+                prev[k] = cur
+            if step in rec:
+                record(rec[step], states)
+
+        record(0, states)
+        finals[lo:hi] = _strang_drive(states, ops, rngs, lambda s: kick(s[:, 0, :]),
+                                      cfg.n_steps, on_step, offset=lo)
 
     blocks = [(lo, min(lo + block_size, n_traj)) for lo in range(0, n_traj, block_size)]
     if threads > 1 and len(blocks) > 1:
@@ -585,16 +605,9 @@ def simulate(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
 def step_stochastic(y: PhaseState, cfg: SimConfig, nl: Nonlinearity,
                     noise: NoiseModel, rng: np.random.Generator) -> PhaseState:
     """One Strang step; the two half-step convolutions are drawn from ``rng``."""
-    ops = linear_ops(cfg, noise)
     kick = make_kick_fn(cfg.basis, nl, cfg.h_coeffs())
-    s = y.as_array()[None]
-    s = apply_modewise(ops.P_half, s)
-    s += apply_modewise(ops.chol_half, rng.standard_normal(s.shape))
-    s[:, 1, :] += cfg.dt * kick(s[:, 0, :])
-    s = apply_modewise(ops.P_half, s)
-    s += apply_modewise(ops.chol_half, rng.standard_normal(s.shape))
-    if not np.isfinite(s).all():
-        raise BlowupError("nonfinite state after one step")
+    s = _strang_drive(y.as_array()[None], linear_ops(cfg, noise), [rng],
+                      lambda st: kick(st[:, 0, :]), 1)
     return PhaseState.from_coeffs(cfg.basis, s[0, 0], s[0, 1], cfg.alpha)
 
 
@@ -665,35 +678,29 @@ def regularity_split(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
     """Replay one noise path through the nonlinear and the linear equations."""
     if s is None:
         s = 0.5 * (1.0 - nl.rho / 2.0)
-    ops = linear_ops(cfg, noise)
-    kick_u = make_kick_fn(cfg.basis, nl, cfg.h_coeffs())
     h = cfg.h_coeffs()
-    n_steps = cfg.n_steps
-    rec = list(range(0, n_steps + 1, cfg.stride))
-    if rec[-1] != n_steps:
-        rec.append(n_steps)
-    rec_set = {st: i for i, st in enumerate(rec)}
+    kick_u = make_kick_fn(cfg.basis, nl, h)
+    rec = stats.record_steps(cfg.n_steps, cfg.stride)
     lam = cfg.basis.eigenvalues
 
-    states = np.broadcast_to(y0.as_array(), (2,) + y0.as_array().shape).copy()
-    rng = trajectory_streams(cfg.seed, 1)[0]
+    def kick(st: np.ndarray) -> np.ndarray:
+        out = np.empty(st.shape[:-2] + st.shape[-1:])
+        out[:, 0] = kick_u(st[:, 0, 0, :])
+        out[:, 1] = h
+        return out
+
+    def on_step(step: int, st: np.ndarray):
+        if step in rec:
+            out_u[rec[step]], out_v[rec[step]] = st[0]
+
+    # one path carrying two systems: u (nonlinear) and v (linear)
+    states = np.broadcast_to(y0.as_array(), (1, 2) + y0.as_array().shape).copy()
     out_u = np.empty((len(rec), 2, cfg.basis.mode_count))
     out_v = np.empty_like(out_u)
-    out_u[0], out_v[0] = states[0], states[1]
-    for step in range(1, n_steps + 1):
-        normals = rng.standard_normal((2, 2, cfg.basis.mode_count))
-        states = apply_modewise(ops.P_half, states)
-        states += apply_modewise(ops.chol_half, np.broadcast_to(normals[0], states.shape))
-        states[0, 1, :] += cfg.dt * kick_u(states[0, 0, :][None])[0]
-        states[1, 1, :] += cfg.dt * h
-        states = apply_modewise(ops.P_half, states)
-        states += apply_modewise(ops.chol_half, np.broadcast_to(normals[1], states.shape))
-        if step in rec_set:
-            i = rec_set[step]
-            out_u[i], out_v[i] = states[0], states[1]
-    if not np.isfinite(states).all():
-        raise BlowupError("nonfinite state in regularity split")
-    t = np.array(rec) * cfg.dt
+    on_step(0, states)
+    _strang_drive(states, linear_ops(cfg, noise), trajectory_streams(cfg.seed, 1),
+                  kick, cfg.n_steps, on_step)
+    t = np.array(list(rec)) * cfg.dt
     z = out_u - out_v
     return RegularitySplit(
         t, out_u, out_v,

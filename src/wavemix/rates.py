@@ -20,7 +20,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from wavemix import stats
-from wavemix.nlw import BlowupError, NoiseModel, Nonlinearity
+from wavemix.nlw import BlowupError, NoiseModel, Nonlinearity, SimConfig, \
+    _strang_drive, linear_ops
 from wavemix.spectral import PhaseState, SpectralBasis
 from wavemix.toys import GradientSDE, gradient_sde_exact_density, simulate_toy, \
     autocorrelation_time
@@ -84,7 +85,6 @@ class EquilibriumNetwork:
     points: list
     stable: np.ndarray
     V: np.ndarray
-    Vtilde: np.ndarray | None = None
     basis: SpectralBasis | None = None
 
     def __post_init__(self):
@@ -100,9 +100,7 @@ class EquilibriumNetwork:
         idx = np.flatnonzero(self.stable)
         return EquilibriumNetwork(
             self.kind, [self.points[i] for i in idx], self.stable[idx],
-            self.V[np.ix_(idx, idx)],
-            None if self.Vtilde is None else self.Vtilde[np.ix_(idx, idx)],
-            self.basis)
+            self.V[np.ix_(idx, idx)], self.basis)
 
     def to_json_dict(self) -> dict:
         def enc(x):
@@ -154,7 +152,7 @@ def find_equilibria(basis: SpectralBasis, nl: Nonlinearity, gamma: float,
     h = np.zeros(m) if h_coeffs is None else np.asarray(h_coeffs, float)
 
     def residual(c):
-        return lam * c + (nl.f(c @ E.T) * w) @ E - h
+        return lam * c + basis.analyze(nl.f(basis.synthesize(c))) - h
 
     def jacobian(c):
         fp = nl.fprime(c @ E.T)
@@ -369,8 +367,6 @@ def nlw_quasipotential(basis: SpectralBasis, nl: Nonlinearity, gamma: float,
     """
     m = basis.mode_count
     lam = basis.eigenvalues
-    E = basis.eigenfunctions
-    w = basis.weights
     h = np.zeros(m) if h_coeffs is None else np.asarray(h_coeffs, float)
     alpha = z1.alpha
     b2 = noise.coeffs ** 2
@@ -396,12 +392,12 @@ def nlw_quasipotential(basis: SpectralBasis, nl: Nonlinearity, gamma: float,
         for w_pen in penalty_ladder:
             res = minimize(
                 _nlw_action_and_grad, x, method="L-BFGS-B", jac=True,
-                args=(p1, v1, p2, v2, lam, gamma, alpha, inv_b2, nl, E, w, h,
+                args=(p1, v1, p2, v2, lam, gamma, alpha, inv_b2, nl, basis, h,
                       dt, K, m, w_pen / eta ** 2),
                 options={"maxiter": maxiter, "ftol": 1e-14, "gtol": 1e-9})
             x = res.x
         X = np.vstack([p1[None], (p1 + dt * v1)[None], x.reshape(K - 1, m)])
-        phi, end_err = _nlw_controls(X, lam, gamma, nl, E, w, h, dt)
+        phi = _nlw_controls(X, lam, gamma, nl, basis, h, dt)
         live_sq = np.sum(phi ** 2 * np.where(dead, 0.0, inv_b2), axis=1)
         dead_action = 0.5 * dt * float(np.sum(phi[:, dead] ** 2)) if dead.any() else 0.0
         val = float(0.5 * dt * np.sum(live_sq))
@@ -418,19 +414,18 @@ def nlw_quasipotential(basis: SpectralBasis, nl: Nonlinearity, gamma: float,
                                 converged=dist <= eta)
 
 
-def _nlw_controls(X, lam, gamma, nl, E, w, h, dt):
+def _nlw_controls(X, lam, gamma, nl, basis, h, dt):
     u_mid = X[1:-1]
     d2 = (X[2:] - 2 * X[1:-1] + X[:-2]) / dt ** 2
     d1 = (X[2:] - X[:-2]) / (2 * dt)
-    fcoef = (nl.f(u_mid @ E.T) * w) @ E
-    phi = d2 + gamma * d1 + lam * u_mid + fcoef - h
-    return phi, None
+    fcoef = basis.analyze(nl.f(basis.synthesize(u_mid)))
+    return d2 + gamma * d1 + lam * u_mid + fcoef - h
 
 
-def _nlw_action_and_grad(x, p1, v1, p2, v2, lam, gamma, alpha, inv_b2, nl, E, w,
+def _nlw_action_and_grad(x, p1, v1, p2, v2, lam, gamma, alpha, inv_b2, nl, basis,
                          h, dt, K, m, pen):
     X = np.vstack([p1[None], (p1 + dt * v1)[None], x.reshape(K - 1, m)])
-    phi, _ = _nlw_controls(X, lam, gamma, nl, E, w, h, dt)
+    phi = _nlw_controls(X, lam, gamma, nl, basis, h, dt)
     psi = phi * inv_b2                       # (K-1, m)
     J = 0.5 * dt * float(np.sum(phi * psi))
     grad = np.zeros_like(X)
@@ -440,6 +435,7 @@ def _nlw_action_and_grad(x, p1, v1, p2, v2, lam, gamma, alpha, inv_b2, nl, E, w,
     grad[2:] += dt * c_plus * psi            # phi_k wrt X_{k+1}
     grad[:-2] += dt * c_minus * psi          # phi_k wrt X_{k-1}
     u_mid = X[1:-1]
+    E, w = basis.eigenfunctions, basis.weights
     fp = nl.fprime(u_mid @ E.T)
     nl_term = ((psi @ E.T) * (w * fp)) @ E
     grad[1:-1] += dt * ((-2.0 / dt ** 2) * psi + lam * psi + nl_term)
@@ -477,36 +473,35 @@ def stabilization_control(basis: SpectralBasis, nl: Nonlinearity, gamma: float,
     the report checks the pathwise decay |y(t) - u_hat|^2 <= e^{-alpha t} |v0 -
     u_hat|^2 and carries the control's action in the noise-weighted norm.
     """
-    from wavemix.nlw import SimConfig, linear_ops, apply_modewise
-
     m = basis.mode_count
     lam = basis.eigenvalues
-    E, w = basis.eigenfunctions, basis.weights
     h = np.zeros(m) if h_coeffs is None else np.asarray(h_coeffs, float)
     alpha = v0.alpha
     if dt is None:
         dt = 0.5 / math.sqrt(lam[-1])
     cfg = SimConfig(basis=basis, gamma=gamma, dt=dt, horizon=horizon, seed=0,
                     eps=0.0, alpha=alpha)
-    ops = linear_ops(cfg, noise)
-    f_hat = (nl.f(u_hat @ E.T) * w) @ E
+    f_hat = basis.analyze(nl.f(basis.synthesize(u_hat)))
     target = np.stack([u_hat, np.zeros(m)])
-
-    state = v0.as_array()[None].copy()
     n_steps = cfg.n_steps
     t = np.arange(n_steps + 1) * dt
     dist = np.empty(n_steps + 1)
-    dist[0] = phase_dist_sq(state[0], target, lam, alpha)
-    controls = np.zeros((n_steps, m))
-    for k in range(n_steps):
-        state = apply_modewise(ops.P_half, state)
-        fv = (nl.f(state[:, 0, :] @ E.T) * w) @ E
+    controls = []
+
+    def kick(state):
+        fv = basis.analyze(nl.f(basis.synthesize(state[:, 0, :])))
         phi = np.zeros(m)
         phi[:n_feedback] = (fv[0] - f_hat)[:n_feedback]
-        controls[k] = phi
-        state[:, 1, :] += dt * (-fv[0] + h + phi)
-        state = apply_modewise(ops.P_half, state)
-        dist[k + 1] = phase_dist_sq(state[0], target, lam, alpha)
+        controls.append(phi)
+        return -fv[0] + h + phi
+
+    def on_step(step, state):
+        dist[step] = phase_dist_sq(state[0], target, lam, alpha)
+
+    state = v0.as_array()[None].copy()
+    on_step(0, state)
+    _strang_drive(state, linear_ops(cfg, noise), None, kick, n_steps, on_step)
+    controls = np.array(controls)
     t_mid = (np.arange(n_steps) + 0.5) * dt
     path = ControlPath.build(t_mid, controls, noise)
     bound = dist[0] * np.exp(-alpha * t)

@@ -50,10 +50,6 @@ class SpectralBasis:
     def dim(self) -> int:
         return len(self.lengths)
 
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.lengths))
-
     @cached_property
     def _mode_indices(self) -> np.ndarray:
         """Integer index tuples of the retained modes, ascending eigenvalue."""

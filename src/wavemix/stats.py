@@ -15,9 +15,6 @@ class LineFit:
     r2: float
     slope_se: float
 
-    def predict(self, x):
-        return self.intercept + self.slope * np.asarray(x)
-
 
 def line_fit(x, y) -> LineFit:
     """Ordinary least squares y = a + b x with R^2 and the slope's standard error."""
@@ -89,3 +86,10 @@ def tail_dominated(values, threshold: float = 0.1) -> bool:
     total = v.sum()
     return bool(total > 0 and v.max() > threshold * total)
 
+
+def record_steps(n_steps: int, stride: int) -> dict[int, int]:
+    """Record grid of a run: every ``stride``-th step and the last, mapped to its row."""
+    steps = list(range(0, n_steps + 1, stride))
+    if steps[-1] != n_steps:
+        steps.append(n_steps)
+    return {s: i for i, s in enumerate(steps)}

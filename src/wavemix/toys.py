@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from wavemix.stats import record_steps
+
 
 @dataclass(frozen=True)
 class GradientSDE:
@@ -215,11 +217,8 @@ def simulate_toy(model, eps: float | None, dt: float, horizon: float, seed: int,
             raise ValueError("eps is required for gradient toys")
         eps = model.eps
     n_steps = max(int(round(horizon / dt)), 1)
-    rec = list(range(0, n_steps + 1, record_stride))
-    if rec[-1] != n_steps:
-        rec.append(n_steps)
-    rec_set = {s: i for i, s in enumerate(rec)}
-    t = np.array(rec) * dt
+    rec = record_steps(n_steps, record_stride)
+    t = np.array(list(rec)) * dt
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
     if u0 is None:
@@ -245,7 +244,7 @@ def simulate_toy(model, eps: float | None, dt: float, horizon: float, seed: int,
                 cur = integrand(u)
                 acc += 0.5 * dt * (prev + cur)
                 prev = cur
-            idx = rec_set.get(step + s + 1)
+            idx = rec.get(step + s + 1)
             if idx is not None:
                 out[:, idx] = u
                 if out_int is not None:

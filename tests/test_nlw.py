@@ -448,3 +448,43 @@ def test_short_last_chunk_is_batching_invariant(basis16, noise16, monkeypatch):
         # every stream draws exactly its steps' worth, short last chunk included
         assert sum(draws) == n_traj * cfg.n_steps * 2 * 2 * basis16.mode_count
     np.testing.assert_array_equal(finals[0], finals[1])
+
+
+# ------------------------------------------------------------ one Strang driver
+
+
+def test_regularity_split_drive_is_simulate_bitwise(basis16, noise16):
+    # u of the split and a plain simulate run one scheme on one stream
+    cfg = make_cfg(basis16, horizon=5.0, stride=4, seed=9)
+    nl = Nonlinearity.klein_gordon(1.0)
+    y = smooth_state(basis16, alpha=cfg.alpha)
+    split = regularity_split(cfg, nl, noise16, y, s=0.4)
+    traj = simulate(cfg, nl, noise16, y)
+    assert np.array_equal(split.t, traj.t)
+    assert np.array_equal(split.traj_u, traj.states)
+
+
+def test_step_stochastic_iterates_simulate_bitwise(basis16, noise16):
+    cfg = make_cfg(basis16, horizon=1.0, stride=1, seed=9)
+    nl = Nonlinearity.klein_gordon(1.0)
+    y = smooth_state(basis16, alpha=cfg.alpha)
+    traj = simulate(cfg, nl, noise16, y)
+    rng = trajectory_streams(cfg.seed, 1)[0]
+    stepped = [y.as_array()]
+    for _ in range(cfg.n_steps):
+        y = step_stochastic(y, cfg, nl, noise16, rng)
+        stepped.append(y.as_array())
+    assert np.array_equal(np.stack(stepped), traj.states)
+
+
+def test_regularity_split_nonfinite_start_raises_at_first_chunk(basis16, noise16):
+    cfg = make_cfg(basis16, horizon=10.0, seed=9)
+    assert cfg.n_steps > 256
+    y = smooth_state(basis16, alpha=cfg.alpha)
+    c1 = y.u1.coeffs.copy()
+    c1[2] = np.nan
+    bad = PhaseState.from_coeffs(basis16, c1, y.u2.coeffs, cfg.alpha)
+    # the driver checks every 256-step chunk, so the run stops at t = 256 dt
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(nlw.BlowupError, match=r"nonfinite state near t=8 "):
+        regularity_split(cfg, Nonlinearity.klein_gordon(1.0), noise16, bad)
