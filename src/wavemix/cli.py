@@ -296,7 +296,7 @@ def _fmt(x) -> str:
             return "inf" if x > 0 else "-inf"
         if math.isnan(x):
             return "nan"
-        return repr(x)
+        return repr(float(x))  # np.float64 is a float, but its repr is np.float64(...)
     return str(x)
 
 

@@ -143,6 +143,15 @@ def test_subcommand_smoke(tmp_path, args):
     assert code in (EXIT_PASS, 2)
     assert (out / "verdict.json").exists()
     assert (out / "manifest.ini").exists()
+    assert_numeric_csvs(out)
+
+
+def assert_numeric_csvs(out):
+    """Every data cell of every CSV artifact parses as a float."""
+    for path in out.glob("*.csv"):
+        for line in path.read_text().splitlines()[1:]:
+            for cell in line.split(","):
+                float(cell)
 
 
 def test_girsanov_tv_emits_couple_series(tmp_path):
@@ -154,3 +163,4 @@ def test_girsanov_tv_emits_couple_series(tmp_path):
     assert code == EXIT_PASS
     header = (out / "couple_series.csv").read_text().splitlines()[0]
     assert header == "t,diff_normH,lowmode_ratio,novikov_energy"
+    assert_numeric_csvs(out)
