@@ -174,77 +174,77 @@ def parse_config(path: str | None = None, overrides: list[str] | None = None,
             if section not in SCHEMA:
                 raise ConfigError(f"unknown config section [{section}]")
             for key, raw in cp[section].items():
-                if key not in SCHEMA[section]:
-                    raise ConfigError(f"unknown key {section}.{key}")
-                typ = SCHEMA[section][key][0]
-                try:
-                    values[section][key] = typ(raw)
-                except ValueError as e:
-                    raise ConfigError(f"bad value for {section}.{key}: {e}")
+                _assign(values, section, key, raw)
     for item in overrides or []:
         if "=" not in item or "." not in item.split("=", 1)[0]:
             raise ConfigError(f"override must look like section.key=value: {item}")
         target, raw = item.split("=", 1)
-        section, key = target.split(".", 1)
-        if section not in SCHEMA or key not in SCHEMA[section]:
-            raise ConfigError(f"unknown key {section}.{key}")
-        typ = SCHEMA[section][key][0]
-        try:
-            values[section][key] = typ(raw)
-        except ValueError as e:
-            raise ConfigError(f"bad value for {section}.{key}: {e}")
+        _assign(values, *target.split(".", 1), raw)
     cfg = RunConfig(values, seed, out)
     _validate(cfg)
     return cfg
 
 
+def _assign(values: dict, section: str, key: str, raw: str) -> None:
+    """Coerce ``raw`` to the schema type of ``section.key`` and store it."""
+    if section not in SCHEMA or key not in SCHEMA[section]:
+        raise ConfigError(f"unknown key {section}.{key}")
+    try:
+        values[section][key] = SCHEMA[section][key][0](raw)
+    except ValueError as e:
+        raise ConfigError(f"bad value for {section}.{key}: {e}")
+
+
 def _validate(cfg: RunConfig):
-    m = cfg["model"]
-    if m["kind"] not in ("nlw", "cubic", "doublewell", "ou", "chain2"):
-        raise ConfigError(f"unknown model kind {m['kind']!r}")
-    if m["kind"] == "nlw":
-        try:
-            nl = _build_nonlinearity(cfg)
-        except ValueError as e:
-            raise ConfigError(f"nonlinearity rejected: {e}")
-        rep = nlw.check_dissipativity(nl)
-        if not rep.ok:
-            raise ConfigError(f"dissipativity violated: {rep.violations}")
+    if cfg["model"]["kind"] not in ("nlw", "cubic", "doublewell", "ou", "chain2"):
+        raise ConfigError(f"unknown model kind {cfg['model']['kind']!r}")
+    if cfg["model"]["kind"] == "nlw":
+        _wave(cfg)
+
+
+def _wave(cfg: RunConfig):
+    """The wave model of a config: ``(basis, nonlinearity, noise, sim)``.
+
+    Each rejection is a ``ConfigError`` naming the quantity that failed.
+    """
+    m, n = cfg["model"], cfg["noise"]
+    try:
+        if m["nonlinearity"] == "klein_gordon":
+            nl = nlw.Nonlinearity.klein_gordon(m["rho"], m["lam"], nu=m["nu"])
+        elif m["nonlinearity"] == "sine_gordon":
+            nl = nlw.Nonlinearity.sine_gordon(nu=m["nu"])
+        elif m["nonlinearity"] == "zero":
+            nl = nlw.Nonlinearity.zero()
+        else:
+            raise ConfigError(f"unknown nonlinearity {m['nonlinearity']!r}")
+    except ValueError as e:
+        raise ConfigError(f"nonlinearity rejected: {e}")
+    rep = nlw.check_dissipativity(nl)
+    if not rep.ok:
+        raise ConfigError(f"dissipativity violated: {rep.violations}")
+    try:
         basis = _build_basis(cfg)
-        lam1 = float(basis.eigenvalues[0])
-        if nl.nu > (lam1 if lam1 < m["gamma"] else m["gamma"]) / 8:
-            raise ConfigError(f"nu={nl.nu} above (lambda_1 ^ gamma)/8")
-        try:
-            _build_noise(cfg, basis)
-        except ValueError as e:
-            raise ConfigError(f"noise rejected: {e}")
-        try:
-            _build_simconfig(cfg, basis)
-        except ValueError as e:
-            raise ConfigError(f"integrator rejected: {e}")
+    except ValueError as e:
+        raise ConfigError(f"basis rejected: {e}")
+    lam1 = float(basis.eigenvalues[0])
+    if nl.nu > (lam1 if lam1 < m["gamma"] else m["gamma"]) / 8:
+        raise ConfigError(f"nu={nl.nu} above (lambda_1 ^ gamma)/8")
+    try:
+        noise = nlw.NoiseModel.power_law(basis, n["amplitude"], n["decay_q"],
+                                         n["cutoff"] if n["cutoff"] > 0 else None)
+    except ValueError as e:
+        raise ConfigError(f"noise rejected: {e}")
+    try:
+        sim = _build_simconfig(cfg, basis)
+    except ValueError as e:
+        raise ConfigError(f"integrator rejected: {e}")
+    return basis, nl, noise, sim
 
 
 def _build_basis(cfg: RunConfig) -> SpectralBasis:
     m = cfg["model"]
     lengths = (m["length"],) if m["length2"] <= 0 else (m["length"], m["length2"])
     return SpectralBasis(lengths, m["modes"])
-
-
-def _build_nonlinearity(cfg: RunConfig) -> nlw.Nonlinearity:
-    m = cfg["model"]
-    if m["nonlinearity"] == "klein_gordon":
-        return nlw.Nonlinearity.klein_gordon(m["rho"], m["lam"], nu=m["nu"])
-    if m["nonlinearity"] == "sine_gordon":
-        return nlw.Nonlinearity.sine_gordon(nu=m["nu"])
-    if m["nonlinearity"] == "zero":
-        return nlw.Nonlinearity.zero()
-    raise ConfigError(f"unknown nonlinearity {m['nonlinearity']!r}")
-
-
-def _build_noise(cfg: RunConfig, basis: SpectralBasis) -> nlw.NoiseModel:
-    n = cfg["noise"]
-    cutoff = n["cutoff"] if n["cutoff"] > 0 else None
-    return nlw.NoiseModel.power_law(basis, n["amplitude"], n["decay_q"], cutoff)
 
 
 def _build_simconfig(cfg: RunConfig, basis: SpectralBasis) -> nlw.SimConfig:
@@ -270,13 +270,16 @@ def _build_toy(cfg: RunConfig):
     raise ConfigError(f"model kind {kind!r} is not a toy")
 
 
-def _smooth_state(basis: SpectralBasis, alpha: float, scale: float,
-                  seed: int) -> PhaseState:
-    rng = np.random.default_rng(seed)
-    m = basis.mode_count
+def _start(cfg: RunConfig, sim: nlw.SimConfig, k: int,
+           scale: float | None = None) -> PhaseState:
+    """Smooth random start state number ``k`` of a run, drawn from seed + k."""
+    if scale is None:
+        scale = cfg["experiment"]["state_scale"]
+    rng = np.random.default_rng(cfg.seed + k)
+    m = sim.basis.mode_count
     decay = 1.0 / np.arange(1, m + 1) ** 2
-    return PhaseState.from_coeffs(basis, scale * rng.standard_normal(m) * decay,
-                                  scale * rng.standard_normal(m) * decay, alpha)
+    return PhaseState.from_coeffs(sim.basis, scale * rng.standard_normal(m) * decay,
+                                  scale * rng.standard_normal(m) * decay, sim.alpha)
 
 
 # --------------------------------------------------------------------------
@@ -351,13 +354,8 @@ def _jsonify(obj):
 def _cmd_simulate(cfg: RunConfig, out_dir: Path, threads: int) -> int:
     kind = cfg["model"]["kind"]
     if kind == "nlw":
-        basis = _build_basis(cfg)
-        nl = _build_nonlinearity(cfg)
-        noise = _build_noise(cfg, basis)
-        sim = _build_simconfig(cfg, basis)
-        y0 = _smooth_state(basis, sim.alpha, cfg["experiment"]["state_scale"],
-                           cfg.seed + 1)
-        traj = nlw.simulate(sim, nl, noise, y0)
+        basis, nl, noise, sim = _wave(cfg)
+        traj = nlw.simulate(sim, nl, noise, _start(cfg, sim, 1))
         k = min(8, basis.mode_count)
         s = cfg["experiment"]["s_exponent"]
         rows = [[traj.t[i], traj.energy[i], traj.norm_h()[i], traj.norm_hs(s)[i],
@@ -379,11 +377,8 @@ def _cmd_simulate(cfg: RunConfig, out_dir: Path, threads: int) -> int:
 
 
 def _cmd_energy_audit(cfg: RunConfig, out_dir: Path, threads: int) -> int:
-    basis = _build_basis(cfg)
-    nl = _build_nonlinearity(cfg)
-    noise = _build_noise(cfg, basis)
-    sim = _build_simconfig(cfg, basis)
-    y0 = _smooth_state(basis, sim.alpha, cfg["experiment"]["state_scale"], cfg.seed + 1)
+    basis, nl, noise, sim = _wave(cfg)
+    y0 = _start(cfg, sim, 1)
     if cfg["noise"]["eps"] == 0:
         audit = nlw.energy_audit(nlw.simulate(sim, nl, noise, y0))
     else:
@@ -409,26 +404,26 @@ def _cmd_energy_audit(cfg: RunConfig, out_dir: Path, threads: int) -> int:
                    {"min_decay_rate": 0.9 * sim.alpha})
 
 
+def _coupled_series(cfg: RunConfig, path: Path, wave, z: PhaseState,
+                    zp: PhaseState) -> None:
+    """Run one coupled triple from (z, z') and write its four-column series."""
+    basis, nl, noise, sim = wave
+    pair = cpl.couple_fp(sim, nl, noise, z, zp, cfg["experiment"]["n_feedback"])
+    d0_sq = max(float(phase_norm_sq_arr(z.as_array() - zp.as_array(),
+                                        basis.eigenvalues, sim.alpha)), 1e-300)
+    _write_csv(path, ["t", "diff_normH", "lowmode_ratio", "novikov_energy"],
+               [[pair.t[i], pair.diff_vu[i],
+                 pair.lowmode_sq[i] / d0_sq * math.exp(sim.alpha * pair.t[i]),
+                 pair.girsanov.novikov_energy[i]] for i in range(pair.t.size)])
+
+
 def _cmd_couple_fp(cfg: RunConfig, out_dir: Path, threads: int) -> int:
-    basis = _build_basis(cfg)
-    nl = _build_nonlinearity(cfg)
-    noise = _build_noise(cfg, basis)
-    sim = _build_simconfig(cfg, basis)
-    z = _smooth_state(basis, sim.alpha, cfg["experiment"]["state_scale"], cfg.seed + 1)
-    zp = _smooth_state(basis, sim.alpha, cfg["experiment"]["state_scale"], cfg.seed + 2)
-    n_fb = cfg["experiment"]["n_feedback"]
-    pair = cpl.couple_fp(sim, nl, noise, z, zp, n_fb)
-    d0_sq = max(rates.phase_dist_sq(z.as_array(), zp.as_array(),
-                                    basis.eigenvalues, sim.alpha), 1e-300)
-    rows = []
-    for i in range(pair.t.size):
-        ratio = pair.lowmode_sq[i] / d0_sq * math.exp(sim.alpha * pair.t[i])
-        rows.append([pair.t[i], pair.diff_vu[i], ratio,
-                     pair.girsanov.novikov_energy[i]])
-    _write_csv(out_dir / "couple_fp.csv",
-               ["t", "diff_normH", "lowmode_ratio", "novikov_energy"], rows)
-    rep = cpl.fp_contraction_test(sim, nl, noise, z, zp,
-                                  n_grid=(2, 4, n_fb, basis.mode_count))
+    wave = basis, nl, noise, sim = _wave(cfg)
+    z, zp = _start(cfg, sim, 1), _start(cfg, sim, 2)
+    _coupled_series(cfg, out_dir / "couple_fp.csv", wave, z, zp)
+    rep = cpl.fp_contraction_test(
+        sim, nl, noise, z, zp,
+        n_grid=(2, 4, cfg["experiment"]["n_feedback"], basis.mode_count))
     ok = rep.lowmode_ok and rep.n_star is not None
     return _finish(cfg, out_dir, "pass" if ok else "fail",
                    {"rates": {str(k): v for k, v in rep.rates.items()},
@@ -437,11 +432,8 @@ def _cmd_couple_fp(cfg: RunConfig, out_dir: Path, threads: int) -> int:
 
 
 def _cmd_girsanov_tv(cfg: RunConfig, out_dir: Path, threads: int) -> int:
-    basis = _build_basis(cfg)
-    nl = _build_nonlinearity(cfg)
-    noise = _build_noise(cfg, basis)
-    sim = _build_simconfig(cfg, basis)
-    z = _smooth_state(basis, sim.alpha, 0.3, cfg.seed + 1)
+    wave = basis, nl, noise, sim = _wave(cfg)
+    z = _start(cfg, sim, 1, scale=0.3)
     d = np.zeros((2, basis.mode_count))
     d[0, 0] = 1.0 / math.sqrt(basis.eigenvalues[0])
     d[1, 0] = -sim.alpha / math.sqrt(basis.eigenvalues[0])
@@ -456,16 +448,9 @@ def _cmd_girsanov_tv(cfg: RunConfig, out_dir: Path, threads: int) -> int:
                ["distance", "tv_estimate", "tv_stderr", "tv_bound",
                 "novikov_median"], rows)
     # representative coupled series at the largest separation
-    d0 = float(exp.distances[0])
-    zp = PhaseState.from_coeffs(basis, *(z.as_array() + d0 * d), sim.alpha)
-    pair = cpl.couple_fp(sim, nl, noise, z, zp, cfg["experiment"]["n_feedback"])
-    d0_sq = max(rates.phase_dist_sq(z.as_array(), zp.as_array(),
-                                    basis.eigenvalues, sim.alpha), 1e-300)
-    series = [[pair.t[i], pair.diff_vu[i],
-               pair.lowmode_sq[i] / d0_sq * math.exp(sim.alpha * pair.t[i]),
-               pair.girsanov.novikov_energy[i]] for i in range(pair.t.size)]
-    _write_csv(out_dir / "couple_series.csv",
-               ["t", "diff_normH", "lowmode_ratio", "novikov_energy"], series)
+    zp = PhaseState.from_coeffs(basis, *(z.as_array() + float(exp.distances[0]) * d),
+                                sim.alpha)
+    _coupled_series(cfg, out_dir / "couple_series.csv", wave, z, zp)
     dominated = all(e.value <= b.value + 3 * e.stderr
                     for e, b in zip(exp.tv_estimates, exp.bounds))
     quad = abs(exp.scaling_fit.slope - 2.0) <= 0.3
@@ -477,14 +462,8 @@ def _cmd_girsanov_tv(cfg: RunConfig, out_dir: Path, threads: int) -> int:
 
 
 def _cmd_mix(cfg: RunConfig, out_dir: Path, threads: int) -> int:
-    basis = _build_basis(cfg)
-    nl = _build_nonlinearity(cfg)
-    noise = _build_noise(cfg, basis)
-    sim = _build_simconfig(cfg, basis)
-    scale = cfg["experiment"]["state_scale"]
-    z = _smooth_state(basis, sim.alpha, scale, cfg.seed + 1)
-    zp = _smooth_state(basis, sim.alpha, scale, cfg.seed + 2)
-    rep = cpl.mixing_rate(sim, nl, noise, z, zp,
+    _, nl, noise, sim = _wave(cfg)
+    rep = cpl.mixing_rate(sim, nl, noise, _start(cfg, sim, 1), _start(cfg, sim, 2),
                           n_traj=cfg["experiment"]["n_traj"], threads=threads)
     _write_csv(out_dir / "mixing.csv", ["t", "delta"],
                [[rep.t[i], rep.delta[i]] for i in range(rep.t.size)])
@@ -494,37 +473,23 @@ def _cmd_mix(cfg: RunConfig, out_dir: Path, threads: int) -> int:
                    {"kappa_positive_at": 0.95})
 
 
-def _toy_observable_runs(cfg: RunConfig, horizon: float, n_traj: int,
-                         seed: int, integrand):
-    model = _build_toy(cfg)
-    kind = cfg["model"]["kind"]
-    eps = None if kind == "ou" else cfg["model"]["toy_eps"]
-    return toys.simulate_toy(model, eps, cfg["integrator"]["toy_dt"], horizon,
-                             seed, n_traj=n_traj, record_stride=100,
-                             integrand=integrand)
-
-
 def _cmd_occupation(cfg: RunConfig, out_dir: Path, threads: int) -> int:
     kind = cfg["model"]["kind"]
     horizon = cfg["integrator"]["horizon"]
     if kind == "nlw":
-        basis = _build_basis(cfg)
-        nl = _build_nonlinearity(cfg)
-        noise = _build_noise(cfg, basis)
-        sim = _build_simconfig(cfg, basis)
+        basis, nl, noise, sim = _wave(cfg)
         obs = {o.name: o for o in default_observables(basis, sim.alpha, (1, 2))}
-        y0 = _smooth_state(basis, sim.alpha, cfg["experiment"]["state_scale"],
-                           cfg.seed + 1)
-        res = nlw.run_flow(sim, nl, noise, y0, n_traj=1, integrands=obs,
-                           threads=threads)
+        res = nlw.run_flow(sim, nl, noise, _start(cfg, sim, 1), n_traj=1,
+                           integrands=obs, threads=threads)
         series = {k: v[0] for k, v in res.integrals.items()}
         rows = [[res.t[i]] + [series[k][i] / res.t[i] if res.t[i] > 0 else 0.0
                               for k in series] for i in range(res.t.size)]
         _write_csv(out_dir / "occupation.csv", ["t"] + list(series), rows)
         return _finish(cfg, out_dir, "pass",
                        {"averages": {k: series[k][-1] / res.t[-1] for k in series}}, {})
-    t, paths, ints = _toy_observable_runs(cfg, horizon, 1, cfg.seed,
-                                          integrand=lambda u: u)
+    eps = None if kind == "ou" else cfg["model"]["toy_eps"]
+    t, paths, _ = toys.simulate_toy(_build_toy(cfg), eps, cfg["integrator"]["toy_dt"],
+                                    horizon, cfg.seed, record_stride=100)
     rec = erg.occupation_measure(t, {"u": paths})
     rows = [[t[i], rec.averages["u"][0, i]] for i in range(t.size)]
     _write_csv(out_dir / "occupation.csv", ["t", "avg_u"], rows)
@@ -627,10 +592,7 @@ def _cmd_quasipotential(cfg: RunConfig, out_dir: Path, threads: int) -> int:
                         "endpoint_error": res.endpoint_error,
                         "eta_ladder": res.eta_ladder},
                        {"rel_error_max": 0.05})
-    basis = _build_basis(cfg)
-    nl = _build_nonlinearity(cfg)
-    noise = _build_noise(cfg, basis)
-    sim = _build_simconfig(cfg, basis)
+    basis, nl, noise, sim = _wave(cfg)
     z1 = PhaseState.zero(basis, sim.alpha)
     z2 = PhaseState(Field.from_mode(basis, 1, cfg["experiment"]["to_point"], 1.0),
                     Field.zero(basis), sim.alpha)
@@ -806,14 +768,11 @@ def dispatch(cfg: RunConfig, subcommand: str, threads: int = 1) -> int:
     return COMMANDS[subcommand](cfg, out_dir, threads)
 
 
-def _experiment_flags(parser: argparse.ArgumentParser):
-    for key, (typ, default) in SCHEMA["experiment"].items():
-        flag = "--" + key.replace("_", "-")
-        parser.add_argument(flag, dest=f"x_{key}", default=None,
-                            help=f"experiment.{key} (default {default!r})")
-    parser.add_argument("--dt", default=None, help="integrator.dt")
-    parser.add_argument("--horizon", default=None, help="integrator.horizon")
-    parser.add_argument("--noise-eps", default=None, help="noise.eps")
+# flag -> the config key it sets; every experiment key has a flag of its name
+FLAGS = {"--model": "model.kind", "--dt": "integrator.dt",
+         "--horizon": "integrator.horizon", "--noise-eps": "noise.eps",
+         **{"--" + key.replace("_", "-"): f"experiment.{key}"
+            for key in SCHEMA["experiment"]}}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -827,32 +786,19 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--config", default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--model", default=None,
-                       help="model kind: nlw | cubic | doublewell | ou | chain2")
         p.add_argument("--threads", type=int, default=1)
         p.add_argument("--set", action="append", default=[],
                        metavar="SECTION.KEY=VALUE")
-        _experiment_flags(p)
+        for flag, target in FLAGS.items():
+            section, key = target.split(".")
+            p.add_argument(flag, dest=target, default=None,
+                           help=f"{target} (default {SCHEMA[section][key][1]!r})")
     args = parser.parse_args(argv)
-
-    overrides = list(args.set)
-    if args.model is not None:
-        overrides.append(f"model.kind={args.model}")
-    if args.dt is not None:
-        overrides.append(f"integrator.dt={args.dt}")
-    if args.horizon is not None:
-        overrides.append(f"integrator.horizon={args.horizon}")
-    if getattr(args, "noise_eps") is not None:
-        overrides.append(f"noise.eps={args.noise_eps}")
-    for key in SCHEMA["experiment"]:
-        val = getattr(args, f"x_{key}")
-        if val is not None:
-            overrides.append(f"experiment.{key}={val}")
-
+    overrides = list(args.set) + [f"{target}={getattr(args, target)}"
+                                  for target in FLAGS.values()
+                                  if getattr(args, target) is not None]
     try:
-        cfg = parse_config(args.config, overrides,
-                           seed=args.seed if args.seed is not None else 12345,
-                           out=args.out if args.out is not None else "out")
+        cfg = parse_config(args.config, overrides)
         if args.seed is not None:
             cfg.seed = args.seed
         if args.out is not None:

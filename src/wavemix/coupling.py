@@ -116,10 +116,27 @@ class CoupledBatch:
 _AGREE_ATOL = 1e-12
 
 
+@dataclass
+class _CoupledRun:
+    """Per-path series of ``_run_coupled``; the running ones are (n_traj, n_rec)."""
+
+    t: np.ndarray
+    diff_vu: np.ndarray
+    lowmode_sq: np.ndarray
+    drift: np.ndarray           # (n_traj, n_rec, n_feedback)
+    novikov_energy: np.ndarray
+    h_energy: np.ndarray
+    log_lr: np.ndarray
+    tau_tilde: np.ndarray       # (n_traj,)
+    states: np.ndarray | None   # (n_traj, n_rec, 3, 2, M) when kept
+    block_max: np.ndarray       # (n_traj, n_blocks) max |xi_v - xi_u'|_H per block
+    dist0_sq: float
+
+
 def _run_coupled(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
                  z: PhaseState, zprime: PhaseState, n_feedback: int,
                  monitor: GrowthMonitor | None, n_traj: int,
-                 keep_states: bool, seed_offset: int = 0):
+                 keep_states: bool, seed_offset: int = 0) -> _CoupledRun:
     basis = cfg.basis
     m = basis.mode_count
     if not 0 <= n_feedback <= m:
@@ -241,37 +258,38 @@ def _run_coupled(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
                       girsanov if n_feedback else None, chunk_steps=128, offset=lo)
         taus[lo:hi] = tau
 
-    tau_tilde = np.min(taus, axis=1)
-    return (t_rec, diff_vu, lowmode, drift_snap, nov_run, hen_run, llr_run,
-            tau_tilde, states_out, block_max, dist0_sq, n_blocks)
+    return _CoupledRun(t_rec, diff_vu, lowmode, drift_snap, nov_run, hen_run,
+                       llr_run, np.min(taus, axis=1), states_out, block_max,
+                       dist0_sq)
 
 
 def couple_fp(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel, z: PhaseState,
               zprime: PhaseState, n_feedback: int,
               monitor: GrowthMonitor | None = None) -> CoupledPair:
     """Simulate the coupled triple (u, u', v) on one shared noise realization."""
-    (t, diff_vu, lowmode, drift, nov, hen, llr, tau, states, block_max,
-     dist0_sq, n_blocks) = _run_coupled(cfg, nl, noise, z, zprime, n_feedback,
-                                        monitor, 1, keep_states=True)
-    scale = max(math.sqrt(dist0_sq), 1.0)
-    agreement = block_max[0] <= _AGREE_ATOL * scale
-    rec = GirsanovRecord(t, drift[0], nov[0], hen[0], llr[0], float(tau[0]),
-                         n_feedback)
+    r = _run_coupled(cfg, nl, noise, z, zprime, n_feedback, monitor, 1,
+                     keep_states=True)
+    tau = float(r.tau_tilde[0])
+    agreement = r.block_max[0] <= _AGREE_ATOL * max(math.sqrt(r.dist0_sq), 1.0)
+    rec = GirsanovRecord(r.t, r.drift[0], r.novikov_energy[0], r.h_energy[0],
+                         r.log_lr[0], tau, n_feedback)
+    states = r.states[0]
     return CoupledPair(
-        t, states[0][:, 0], states[0][:, 1], states[0][:, 2], n_feedback,
-        diff_vu[0], lowmode[0], rec, np.arange(1, n_blocks + 1, dtype=float),
-        agreement, {"tau_tilde": float(tau[0])}, cfg, nl, noise, z, zprime)
+        r.t, states[:, 0], states[:, 1], states[:, 2], n_feedback,
+        r.diff_vu[0], r.lowmode_sq[0], rec,
+        np.arange(1, r.block_max.shape[1] + 1, dtype=float),
+        agreement, {"tau_tilde": tau}, cfg, nl, noise, z, zprime)
 
 
 def couple_fp_batch(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
                     z: PhaseState, zprime: PhaseState, n_feedback: int,
                     monitor: GrowthMonitor | None = None,
                     n_traj: int = 100, seed_offset: int = 0) -> CoupledBatch:
-    (t, diff_vu, lowmode, _, nov, hen, llr, tau, _, _, dist0_sq, _) = _run_coupled(
-        cfg, nl, noise, z, zprime, n_feedback, monitor, n_traj,
-        keep_states=False, seed_offset=seed_offset)
-    return CoupledBatch(t, diff_vu, lowmode, nov[:, -1], hen[:, -1], llr[:, -1],
-                        tau, n_feedback, math.sqrt(dist0_sq))
+    r = _run_coupled(cfg, nl, noise, z, zprime, n_feedback, monitor, n_traj,
+                     keep_states=False, seed_offset=seed_offset)
+    return CoupledBatch(r.t, r.diff_vu, r.lowmode_sq, r.novikov_energy[:, -1],
+                        r.h_energy[:, -1], r.log_lr[:, -1], r.tau_tilde,
+                        n_feedback, math.sqrt(r.dist0_sq))
 
 
 def fp_intermediate(drive: Trajectory, zprime: PhaseState,

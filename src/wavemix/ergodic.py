@@ -31,15 +31,12 @@ class OccupationRecord:
 
     t: np.ndarray
     averages: dict[str, np.ndarray]
-    histogram: tuple[np.ndarray, np.ndarray] | None = None
 
     def final(self, name: str) -> float:
         return float(np.mean(np.asarray(self.averages[name])[..., -1]))
 
 
-def occupation_measure(t: np.ndarray, series: dict[str, np.ndarray],
-                       histogram_of: str | None = None,
-                       bins: int = 40) -> OccupationRecord:
+def occupation_measure(t: np.ndarray, series: dict[str, np.ndarray]) -> OccupationRecord:
     """Trapezoid running averages of recorded observable series.
 
     ``series`` maps names to arrays over the time grid (last axis = time).
@@ -52,11 +49,7 @@ def occupation_measure(t: np.ndarray, series: dict[str, np.ndarray],
             avg = integral / t
         avg[..., 0] = np.asarray(vals)[..., 0]
         avgs[name] = avg
-    hist = None
-    if histogram_of is not None:
-        vals = np.asarray(series[histogram_of], float).ravel()
-        hist = np.histogram(vals, bins=bins)
-    return OccupationRecord(t, avgs, hist)
+    return OccupationRecord(t, avgs)
 
 
 @dataclass
@@ -184,7 +177,6 @@ class PressureCurve:
     center: float
     horizon: float
     n_paths: int
-    osc_warnings: list[float] = field(default_factory=list)
 
     def convexity_violations(self) -> int:
         q = self.values
@@ -199,8 +191,7 @@ class PressureCurve:
 
 
 def pressure_curve(betas: Sequence[float], estimator: Callable[[float], PressureEstimate],
-                   center: float, osc: Callable[[float], float] | None = None,
-                   osc_delta: float | None = None, horizon: float = 0.0,
+                   center: float, horizon: float = 0.0,
                    n_paths: int = 0) -> PressureCurve:
     """Assemble a pressure curve from per-beta Monte Carlo estimates.
 
@@ -210,17 +201,14 @@ def pressure_curve(betas: Sequence[float], estimator: Callable[[float], Pressure
     betas = np.asarray(sorted(betas), float)
     vals = np.zeros(betas.size)
     errs = np.zeros(betas.size)
-    warnings = []
     for i, b in enumerate(betas):
         if b == 0.0:
             continue
-        if osc is not None and osc_delta is not None and osc(b) > osc_delta:
-            warnings.append(float(b))
         e = estimator(float(b))
         vals[i], errs[i] = e.value, e.stderr
         horizon = e.horizon
         n_paths = e.n_paths
-    return PressureCurve(betas, vals, errs, center, horizon, n_paths, warnings)
+    return PressureCurve(betas, vals, errs, center, horizon, n_paths)
 
 
 # --------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from scipy.optimize import minimize
 from wavemix import stats
 from wavemix.nlw import BlowupError, NoiseModel, Nonlinearity, SimConfig, \
     _strang_drive, linear_ops
-from wavemix.spectral import PhaseState, SpectralBasis
+from wavemix.spectral import PhaseState, SpectralBasis, phase_norm_sq_arr
 from wavemix.toys import GradientSDE, gradient_sde_exact_density, simulate_toy, \
     autocorrelation_time
 
@@ -63,10 +63,6 @@ def action_value(t, phis, noise: NoiseModel | None = None) -> float:
         if np.any(np.isinf(sq)):
             return math.inf
     return float(0.5 * np.trapezoid(sq, t))
-
-
-def action(path: ControlPath, noise: NoiseModel | None = None) -> float:
-    return action_value(path.t, path.phis, noise)
 
 
 # --------------------------------------------------------------------------
@@ -123,16 +119,15 @@ class EquilibriumNetwork:
         return EquilibriumNetwork(d["kind"], pts, stable, V)
 
 
-def toy_equilibrium_network(model: GradientSDE, fill: str = "oracle") -> EquilibriumNetwork:
+def toy_equilibrium_network(model: GradientSDE) -> EquilibriumNetwork:
     """Network of a 1D gradient toy; V filled by the exact variation oracle."""
     pts, stable = model.equilibria()
     n = pts.size
     V = np.zeros((n, n))
-    if fill == "oracle":
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    V[i, j] = toy_quasipotential_oracle(model, pts[i], pts[j])
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                V[i, j] = toy_quasipotential_oracle(model, pts[i], pts[j])
     return EquilibriumNetwork(model.name, list(pts), stable, V)
 
 
@@ -154,7 +149,8 @@ def find_equilibria(basis: SpectralBasis, nl: Nonlinearity, gamma: float,
     def residual(c):
         return lam * c + basis.analyze(nl.f(basis.synthesize(c))) - h
 
-    def jacobian(c):
+    def stiffness(c):
+        # Galerkin linearization diag(lam) + E^T diag(w f'(u)) E at u = E c
         fp = nl.fprime(c @ E.T)
         return np.diag(lam) + E.T @ (E * (w * fp)[:, None])
 
@@ -173,7 +169,7 @@ def find_equilibria(basis: SpectralBasis, nl: Nonlinearity, gamma: float,
                 ok = True
                 break
             try:
-                step = np.linalg.solve(jacobian(c), r)
+                step = np.linalg.solve(stiffness(c), r)
             except np.linalg.LinAlgError:
                 break
             if not np.isfinite(step).all():
@@ -193,11 +189,9 @@ def find_equilibria(basis: SpectralBasis, nl: Nonlinearity, gamma: float,
     roots = [roots[i] for i in order]
     stable = []
     for c in roots:
-        fp = nl.fprime(c @ E.T)
-        stiff = np.diag(lam) + E.T @ (E * (w * fp)[:, None])
         lin = np.zeros((2 * m, 2 * m))
         lin[:m, m:] = np.eye(m)
-        lin[m:, :m] = -stiff
+        lin[m:, :m] = -stiffness(c)
         lin[m:, m:] = -gamma * np.eye(m)
         stable.append(bool(np.max(np.linalg.eigvals(lin).real) < 1e-9))
     n = len(roots)
@@ -496,7 +490,7 @@ def stabilization_control(basis: SpectralBasis, nl: Nonlinearity, gamma: float,
         return -fv[0] + h + phi
 
     def on_step(step, state):
-        dist[step] = phase_dist_sq(state[0], target, lam, alpha)
+        dist[step] = phase_norm_sq_arr(state[0] - target, lam, alpha)
 
     state = v0.as_array()[None].copy()
     on_step(0, state)
@@ -507,12 +501,6 @@ def stabilization_control(basis: SpectralBasis, nl: Nonlinearity, gamma: float,
     bound = dist[0] * np.exp(-alpha * t)
     decay_ok = bool(np.all(dist <= bound * (1 + 1e-6) + 1e-14))
     return StabilizationReport(t, dist, path, path.action, decay_ok)
-
-
-def phase_dist_sq(state: np.ndarray, ref: np.ndarray, lam: np.ndarray,
-                  alpha: float) -> float:
-    d = state - ref
-    return float(np.sum(lam * d[0] ** 2 + (d[1] + alpha * d[0]) ** 2))
 
 
 # --------------------------------------------------------------------------

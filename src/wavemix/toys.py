@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from wavemix.nlw import BlowupError
 from wavemix.stats import record_steps
 
 
@@ -114,9 +115,6 @@ class OrnsteinUhlenbeck:
         """Exact growth rate of E exp(beta int u ds): beta^2 sigma^2 / (2 theta^2)."""
         return beta ** 2 * self.sigma ** 2 / (2 * self.theta ** 2)
 
-    def rate_function(self, p: float) -> float:
-        return self.theta ** 2 * p ** 2 / (2 * self.sigma ** 2)
-
 
 def builtin_cubic() -> GradientSDE:
     """b(u) = u(u-1)(u-3): equilibria {0, 1, 3}, stable {0, 3}."""
@@ -210,7 +208,8 @@ def simulate_toy(model, eps: float | None, dt: float, horizon: float, seed: int,
 
     Returns (times, paths, integrals) where paths has shape (n_traj, n_rec)
     and integrals is the running trapezoid integral of ``integrand(u)`` when
-    one is supplied.
+    one is supplied.  A nonfinite path raises ``BlowupError`` at the end of
+    the 4096-step chunk it appears in.
     """
     if eps is None:
         if not isinstance(model, OrnsteinUhlenbeck):
@@ -250,8 +249,10 @@ def simulate_toy(model, eps: float | None, dt: float, horizon: float, seed: int,
                 if out_int is not None:
                     out_int[:, idx] = acc
         step += k
-    if not np.isfinite(u).all():
-        raise FloatingPointError("toy trajectory blew up; decrease dt")
+        if not np.isfinite(u).all():
+            bad = np.flatnonzero(~np.isfinite(u))[:4]
+            raise BlowupError(f"nonfinite toy state near t={step * dt:.4g} "
+                              f"(paths {bad}); decrease dt")
     return t, out, out_int
 
 

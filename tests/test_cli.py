@@ -4,15 +4,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wavemix.cli import (
     EXIT_CONFIG,
     EXIT_PASS,
+    SCHEMA,
     ConfigError,
     RunConfig,
     parse_config,
     main,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_defaults_are_valid():
@@ -164,3 +168,52 @@ def test_girsanov_tv_emits_couple_series(tmp_path):
     header = (out / "couple_series.csv").read_text().splitlines()[0]
     assert header == "t,diff_normH,lowmode_ratio,novikov_energy"
     assert_numeric_csvs(out)
+
+
+# ---------------------------------------------------------------- config paths
+
+
+_GRID = st.integers(-400, 400).map(lambda k: k / 8)
+_GOOD = {
+    float: _GRID.map(repr) | st.integers(-50, 50).map(str),
+    int: st.integers(-2, 40).map(str),
+    "floats": st.lists(_GRID, max_size=4).map(lambda v: ",".join(map(repr, v))),
+    "bool": st.sampled_from(["1", "0", "true", "False", "yes", "no", "on", "OFF"]),
+    str: st.sampled_from(["nlw", "cubic", "doublewell", "ou", "chain2", "klein_gordon",
+                          "sine_gordon", "zero", "i-graph", "chain", "bogus"]),
+}
+_KEYS = [(s, k) for s, keys in SCHEMA.items() for k in keys]
+
+
+def _kind(typ):
+    return {float: float, int: int, str: str}.get(typ) or (
+        "bool" if typ("1") is True else "floats")
+
+
+def _outcome(path=None, overrides=None):
+    try:
+        cfg = parse_config(path, overrides)
+    except ConfigError as e:
+        return "error", str(e)
+    return cfg.values, cfg.content_hash()
+
+
+@st.composite
+def _assignment(draw):
+    section, key = draw(st.sampled_from(_KEYS))
+    kind = _kind(SCHEMA[section][key][0])
+    if kind is not str and draw(st.booleans()):
+        return section, key, draw(st.sampled_from(["abc", "1.2.3", "0x", "--"])), True
+    return section, key, draw(_GOOD[kind]), False
+
+
+@settings(max_examples=60, deadline=None)
+@given(_assignment())
+def test_set_and_file_resolve_alike(tmp_path_factory, assignment):
+    section, key, raw, bad = assignment
+    path = tmp_path_factory.mktemp("cfg") / "c.ini"
+    path.write_text(f"[{section}]\n{key} = {raw}\n")
+    by_file = _outcome(str(path))
+    assert _outcome(overrides=[f"{section}.{key}={raw}"]) == by_file
+    if bad:
+        assert by_file[0] == "error" and f"{section}.{key}" in by_file[1]

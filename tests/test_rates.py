@@ -10,7 +10,6 @@ from wavemix.rates import (
     ControlPath,
     EquilibriumNetwork,
     _first_passages,
-    action,
     action_value,
     boundary_chain,
     find_equilibria,

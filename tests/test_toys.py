@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import erf
 
+from wavemix.nlw import BlowupError
 from wavemix.toys import (
     GradientSDE,
     OrnsteinUhlenbeck,
@@ -103,6 +104,20 @@ def test_toy_deterministic_at_equilibrium():
     cubic = builtin_cubic()
     t, paths, _ = simulate_toy(cubic, eps=0.0, dt=1e-3, horizon=1.0, seed=0, u0=3.0)
     assert np.max(np.abs(paths - 3.0)) < 1e-9
+
+
+def test_nan_start_stops_in_first_chunk():
+    calls = []
+
+    def integrand(u):
+        calls.append(1)
+        return u
+
+    with pytest.raises(BlowupError, match=r"nonfinite toy state near t=4\.096 \(paths \[1\]\)"):
+        simulate_toy(builtin_cubic(), 0.1, dt=1e-3, horizon=12.288, seed=0,
+                     n_traj=3, u0=np.array([0.0, np.nan, 0.0]), integrand=integrand)
+    # the start value plus one evaluation per step of the first 4096-step chunk
+    assert len(calls) == 1 + 4096
 
 
 def test_ou_stationary_variance():
