@@ -93,7 +93,6 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "betas": (_floats, [-0.5, -0.25, 0.25, 0.5]),
         "interval": (_floats, [0.4, 0.6]),
         "horizons": (_floats, []),
-        "kappa": (float, 0.0),
         "s_exponent": (float, 0.4),
         "eps_list": (_floats, [1e-3]),
         "sets": (_floats, [2.9, 3.1]),
@@ -107,7 +106,6 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "replicas": (int, 64),
         "rep_horizon": (float, 1500.0),
         "state_scale": (float, 0.4),
-        "observable": (str, "cos_pos1"),
     },
 }
 

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 from pathlib import Path
@@ -217,3 +218,51 @@ def test_set_and_file_resolve_alike(tmp_path_factory, assignment):
     assert _outcome(overrides=[f"{section}.{key}={raw}"]) == by_file
     if bad:
         assert by_file[0] == "error" and f"{section}.{key}" in by_file[1]
+
+
+def _module_aliases(tree: ast.AST) -> dict[str, str]:
+    """Names a file binds to ``wavemix`` modules, plus each module's own name."""
+    aliases = {p.stem: p.stem for p in (ROOT / "src" / "wavemix").glob("*.py")}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "wavemix":
+            for a in node.names:
+                aliases[a.asname or a.name] = a.name
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.startswith("wavemix.") and a.asname:
+                    aliases[a.asname] = a.name.split(".", 1)[1]
+    return aliases
+
+
+def test_every_schema_key_and_public_function_is_used():
+    cli_tree = ast.parse((ROOT / "src" / "wavemix" / "cli.py").read_text())
+    read = {n.slice.value for n in ast.walk(cli_tree)
+            if isinstance(n, ast.Subscript) and isinstance(n.slice, ast.Constant)}
+    assert [k for _, k in _KEYS if k not in read] == []
+
+    files = [p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")]
+    trees = {p: ast.parse(p.read_text()) for p in files}
+    defs = [(p.stem, node) for p, tree in trees.items() if p.parent.name == "wavemix"
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    used = set()  # (module, name, line) of every reference
+    for p, tree in trees.items():
+        aliases = _module_aliases(tree)
+        imported = {a.asname or a.name: (node.module.split(".")[1], a.name)
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)
+                    and (node.module or "").startswith("wavemix.") for a in node.names}
+        for n in ast.walk(tree):
+            if not isinstance(getattr(n, "ctx", None), ast.Load):
+                continue
+            if isinstance(n, ast.Name):
+                mod, name = imported.get(n.id, (p.stem, n.id))
+                used.add((mod, name, n.lineno if mod == p.stem else 0))
+            elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) \
+                    and n.value.id in aliases:
+                used.add((aliases[n.value.id], n.attr, 0))
+    unused = [f"{mod}.{fn.name}" for mod, fn in defs
+              if not any(m == mod and name == fn.name
+                         and not fn.lineno <= line <= fn.end_lineno
+                         for m, name, line in used)]
+    assert unused == []
