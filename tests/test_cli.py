@@ -13,6 +13,8 @@ from wavemix.cli import (
     SCHEMA,
     ConfigError,
     RunConfig,
+    _bool,
+    _floats,
     parse_config,
     main,
 )
@@ -50,6 +52,13 @@ def test_rho_rejection():
     with pytest.raises(ConfigError) as e:
         parse_config(overrides=["model.rho=2.5"])
     assert "rho" in str(e.value)
+
+
+@pytest.mark.parametrize("override, name", [("model.modes=0", "mode_count"),
+                                             ("model.length=0", "lengths")])
+def test_bad_basis_rejected(override, name, capsys):
+    assert main(["simulate", "--set", override]) == EXIT_CONFIG
+    assert name in capsys.readouterr().err
 
 
 def test_slow_noise_decay_rejected():
@@ -178,17 +187,12 @@ _GRID = st.integers(-400, 400).map(lambda k: k / 8)
 _GOOD = {
     float: _GRID.map(repr) | st.integers(-50, 50).map(str),
     int: st.integers(-2, 40).map(str),
-    "floats": st.lists(_GRID, max_size=4).map(lambda v: ",".join(map(repr, v))),
-    "bool": st.sampled_from(["1", "0", "true", "False", "yes", "no", "on", "OFF"]),
+    _floats: st.lists(_GRID, max_size=4).map(lambda v: ",".join(map(repr, v))),
+    _bool: st.sampled_from(["1", "0", "true", "False", "yes", "no", "on", "OFF"]),
     str: st.sampled_from(["nlw", "cubic", "doublewell", "ou", "chain2", "klein_gordon",
                           "sine_gordon", "zero", "i-graph", "chain", "bogus"]),
 }
 _KEYS = [(s, k) for s, keys in SCHEMA.items() for k in keys]
-
-
-def _kind(typ):
-    return {float: float, int: int, str: str}.get(typ) or (
-        "bool" if typ("1") is True else "floats")
 
 
 def _outcome(path=None, overrides=None):
@@ -202,10 +206,10 @@ def _outcome(path=None, overrides=None):
 @st.composite
 def _assignment(draw):
     section, key = draw(st.sampled_from(_KEYS))
-    kind = _kind(SCHEMA[section][key][0])
-    if kind is not str and draw(st.booleans()):
+    typ = SCHEMA[section][key][0]
+    if typ is not str and draw(st.booleans()):
         return section, key, draw(st.sampled_from(["abc", "1.2.3", "0x", "--"])), True
-    return section, key, draw(_GOOD[kind]), False
+    return section, key, draw(_GOOD[typ]), False
 
 
 @settings(max_examples=60, deadline=None)
