@@ -5,7 +5,8 @@ manifest, executes one experiment, and writes CSV series plus a JSON verdict
 carrying the measured values, the tolerances they were judged against, and a
 content hash of the emitted artifacts.  The seed is the only entropy source.
 
-Exit codes: 0 pass, 1 fail, 2 inconclusive (undersampled), 64 config error.
+Exit codes: 0 pass (and --help), 1 fail, 2 inconclusive (undersampled), 64
+config or command-line usage error.
 """
 
 from __future__ import annotations
@@ -126,7 +127,7 @@ class RunConfig:
         return self.values[section]
 
     def emit(self) -> str:
-        cp = configparser.ConfigParser()
+        cp = configparser.ConfigParser(interpolation=None)
         cp["run"] = {"seed": str(self.seed)}
         for section in SCHEMA:
             cp[section] = {}
@@ -155,7 +156,7 @@ def parse_config(path: str | None = None, overrides: list[str] | None = None,
                   for k, v in keys.items()}
               for s, keys in SCHEMA.items()}
     if path is not None:
-        cp = configparser.ConfigParser()
+        cp = configparser.ConfigParser(interpolation=None)
         read = cp.read(path)
         if not read:
             raise ConfigError(f"cannot read config file {path}")
@@ -196,6 +197,13 @@ def _assign(values: dict, section: str, key: str, raw: str) -> None:
 def _validate(cfg: RunConfig):
     if cfg["model"]["kind"] not in ("nlw", "cubic", "doublewell", "ou", "chain2"):
         raise ConfigError(f"unknown model kind {cfg['model']['kind']!r}")
+    if cfg["integrator"]["stride"] < 1:
+        raise ConfigError(f"integrator.stride={cfg['integrator']['stride']} must be >= 1")
+    if cfg["integrator"]["horizon"] <= 0:
+        raise ConfigError(f"integrator.horizon={cfg['integrator']['horizon']} must be > 0")
+    if cfg["experiment"]["chain_variant"] not in ("i-graph", "chain"):
+        raise ConfigError(f"unknown experiment.chain_variant "
+                          f"{cfg['experiment']['chain_variant']!r}")
     if cfg["model"]["kind"] == "nlw":
         _wave(cfg)
 
@@ -578,7 +586,7 @@ def _cmd_quasipotential(cfg: RunConfig, out_dir: Path, threads: int) -> int:
     if kind in ("cubic", "doublewell"):
         model = _build_toy(cfg)
         a, b = cfg["experiment"]["from_point"], cfg["experiment"]["to_point"]
-        res = rates.toy_quasipotential(model, a, b, eta=eta, seed=cfg.seed,
+        res = rates.toy_quasipotential(model, a, b, eta=eta,
                                        eta_ladder=(eta / 2, eta / 4))
         oracle = rates.toy_quasipotential_oracle(model, a, b)
         _write_csv(out_dir / "quasipotential.csv", ["t", "phi"],
@@ -588,6 +596,7 @@ def _cmd_quasipotential(cfg: RunConfig, out_dir: Path, threads: int) -> int:
         return _finish(cfg, out_dir, "pass" if ok else "fail",
                        {"value": res.value, "oracle": oracle,
                         "endpoint_error": res.endpoint_error,
+                        "grad_norm": res.grad_norm,
                         "eta_ladder": res.eta_ladder},
                        {"rel_error_max": 0.05})
     basis, nl, noise, sim = _wave(cfg)
@@ -614,7 +623,7 @@ def _cmd_fw_graph(cfg: RunConfig, out_dir: Path, threads: int) -> int:
             for j in range(n):
                 if i != j:
                     V[i, j] = rates.toy_quasipotential(
-                        model, pts[i], pts[j], eta=0.03, seed=cfg.seed).value
+                        model, pts[i], pts[j], eta=0.03).value
         net = rates.EquilibriumNetwork(net.kind, net.points, net.stable, V)
     variant = cfg["experiment"]["chain_variant"]
     stable_net = net.restrict_to_stable()
@@ -791,7 +800,10 @@ def main(argv: list[str] | None = None) -> int:
             section, key = target.split(".")
             p.add_argument(flag, dest=target, default=None,
                            help=f"{target} (default {SCHEMA[section][key][1]!r})")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as e:  # argparse exits 0 after --help, 2 on a usage error
+        return EXIT_CONFIG if e.code else EXIT_PASS
     overrides = list(args.set) + [f"{target}={getattr(args, target)}"
                                   for target in FLAGS.values()
                                   if getattr(args, target) is not None]

@@ -260,6 +260,10 @@ class SimConfig:
             raise ValueError("gamma must be positive")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
+        if self.horizon <= 0:
+            raise ValueError("horizon must be positive")
+        if self.stride < 1:
+            raise ValueError("stride must be at least 1")
         if self.eps < 0:
             raise ValueError("eps must be nonnegative")
         limit = 0.5 / math.sqrt(self.basis.eigenvalues[-1])

@@ -3,9 +3,11 @@
 The quasipotential V(z1, z2) is minimized by direct collocation: the state
 path is the optimization variable, the control is recovered from the equation
 residual, and the endpoint constraint enters through a penalty with weight
-continuation.  Gradient toys carry exact oracles (positive variation of the
-potential) that guard the solver, and the rate function over equilibria uses
-minimum-cost rooted graphs with a brute-force cross-check.
+continuation.  Scalar toys use banded Newton collocation (damped Newton steps
+on the exact tridiagonal Hessian of the action); wave states use L-BFGS.
+Gradient toys carry exact oracles (positive variation of the potential) that
+guard the solver, and the rate function over equilibria uses minimum-cost
+rooted graphs with a brute-force cross-check.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from typing import Callable, Sequence
 
 import networkx as nx
 import numpy as np
-from scipy.optimize import minimize
+from scipy.linalg import solveh_banded
+from scipy.optimize import OptimizeResult, minimize
 
 from wavemix import stats
 from wavemix.nlw import BlowupError, NoiseModel, Nonlinearity, SimConfig, \
@@ -245,64 +248,57 @@ class QuasipotentialResult:
     eta: float
     eta_ladder: list[tuple[float, float]] = field(default_factory=list)
     converged: bool = True
+    grad_norm: float = 0.0  # final max |dJ/dx| of the reported solve, 0 if none
 
 
 def toy_quasipotential(model: GradientSDE, z1: float, z2: float, eta: float = 0.05,
                        horizons: Sequence[float] = (2.0, 4.0, 8.0, 16.0),
                        nodes_per_unit: int = 40,
                        penalty_ladder: Sequence[float] = (1e2, 1e3, 1e4, 1e5),
-                       exclude: Sequence[float] = (), exclude_radius: float = 0.0,
-                       seed: int = 0, eta_ladder: Sequence[float] = ()) -> QuasipotentialResult:
-    """Collocation minimization of the 1D action with endpoint penalty.
+                       eta_ladder: Sequence[float] = ()) -> QuasipotentialResult:
+    """Banded Newton collocation of the 1D action with endpoint penalty.
 
     The path itself is the variable; the control phi = du/dt + b(u) is
-    recovered from the residual.  ``exclude`` adds soft barriers of radius
-    ``exclude_radius`` around points the path must avoid (the
-    avoid-other-equilibria variant).
+    recovered from the residual.  Each phi_k touches two neighbouring nodes,
+    so the Hessian is tridiagonal and every penalty weight is solved by
+    damped Newton steps in O(K) work (the minimum-action method of E, Ren and
+    Vanden-Eijnden), starting from the straight line at each horizon.
+    ``converged`` needs the endpoint within ``eta`` and every solve of the
+    reported horizon ended on its stopping rule.
     """
     if abs(z2 - z1) <= eta:
         # the target ball already contains the start: V = 0 at T -> 0
         empty = ControlPath(np.zeros(1), np.zeros(1), 0.0)
         ladder = [(e2, 0.0) for e2 in eta_ladder]
         return QuasipotentialResult(0.0, empty, abs(z2 - z1), 0.0, eta, ladder)
-    rng = np.random.default_rng(seed)
     best = None
     for T in horizons:
         K = max(int(nodes_per_unit * T), 16)
         dt = T / K
-        for trial in range(3):
-            u0 = np.linspace(z1, z2, K + 1)
-            if trial:
-                bump = rng.standard_normal(K + 1) * 0.1 * max(abs(z2 - z1), 1.0)
-                bump[0] = bump[-1] = 0.0
-                u0 = u0 + bump
-            x = u0[1:].copy()
-            for w_pen in penalty_ladder:
-                res = minimize(
-                    _toy_action_and_grad, x, method="L-BFGS-B", jac=True,
-                    args=(model, z1, z2, dt, w_pen / eta ** 2, exclude,
-                          exclude_radius),
-                    options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-10})
-                x = res.x
-            u = np.concatenate([[z1], x])
-            mids = 0.5 * (u[1:] + u[:-1])
-            phi = np.diff(u) / dt + model.drift(mids)
-            t_mid = (np.arange(K) + 0.5) * dt
-            val = float(0.5 * dt * np.sum(phi ** 2))
-            err = abs(u[-1] - z2)
-            cand = (val, err, t_mid, phi, T)
-            best = _better_candidate(best, cand, eta)
-    val, err, t_mid, phi, T = best
+        x = np.linspace(z1, z2, K + 1)[1:]
+        stopped = True
+        for w_pen in penalty_ladder:
+            res = minimize(_toy_action_and_grad, x, method=_newton_lm, jac=True,
+                           hess=_toy_hessian,
+                           args=(model, z1, z2, dt, w_pen / eta ** 2))
+            x = res.x
+            stopped = stopped and res.success
+        u, _, phi, _, _ = _toy_controls(x, model, z1, dt)
+        t_mid = (np.arange(K) + 0.5) * dt
+        val = float(0.5 * dt * np.sum(phi ** 2))
+        err = abs(u[-1] - z2)
+        cand = (val, err, t_mid, phi, T, float(np.max(np.abs(res.jac))), stopped)
+        best = _better_candidate(best, cand, eta)
+    val, err, t_mid, phi, T, grad_norm, stopped = best
     ladder = []
     for e2 in eta_ladder:
         sub = toy_quasipotential(model, z1, z2, eta=e2, horizons=(T,),
                                  nodes_per_unit=nodes_per_unit,
-                                 penalty_ladder=penalty_ladder,
-                                 exclude=exclude, exclude_radius=exclude_radius,
-                                 seed=seed)
+                                 penalty_ladder=penalty_ladder)
         ladder.append((e2, sub.value))
     return QuasipotentialResult(val, ControlPath(t_mid, phi, val), err, T, eta,
-                                ladder, converged=err <= eta)
+                                ladder, converged=err <= eta and stopped,
+                                grad_norm=grad_norm)
 
 
 def _better_candidate(best, cand, eta):
@@ -318,27 +314,108 @@ def _better_candidate(best, cand, eta):
     return best
 
 
-def _toy_action_and_grad(x, model, z1, z2, dt, pen, exclude, radius):
+def _toy_controls(x, model, z1, dt):
+    """Nodes u, midpoints, controls phi_k = (u_{k+1} - u_k)/dt + b(mid_k) and
+    their slopes a_k = d phi_k / d u_{k+1} and c_k = d phi_k / d u_k."""
     u = np.concatenate([[z1], x])
     mids = 0.5 * (u[1:] + u[:-1])
-    b = model.drift(mids)
     bp = model.drift_prime(mids)
-    phi = np.diff(u) / dt + b
+    phi = np.diff(u) / dt + model.drift(mids)
+    return u, mids, phi, 1.0 / dt + 0.5 * bp, -1.0 / dt + 0.5 * bp
+
+
+def _toy_action_and_grad(x, model, z1, z2, dt, pen):
+    u, _, phi, a, c = _toy_controls(x, model, z1, dt)
     J = 0.5 * dt * np.sum(phi ** 2)
     grad_u = np.zeros_like(u)
     core = dt * phi
-    grad_u[1:] += core * (1.0 / dt + 0.5 * bp)
-    grad_u[:-1] += core * (-1.0 / dt + 0.5 * bp)
+    grad_u[1:] += core * a
+    grad_u[:-1] += core * c
     err = u[-1] - z2
     J += pen * err ** 2
     grad_u[-1] += 2 * pen * err
-    if len(exclude) and radius > 0:
-        for e in exclude:
-            gap = radius - np.abs(u - e)
-            hit = gap > 0
-            J += 1e4 * dt * np.sum(gap[hit] ** 2)
-            grad_u[hit] += 1e4 * dt * 2 * gap[hit] * (-np.sign(u[hit] - e))
     return float(J), grad_u[1:]
+
+
+def _toy_hessian(x, model, z1, z2, dt, pen):
+    """Exact Hessian of ``_toy_action_and_grad`` in the upper banded form of
+    ``scipy.linalg.solveh_banded``: row 0 the superdiagonal, row 1 the
+    diagonal."""
+    u, mids, phi, a, c = _toy_controls(x, model, z1, dt)
+    curv = 0.25 * phi * model.drift_second(mids)  # phi_k d2 phi_k / du du
+    diag = np.zeros_like(u)
+    diag[1:] += dt * (a * a + curv)
+    diag[:-1] += dt * (c * c + curv)
+    diag[-1] += 2 * pen
+    ab = np.zeros((2, x.size))
+    ab[0, 1:] = dt * (a * c + curv)[1:]
+    ab[1] = diag[1:]
+    return ab
+
+
+def _newton_lm(fun, x0, args=(), jac=None, hess=None, maxiter=1000, rtol=1e-9,
+               **_):
+    """Levenberg-Marquardt-damped Newton descent, a ``minimize`` method.
+
+    ``hess`` returns a symmetric banded Hessian H in the form
+    ``solveh_banded`` reads.  Each step solves (H + lam D) p = -g, with D the
+    absolute diagonal of H, and must lower J; lam is raised until one does
+    and then adapted to the model's gain ratio (Nielsen's rule).
+
+    The run stops when the predicted remaining decrease, half the Newton
+    decrement g^T H^-1 g, is at most ``rtol`` max(|J|, 1).  The rule is
+    relative because the endpoint penalty scales the gradient far above its
+    roundoff; the floor of 1 covers downhill transitions, whose J tends to 0.
+    Where H is singular at the optimum (a path that ends on a saddle), the
+    rule is met instead when no damping lowers J and g^T D^-1 g obeys the
+    same bound.  ``status``: 0 stopping rule met, 1 ``maxiter`` accepted
+    steps, 2 no damping lowers J elsewhere.
+    """
+    x = np.array(x0, dtype=float)
+    f, g = fun(x, *args), jac(x, *args)
+    nfev, lam, status = 1, 1e-3, 1
+    for nit in range(maxiter + 1):
+        tol = 2 * rtol * max(abs(f), 1.0)
+        H = hess(x, *args)
+        newton = _banded_step(H, g, 0.0)
+        if newton is not None and -(g @ newton) <= tol:
+            status = 0
+            break
+        if nit == maxiter:
+            break
+        D, nu = np.abs(H[-1]), 2.0
+        while lam <= 1e16:
+            step = _banded_step(H, g, lam * D)
+            if step is not None:
+                f_new = fun(x + step, *args)
+                nfev += 1
+                if f_new < f:
+                    break
+            lam *= nu
+            nu *= 2.0
+        else:
+            status = 0 if g @ (g / D) <= tol else 2
+            break
+        # gain ratio against the decrease the damped quadratic model predicts
+        rho = (f - f_new) / (0.5 * (step @ (lam * D * step) - g @ step))
+        lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 1e-15)
+        x = x + step
+        f, g = f_new, jac(x, *args)
+    messages = ("stopping rule met", "maxiter reached", "no damping lowers J")
+    return OptimizeResult(x=x, fun=f, jac=g, nit=nit, nfev=nfev, status=status,
+                          success=status == 0, message=messages[status])
+
+
+def _banded_step(H, g, damping):
+    """-(H + diag(damping))^-1 g, or None where that matrix is not positive
+    definite."""
+    if np.any(damping):
+        H = H.copy()
+        H[-1] += damping
+    try:
+        return solveh_banded(H, -g)
+    except np.linalg.LinAlgError:
+        return None
 
 
 # --------------------------------------------------------------------------
@@ -401,11 +478,11 @@ def nlw_quasipotential(basis: SpectralBasis, nl: Nonlinearity, gamma: float,
         if dead.any() and dead_action > 1e-6:
             val = math.inf
         t_mid = (np.arange(1, K)) * dt
-        cand = (val, dist, t_mid, phi, T)
+        cand = (val, dist, t_mid, phi, T, float(np.max(np.abs(res.jac))))
         best = _better_candidate(best, cand, eta)
-    val, dist, t_mid, phi, T = best
+    val, dist, t_mid, phi, T, grad_norm = best
     return QuasipotentialResult(val, ControlPath(t_mid, phi, val), dist, T, eta,
-                                converged=dist <= eta)
+                                converged=dist <= eta, grad_norm=grad_norm)
 
 
 def _nlw_controls(X, lam, gamma, nl, basis, h, dt):

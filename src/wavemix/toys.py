@@ -30,11 +30,13 @@ class GradientSDE:
     name: str = "gradient_sde"
 
     def __post_init__(self):
-        # descending coefficients of b and b', as np.polyval receives them
+        # descending coefficients of b, b' and b'', as np.polyval receives them
         b = list(self.drift_coeffs)
         db = [k * c for k, c in enumerate(b)][1:] or [0.0]
+        d2b = [k * c for k, c in enumerate(db)][1:] or [0.0]
         object.__setattr__(self, "_b_desc", tuple(np.asarray(b[::-1])))
         object.__setattr__(self, "_db_desc", tuple(np.asarray(db[::-1])))
+        object.__setattr__(self, "_d2b_desc", tuple(np.asarray(d2b[::-1])))
         # potential consistency: A' = b checked on a dense grid
         u = np.linspace(-10, 10, 1000)
         dA = np.polyval(np.polyder(np.poly1d(self._poly_A())), u)
@@ -52,6 +54,10 @@ class GradientSDE:
     def drift_prime(self, u):
         """b'(u), evaluated as np.polyval evaluates it."""
         return _horner(self._db_desc, u)
+
+    def drift_second(self, u):
+        """b''(u), evaluated as np.polyval evaluates it."""
+        return _horner(self._d2b_desc, u)
 
     def potential(self, u):
         return np.polyval(self._poly_A(), u)

@@ -75,6 +75,40 @@ def test_cli_config_error_exit():
     assert main(["simulate", "--set", "model.rho=2.5"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command", [["simulate"], ["pressure", "--model", "ou"]])
+@pytest.mark.parametrize("override", ["integrator.stride=0", "integrator.stride=-1",
+                                      "integrator.horizon=-1"])
+def test_bad_integrator_rejected(command, override, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(command + ["--set", override, "--out", str(out)]) == EXIT_CONFIG
+    assert override.split("=")[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_percent_values_never_crash(tmp_path):
+    # not a graph variant: rejected before any run instead of failing inside it
+    with pytest.raises(ConfigError, match="chain_variant"):
+        parse_config(overrides=["experiment.chain_variant=50%"])
+    assert main(["fw-graph", "--model", "cubic", "--out", str(tmp_path / "fw"),
+                 "--set", "experiment.chain_variant=50%"]) == EXIT_CONFIG
+    # an accepted '%' is written and read back verbatim, in [run] too
+    cfg = parse_config(overrides=["model.kind=cubic", "model.nonlinearity=50%"])
+    path = tmp_path / "m.ini"
+    path.write_text(cfg.emit().replace("[run]\n", "[run]\nout = runs/50%(x)s\n"))
+    cfg2 = parse_config(str(path))
+    assert cfg2.values == cfg.values and cfg2.emit() == cfg.emit()
+    assert cfg2.out == "runs/50%(x)s"
+
+
+def test_usage_errors_exit_config(capsys):
+    assert main(["mix", "--kappa", "1"]) == EXIT_CONFIG       # removed flag
+    assert main(["mix", "--seed"]) == EXIT_CONFIG             # missing value
+    assert main(["no-such-command"]) == EXIT_CONFIG
+    assert main(["--help"]) == EXIT_PASS
+    assert main(["mix", "--help"]) == EXIT_PASS
+    assert "usage" in capsys.readouterr().out
+
+
 def test_selftest_passes(tmp_path, capsys):
     code = main(["selftest", "--out", str(tmp_path / "st")])
     assert code == EXIT_PASS

@@ -105,6 +105,13 @@ def test_noise_power_law_rules(basis16):
     assert np.all(cut.coeffs[4:] == 0)
 
 
+@pytest.mark.parametrize("kw", [{"horizon": 0.0}, {"horizon": -1.0}, {"stride": 0},
+                                {"stride": -1}])
+def test_simconfig_rejects_empty_runs(basis16, kw):
+    with pytest.raises(ValueError, match=next(iter(kw))):
+        make_cfg(basis16, **kw)
+
+
 def test_dt_stability_rule(basis16):
     lim = 0.5 / np.sqrt(basis16.eigenvalues[-1])
     with pytest.raises(ValueError):

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import wavemix.rates as rates_module
 from wavemix.nlw import BlowupError, NoiseModel, Nonlinearity
 from wavemix.rates import (
     BoundaryChainConfig,
     ControlPath,
     EquilibriumNetwork,
     _first_passages,
+    _toy_action_and_grad,
+    _toy_hessian,
     action_value,
     boundary_chain,
     find_equilibria,
@@ -91,24 +94,24 @@ def test_toy_quasipotential_oracle_values():
 
 def test_toy_solver_matches_oracle():
     cubic = builtin_cubic()
-    up = toy_quasipotential(cubic, 0.0, 3.0, eta=0.03, seed=1)
+    up = toy_quasipotential(cubic, 0.0, 3.0, eta=0.03)
     assert up.converged
     assert up.value == pytest.approx(5.0 / 6.0, rel=0.05)
-    down = toy_quasipotential(cubic, 3.0, 0.0, eta=0.03, seed=1)
+    down = toy_quasipotential(cubic, 3.0, 0.0, eta=0.03)
     assert down.converged
     assert down.value == pytest.approx(16.0 / 3.0, rel=0.05)
 
 
 def test_toy_solver_same_point():
     cubic = builtin_cubic()
-    res = toy_quasipotential(cubic, 1.5, 1.5, eta=0.05, horizons=(2.0,), seed=0)
+    res = toy_quasipotential(cubic, 1.5, 1.5, eta=0.05, horizons=(2.0,))
     assert res.value == pytest.approx(0.0, abs=1e-6)
 
 
 def test_toy_solver_eta_monotone():
     cubic = builtin_cubic()
     res = toy_quasipotential(cubic, 0.0, 2.0, eta=0.2, horizons=(4.0, 8.0),
-                             eta_ladder=(0.1, 0.05), seed=2)
+                             eta_ladder=(0.1, 0.05))
     vals = [res.value] + [v for _, v in res.eta_ladder]
     assert vals[0] <= vals[1] + 0.02
     assert vals[1] <= vals[2] + 0.02
@@ -116,10 +119,52 @@ def test_toy_solver_eta_monotone():
 
 def test_toy_superadditivity():
     cubic = builtin_cubic()
-    v02 = toy_quasipotential(cubic, 0.0, 2.0, eta=0.03, seed=3).value
-    v23 = toy_quasipotential(cubic, 2.0, 3.0, eta=0.03, seed=3).value
-    v03 = toy_quasipotential(cubic, 0.0, 3.0, eta=0.03, seed=3).value
+    v02 = toy_quasipotential(cubic, 0.0, 2.0, eta=0.03).value
+    v23 = toy_quasipotential(cubic, 2.0, 3.0, eta=0.03).value
+    v03 = toy_quasipotential(cubic, 0.0, 3.0, eta=0.03).value
     assert v03 <= v02 + v23 + 0.05
+
+
+_ends = st.floats(-1.5, 3.5, allow_nan=False)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(model=st.sampled_from([builtin_cubic(), builtin_doublewell()]),
+       path=st.lists(_ends, min_size=2, max_size=12), z1=_ends, z2=_ends,
+       dt=st.floats(0.02, 0.5), log_pen=st.floats(0.0, 8.0))
+def test_toy_hessian_is_the_jacobian_of_the_gradient(model, path, z1, z2, dt, log_pen):
+    x = np.array(path)
+    args = (model, z1, z2, dt, 10.0 ** log_pen)
+    ab = _toy_hessian(x, *args)
+    H = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[0, 1:], -1)
+    h = 1e-6
+    fd = np.empty_like(H)
+    for j in range(x.size):
+        e = np.zeros_like(x)
+        e[j] = h
+        fd[:, j] = (_toy_action_and_grad(x + e, *args)[1]
+                    - _toy_action_and_grad(x - e, *args)[1]) / (2 * h)
+    # gradient roundoff scales with its row, which the endpoint penalty dominates
+    scale = 1.0 + np.abs(H).max(axis=1, keepdims=True)
+    assert np.all(np.abs(fd - H) <= 1e-6 * scale)
+
+
+def test_toy_solver_ends_every_solve_on_its_stopping_rule(monkeypatch):
+    solves = []
+    real = rates_module.minimize
+
+    def record(*args, **kwargs):
+        solves.append(real(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(rates_module, "minimize", record)
+    res = toy_quasipotential(builtin_cubic(), 0.0, 3.0, eta=0.03)
+    assert len(solves) == 16                     # 4 horizons x 4 penalty weights
+    for s in solves:
+        assert s.status == 0 and s.success, s.message
+    assert res.converged and res.horizon == 16.0
+    assert res.grad_norm == np.max(np.abs(solves[-1].jac))
+    assert math.isfinite(res.grad_norm)
 
 
 # ------------------------------------------------------------ equilibria

@@ -70,8 +70,10 @@ def test_horner_drift_matches_polyval(coeffs, lead_zeros, kind, points):
     else:
         u = np.resize(np.asarray(points), (2, 3, 2))
     slopes = [k * c for k, c in enumerate(coeffs)][1:] or [0.0]
+    curvs = [k * c for k, c in enumerate(slopes)][1:] or [0.0]
     for got, want in ((model.drift(u), np.polyval(list(reversed(coeffs)), u)),
-                      (model.drift_prime(u), np.polyval(list(reversed(slopes)), u))):
+                      (model.drift_prime(u), np.polyval(list(reversed(slopes)), u)),
+                      (model.drift_second(u), np.polyval(list(reversed(curvs)), u))):
         assert type(got) is type(want)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
