@@ -514,13 +514,14 @@ def _cmd_pressure(cfg: RunConfig, out_dir: Path, threads: int) -> int:
         ou = _build_toy(cfg)
         horizon = cfg["integrator"]["horizon"]
         n_traj = cfg["experiment"]["n_traj"]
+        # beta number i of the sorted curve draws from its own stream (i,)
+        streams = {b: (i,) for i, b in enumerate(sorted(betas))}
 
         def estimator(beta: float) -> erg.PressureEstimate:
             t, _, ints = toys.simulate_toy(
-                ou, None, cfg["integrator"]["toy_dt"], horizon,
-                cfg.seed + int(1e3 * abs(beta)) + (0 if beta > 0 else 7),
+                ou, None, cfg["integrator"]["toy_dt"], horizon, cfg.seed,
                 n_traj=n_traj, record_stride=10 ** 9,
-                integrand=lambda u: beta * u)
+                integrand=lambda u: beta * u, stream=streams[beta])
             return erg.feynman_kac_estimate(ints[:, -1], horizon)
 
         curve = erg.pressure_curve(betas, estimator, center=0.0)
@@ -586,6 +587,10 @@ def _cmd_quasipotential(cfg: RunConfig, out_dir: Path, threads: int) -> int:
     if kind in ("cubic", "doublewell"):
         model = _build_toy(cfg)
         a, b = cfg["experiment"]["from_point"], cfg["experiment"]["to_point"]
+        # the oracle is the quasipotential from an equilibrium, not from any point
+        if np.min(np.abs(model.equilibria()[0] - a)) > 1e-6:
+            raise ConfigError(f"experiment.from_point={a} is not an equilibrium of "
+                              f"the {kind} model")
         res = rates.toy_quasipotential(model, a, b, eta=eta,
                                        eta_ladder=(eta / 2, eta / 4))
         oracle = rates.toy_quasipotential_oracle(model, a, b)
@@ -606,7 +611,8 @@ def _cmd_quasipotential(cfg: RunConfig, out_dir: Path, threads: int) -> int:
     res = rates.nlw_quasipotential(basis, nl, cfg["model"]["gamma"], noise, z1,
                                    z2, eta=max(eta, 0.05))
     return _finish(cfg, out_dir, "pass" if res.converged else "fail",
-                   {"value": res.value, "endpoint_error": res.endpoint_error},
+                   {"value": res.value, "endpoint_error": res.endpoint_error,
+                    "grad_norm": res.grad_norm},
                    {"eta": eta})
 
 

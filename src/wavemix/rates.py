@@ -756,10 +756,10 @@ def smallnoise_stationary_probe(model: GradientSDE, eps_list: Sequence[float],
             T = 150.0 if horizon is None else horizon
             masses = []
             for run in range(2):
-                t, paths, _ = simulate_toy(model, float(eps), 1e-3, T,
-                                           seed + 101 * run + ei,
+                t, paths, _ = simulate_toy(model, float(eps), 1e-3, T, seed,
                                            n_traj=n_rep, record_stride=5,
-                                           u0=float(pts[stable][0]))
+                                           u0=float(pts[stable][0]),
+                                           stream=(ei, run))
                 # burn-in: twenty empirical mixing times, read off replica 0
                 tau = autocorrelation_time(paths[0], t[1] - t[0])
                 burn = min(20.0 * max(tau, 0.25), T / 3.0)

@@ -96,14 +96,19 @@ class SpectralBasis:
         return np.stack([g.ravel() for g in grids], axis=-1)
 
     @cached_property
-    def weights(self) -> np.ndarray:
-        """Composite-trapezoid quadrature weights matching ``nodes``."""
+    def _weights_1d(self) -> list[np.ndarray]:
         ws = []
         for x in self._grid_1d:
             h = x[1] - x[0]
             w = np.full(x.size, h)
             w[0] = w[-1] = h / 2
             ws.append(w)
+        return ws
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Composite-trapezoid quadrature weights matching ``nodes``."""
+        ws = self._weights_1d
         if self.dim == 1:
             return ws[0]
         return np.multiply.outer(ws[0], ws[1]).ravel()
@@ -119,13 +124,53 @@ class SpectralBasis:
             cols.append(vals)
         return np.stack(cols, axis=-1)
 
+    @cached_property
+    def _tensor_factors(self) -> tuple[np.ndarray, ...]:
+        """1D factors of the 2D transform through the K x K coefficient block.
+
+        Mode (j1, j2) is e_j1(x) e_j2(y) with e_j = sqrt(2/L) sin(j pi x / L),
+        so on the tensor grid a transform is two small matmuls (sum
+        factorisation).  Returns ``(S1, S2, w1 S1, w2 S2, flat)``: the
+        (n+1) x K sine tables of both axes, their copies scaled by the 1D
+        trapezoid weights, and the position (j1-1) K + (j2-1) of each
+        retained mode in the flattened block.
+        """
+        k = self._modes_per_dim
+        s1, s2 = (np.sqrt(2.0 / L) * np.sin(np.arange(1, k + 1) * np.pi * x[:, None] / L)
+                  for x, L in zip(self._grid_1d, self.lengths))
+        w1, w2 = self._weights_1d
+        flat = (self._mode_indices[:, 0] - 1) * k + (self._mode_indices[:, 1] - 1)
+        return s1, s2, w1[:, None] * s1, w2[:, None] * s2, flat
+
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        """Grid values of the field with the given coefficients (batched on the left)."""
-        return coeffs @ self.eigenfunctions.T
+        """Grid values of the field with the given coefficients (batched on the left).
+
+        1D multiplies by the dense ``eigenfunctions`` matrix; 2D forms
+        ``S1 C S2^T`` from the K x K coefficient block C of each batch entry.
+        """
+        if self.dim == 1:
+            return coeffs @ self.eigenfunctions.T
+        s1, s2, _, _, flat = self._tensor_factors
+        n, k = s1.shape
+        lead = np.shape(coeffs)[:-1]
+        block = np.zeros(lead + (k * k,))
+        block[..., flat] = coeffs
+        rows = (block.reshape(-1, k) @ s2.T).reshape(lead + (k, n))  # C S2^T
+        return (s1 @ rows).reshape(lead + (n * n,))
 
     def analyze(self, values: np.ndarray) -> np.ndarray:
-        """Coefficients of grid values, projected onto the retained modes."""
-        return (values * self.weights) @ self.eigenfunctions
+        """Coefficients of grid values, projected onto the retained modes.
+
+        1D is the dense weighted projection; 2D forms ``(w1 S1)^T V (w2 S2)``
+        on the (n+1) x (n+1) value grid V and keeps the retained entries.
+        """
+        if self.dim == 1:
+            return (values * self.weights) @ self.eigenfunctions
+        _, _, ws1, ws2, flat = self._tensor_factors
+        n, k = ws1.shape
+        lead = np.shape(values)[:-1]
+        block = ws1.T @ np.reshape(values, lead + (n, n)) @ ws2
+        return block.reshape(lead + (k * k,))[..., flat]
 
     def quadrature(self, values: np.ndarray) -> np.ndarray:
         """Integral over the domain of grid values (batched on the left)."""

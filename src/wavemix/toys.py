@@ -209,13 +209,17 @@ def gradient_sde_exact_density(model, eps: float, n_grid: int = 200001) -> Exact
 def simulate_toy(model, eps: float | None, dt: float, horizon: float, seed: int,
                  n_traj: int = 1, u0: float | np.ndarray | None = None,
                  record_stride: int = 1,
-                 integrand=None) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+                 integrand=None, stream: tuple[int, ...] = ()
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Euler-Maruyama paths of du = -b(u) dt + sqrt(eps) dW.
 
     Returns (times, paths, integrals) where paths has shape (n_traj, n_rec)
     and integrals is the running trapezoid integral of ``integrand(u)`` when
-    one is supplied.  A nonfinite path raises ``BlowupError`` at the end of
-    the 4096-step chunk it appears in.
+    one is supplied.  The noise is drawn from the stream
+    ``SeedSequence(entropy=seed, spawn_key=stream)``, so callers that run
+    several estimates from one seed give each its own ``stream``.  A
+    nonfinite path raises ``BlowupError`` at the end of the 4096-step chunk
+    it appears in.
     """
     if eps is None:
         if not isinstance(model, OrnsteinUhlenbeck):
@@ -225,7 +229,8 @@ def simulate_toy(model, eps: float | None, dt: float, horizon: float, seed: int,
     rec = record_steps(n_steps, record_stride)
     t = np.array(list(rec)) * dt
 
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
+    rng = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(entropy=seed, spawn_key=stream)))
     if u0 is None:
         u = np.zeros(n_traj)
     else:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import wavemix.toys as toys
 from wavemix.cli import (
     EXIT_CONFIG,
     EXIT_PASS,
@@ -161,6 +162,38 @@ def test_pressure_chain2(tmp_path):
     lines = (out / "pressure.csv").read_text().splitlines()
     assert lines[0] == "beta,Q,stderr"
     assert (out / "rate.csv").read_text().splitlines()[0] == "p,I"
+
+
+def test_pressure_beta_streams_distinct(tmp_path, monkeypatch):
+    # seed + int(1e3|beta|) + (0 if beta > 0 else 7) gave 0.257 and -0.25 one path
+    calls = []
+    real = toys.simulate_toy
+
+    def recording(*args, **kwargs):
+        calls.append((args[4], kwargs.get("stream", ())))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(toys, "simulate_toy", recording)
+    main(["pressure", "--model", "ou", "--out", str(tmp_path / "p"), "--seed", "4",
+          "--betas=-1,-0.25,0.257,0.5,1", "--n-traj", "20", "--horizon", "0.5"])
+    assert len(calls) == 5
+    assert len(set(calls)) == 5
+
+
+def test_quasipotential_nlw_reports_grad_norm(tmp_path):
+    out = tmp_path / "qp"
+    main(["quasipotential", "--out", str(out), "--set", "model.modes=2",
+          "--to-point", "0.3"])
+    metrics = json.loads((out / "verdict.json").read_text())["metrics"]
+    assert metrics["grad_norm"] >= 0.0
+
+
+@pytest.mark.parametrize("point", ["2", "1.7", "0.001"])
+def test_quasipotential_needs_equilibrium_start(tmp_path, capsys, point):
+    code = main(["quasipotential", "--model", "cubic", "--from-point", point,
+                 "--to-point", "1.7", "--out", str(tmp_path / "qp")])
+    assert code == EXIT_CONFIG
+    assert "experiment.from_point" in capsys.readouterr().err
 
 
 def test_boundary_chain_inconclusive_exit(tmp_path):

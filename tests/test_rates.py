@@ -415,6 +415,23 @@ def test_smallnoise_mc_undersampling_refusal():
     assert rep.inconclusive
 
 
+def test_smallnoise_mc_streams_distinct(monkeypatch):
+    # seed + 101*run + ei collided from 101 eps values on
+    calls = []
+    real = rates_module.simulate_toy
+
+    def recording(*args, **kwargs):
+        calls.append((args[4], kwargs.get("stream", ())))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rates_module, "simulate_toy", recording)
+    eps_list = np.linspace(0.5, 0.2, 102)
+    smallnoise_stationary_probe(builtin_cubic(), eps_list, [(2.0, 2.5)], mode="mc",
+                                seed=3, horizon=0.02)
+    assert len(calls) == 2 * eps_list.size
+    assert len(set(calls)) == len(calls)
+
+
 # ------------------------------------------------------------ boundary chain
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wavemix.nlw import Nonlinearity
 from wavemix.spectral import (
@@ -44,6 +45,32 @@ def test_orthonormality(lengths, m):
     b = SpectralBasis(lengths, m)
     gram = (b.eigenfunctions * b.weights[:, None]).T @ b.eigenfunctions
     np.testing.assert_allclose(gram, np.eye(m), atol=1e-10)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(side=st.floats(0.5, 4.0), aspect=st.sampled_from([1.0, 0.3, 0.5, 2.0, 3.7]),
+       m=st.integers(1, 200), lead=st.sampled_from([(), (3,), (2, 4)]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_2d_transforms_match_dense(side, aspect, m, lead, seed):
+    # the separable 2D path against the dense eigenfunction matrix
+    b = SpectralBasis((side, side * aspect), m)
+    E, w = b.eigenfunctions, b.weights
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(lead + (m,))
+    v = rng.standard_normal(lead + (w.size,))
+    for got, ref in ((b.synthesize(c), c @ E.T), (b.analyze(v), (v * w) @ E)):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("lead", [(), (5,), (2, 3)])
+def test_1d_transforms_stay_dense(basis_pi, lead):
+    rng = np.random.default_rng(6)
+    E, w = basis_pi.eigenfunctions, basis_pi.weights
+    c = rng.standard_normal(lead + (basis_pi.mode_count,))
+    v = rng.standard_normal(lead + (w.size,))
+    assert np.array_equal(basis_pi.synthesize(c), c @ E.T)
+    assert np.array_equal(basis_pi.analyze(v), (v * w) @ E)
 
 
 def test_2d_eigenvalues_sorted_and_correct():
