@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import hashlib
 import io
 import json
@@ -788,7 +789,9 @@ FLAGS = {"--model": "model.kind", "--dt": "integrator.dt",
             for key in SCHEMA["experiment"]}}
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The ``wavemix`` argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="wavemix",
         description="Stochastic wave-equation laboratory: simulation, coupling "
@@ -806,8 +809,12 @@ def main(argv: list[str] | None = None) -> int:
             section, key = target.split(".")
             p.add_argument(flag, dest=target, default=None,
                            help=f"{target} (default {SCHEMA[section][key][1]!r})")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:  # argparse exits 0 after --help, 2 on a usage error
         return EXIT_CONFIG if e.code else EXIT_PASS
     overrides = list(args.set) + [f"{target}={getattr(args, target)}"

@@ -15,8 +15,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.sparse.csgraph import connected_components
-from scipy.stats import kstest
 
 from wavemix import stats
 
@@ -97,6 +95,7 @@ def clt_check(horizon: float, integrals: np.ndarray, centering: float,
     sigma = float(s.std(ddof=1))
     if sigma == 0:
         return CltReport(0.0, 0.0, 1.0, s, True)
+    from scipy.stats import kstest
     res = kstest(s, "norm", args=(0.0, sigma))
     return CltReport(sigma, float(res.statistic), float(res.pvalue), s,
                      res.pvalue > p_floor)
@@ -235,6 +234,7 @@ class FiniteChain:
         self.n = n
 
     def is_irreducible(self) -> bool:
+        from scipy.sparse.csgraph import connected_components
         support = (self.G > 0).astype(int)
         np.fill_diagonal(support, 1)
         ncomp, _ = connected_components(support, directed=True, connection="strong")

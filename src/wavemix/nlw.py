@@ -91,7 +91,15 @@ class Nonlinearity:
     def f(self, u):
         u = np.asarray(u, float)
         if self.kind == "klein_gordon":
-            return np.abs(u) ** self.rho * u - self.lam * u
+            # |u|^rho u - lam u, in place on the |u| buffer; the power and the
+            # lam term are skipped where they change no finite value
+            out = np.abs(u)
+            if self.rho != 1.0:
+                out **= self.rho
+            out *= u
+            if self.lam != 0.0:
+                out -= self.lam * u
+            return out
         if self.kind == "sine_gordon":
             return np.sin(u)
         out = np.zeros_like(u)
@@ -102,7 +110,12 @@ class Nonlinearity:
     def F(self, u):
         u = np.asarray(u, float)
         if self.kind == "klein_gordon":
-            return np.abs(u) ** (self.rho + 2) / (self.rho + 2) - self.lam * u ** 2 / 2
+            out = np.abs(u)
+            out **= self.rho + 2
+            out /= self.rho + 2
+            if self.lam != 0.0:
+                out -= self.lam * u ** 2 / 2
+            return out
         if self.kind == "sine_gordon":
             return 1.0 - np.cos(u)
         out = np.zeros_like(u)
@@ -484,6 +497,9 @@ def make_kick_fn(basis: SpectralBasis, nl: Nonlinearity, h_coeffs: np.ndarray) -
 
 
 _CHUNK_STEPS = 256
+# Bytes a chunk's noise block may take: a large batch gets fewer steps per
+# chunk.  Every stream still draws its values in the same order.
+_NOISE_BLOCK_BYTES = 4 << 20
 
 
 def _strang_drive(states: np.ndarray, ops: LinearOps, rngs, kick: Callable,
@@ -504,8 +520,10 @@ def _strang_drive(states: np.ndarray, ops: LinearOps, rngs, kick: Callable,
     lift = (slice(None),) + (None,) * (states.ndim - 3)  # one increment per path
     normals = None
     if rngs is not None:
-        normals = np.empty((len(states), min(chunk_steps, n_steps), 2, 2,
-                            ops.P_half.shape[0]))
+        n_paths, m = len(states), ops.P_half.shape[0]
+        step_bytes = 8 * n_paths * 2 * 2 * m  # one step's float64 normals
+        chunk_steps = max(min(chunk_steps, _NOISE_BLOCK_BYTES // max(step_bytes, 1)), 1)
+        normals = np.empty((n_paths, min(chunk_steps, n_steps), 2, 2, m))
     step = 0
     while step < n_steps:
         chunk = min(chunk_steps, n_steps - step)

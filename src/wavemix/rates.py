@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-import networkx as nx
 import numpy as np
 from scipy.linalg import solveh_banded
 from scipy.optimize import OptimizeResult, minimize
@@ -604,6 +603,7 @@ def _arborescence_weight(V: np.ndarray, root: int) -> float:
     n = V.shape[0]
     if n == 1:
         return 0.0
+    import networkx as nx
     G = nx.DiGraph()
     G.add_nodes_from(range(n))
     for mm in range(n):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wavemix.nlw import BlowupError
+from wavemix.nlw import _NOISE_BLOCK_BYTES, BlowupError
 from wavemix.stats import record_steps
 
 
@@ -218,8 +218,9 @@ def simulate_toy(model, eps: float | None, dt: float, horizon: float, seed: int,
     one is supplied.  The noise is drawn from the stream
     ``SeedSequence(entropy=seed, spawn_key=stream)``, so callers that run
     several estimates from one seed give each its own ``stream``.  A
-    nonfinite path raises ``BlowupError`` at the end of the 4096-step chunk
-    it appears in.
+    nonfinite path raises ``BlowupError`` at the end of the chunk it appears
+    in: 4096 steps, fewer when the chunk's noise block would exceed
+    ``_NOISE_BLOCK_BYTES``.
     """
     if eps is None:
         if not isinstance(model, OrnsteinUhlenbeck):
@@ -243,7 +244,7 @@ def simulate_toy(model, eps: float | None, dt: float, horizon: float, seed: int,
     if out_int is not None:
         out_int[:, 0] = 0.0
     root_eps_dt = math.sqrt(eps * dt)
-    chunk = 4096
+    chunk = max(min(4096, _NOISE_BLOCK_BYTES // (8 * max(n_traj, 1))), 1)
     step = 0
     while step < n_steps:
         k = min(chunk, n_steps - step)

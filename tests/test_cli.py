@@ -1,12 +1,16 @@
 import ast
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import wavemix.cli as cli
 import wavemix.toys as toys
 from wavemix.cli import (
     EXIT_CONFIG,
@@ -108,6 +112,27 @@ def test_usage_errors_exit_config(capsys):
     assert main(["--help"]) == EXIT_PASS
     assert main(["mix", "--help"]) == EXIT_PASS
     assert "usage" in capsys.readouterr().out
+
+
+def test_consecutive_calls_do_not_share_arguments(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "dispatch",
+                        lambda cfg, command, threads=1: seen.append((cfg, threads)) or 0)
+    assert main(["simulate", "--set", "model.modes=12", "--set", "noise.eps=0.5",
+                 "--horizon", "3", "--threads", "2"]) == EXIT_PASS
+    assert main(["simulate"]) == EXIT_PASS
+    (first, t1), (second, t2) = seen
+    assert (first["model"]["modes"], first["noise"]["eps"], t1) == (12, 0.5, 2)
+    assert first["integrator"]["horizon"] == 3.0
+    assert second.values == parse_config().values and t2 == 1
+
+
+def test_import_leaves_heavy_libraries_unloaded():
+    code = ("import sys, wavemix.cli; "
+            "print(sorted(m for m in ('networkx', 'scipy.stats') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_selftest_passes(tmp_path, capsys):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from wavemix import nlw
 from wavemix.nlw import (
@@ -12,6 +13,7 @@ from wavemix.nlw import (
     SimConfig,
     apply_modewise,
     check_dissipativity,
+    draw_normals,
     energy_audit,
     exp_moment_probe,
     growth_functional,
@@ -91,6 +93,16 @@ def test_nonlinearity_vanishes_at_zero():
                Nonlinearity.polynomial([0.5, 0.0, 1.0])):
         assert nl.f(0.0) == 0.0
         assert nl.F(0.0) == 0.0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(rho=st.sampled_from([0.5, 1.0, 1.5]), lam=st.sampled_from([0.0, 0.3]),
+       u=hnp.arrays(np.float64, st.integers(0, 12),
+                    elements=st.floats(-1e6, 1e6, allow_subnormal=True)))
+def test_klein_gordon_f_and_F_match_closed_forms(rho, lam, u):
+    nl = Nonlinearity.klein_gordon(rho, lam)
+    assert np.array_equal(nl.f(u), np.abs(u) ** rho * u - lam * u)
+    assert np.array_equal(nl.F(u), np.abs(u) ** (rho + 2) / (rho + 2) - lam * u ** 2 / 2)
 
 
 def test_noise_power_law_rules(basis16):
@@ -495,3 +507,25 @@ def test_regularity_split_nonfinite_start_raises_at_first_chunk(basis16, noise16
     with np.errstate(invalid="ignore"), \
             pytest.raises(nlw.BlowupError, match=r"nonfinite state near t=8 "):
         regularity_split(cfg, Nonlinearity.klein_gordon(1.0), noise16, bad)
+
+
+def test_noise_block_cap_keeps_paths_bitwise(basis16, noise16, monkeypatch):
+    cfg = make_cfg(basis16, horizon=2.0, seed=5)
+    nl = Nonlinearity.klein_gordon(1.0)
+    y0 = smooth_state(basis16, alpha=cfg.alpha)
+    n_traj = 7
+    chunks = []
+
+    def recorded(rngs, buf, chunk):
+        chunks.append(chunk)
+        draw_normals(rngs, buf, chunk)
+
+    monkeypatch.setattr(nlw, "draw_normals", recorded)
+    finals = [run_flow(cfg, nl, noise16, y0, n_traj=n_traj).final_states]
+    assert max(chunks) == min(cfg.n_steps, 256)
+    # room for three steps of the (n_traj, 2, 2, M) normals
+    chunks.clear()
+    monkeypatch.setattr(nlw, "_NOISE_BLOCK_BYTES", 3 * 8 * n_traj * 4 * basis16.mode_count)
+    finals.append(run_flow(cfg, nl, noise16, y0, n_traj=n_traj).final_states)
+    assert max(chunks) == 3
+    assert np.array_equal(finals[0], finals[1])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import erf
 
+from wavemix import toys
 from wavemix.nlw import BlowupError
 from wavemix.toys import (
     GradientSDE,
@@ -120,6 +121,21 @@ def test_nan_start_stops_in_first_chunk():
                      n_traj=3, u0=np.array([0.0, np.nan, 0.0]), integrand=integrand)
     # the start value plus one evaluation per step of the first 4096-step chunk
     assert len(calls) == 1 + 4096
+
+
+def test_noise_block_cap_keeps_paths_bitwise(monkeypatch):
+    def run(u0):
+        return simulate_toy(builtin_cubic(), 0.1, dt=1e-3, horizon=1.0, seed=4,
+                            n_traj=5, u0=u0, record_stride=7, integrand=np.square)
+
+    full = run(0.5)
+    monkeypatch.setattr(toys, "_NOISE_BLOCK_BYTES", 8 * 5 * 100)  # 100 steps
+    capped = run(0.5)
+    for a, b in zip(full, capped):
+        assert np.array_equal(a, b)
+    # the cap really shortened the chunk: a bad start stops after 100 steps
+    with pytest.raises(BlowupError, match=r"near t=0\.1 "):
+        run(np.array([0.0, 0.0, np.nan, 0.0, 0.0]))
 
 
 def test_ou_stationary_variance():
