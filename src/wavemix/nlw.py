@@ -575,7 +575,9 @@ def run_flow(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel, y0: PhaseState
     def run_block(lo: int, hi: int):
         nb = hi - lo
         states = np.broadcast_to(y0_arr, (nb,) + y0_arr.shape).copy()
-        rngs = trajectory_streams(cfg.seed, nb, offset=seed_offset + lo)
+        # a noiseless run (eps = 0) draws nothing
+        rngs = (trajectory_streams(cfg.seed, nb, offset=seed_offset + lo)
+                if ops.noisy.any() else None)
         acc = {k: np.zeros(nb) for k in integrands}
         prev = {k: fn(states) for k, fn in integrands.items()}
 

@@ -22,8 +22,8 @@ from scipy.linalg import solveh_banded
 from scipy.optimize import OptimizeResult, minimize
 
 from wavemix import stats
-from wavemix.nlw import BlowupError, NoiseModel, Nonlinearity, SimConfig, \
-    _strang_drive, linear_ops
+from wavemix.nlw import _NOISE_BLOCK_BYTES, BlowupError, NoiseModel, Nonlinearity, \
+    SimConfig, _strang_drive, linear_ops
 from wavemix.spectral import PhaseState, SpectralBasis, phase_norm_sq_arr
 from wavemix.toys import GradientSDE, gradient_sde_exact_density, simulate_toy, \
     autocorrelation_time
@@ -600,25 +600,43 @@ def w_graph_weights(net: EquilibriumNetwork, variant: str = "i-graph") -> np.nda
 
 
 def _arborescence_weight(V: np.ndarray, root: int) -> float:
-    n = V.shape[0]
-    if n == 1:
-        return 0.0
-    import networkx as nx
-    G = nx.DiGraph()
-    G.add_nodes_from(range(n))
-    for mm in range(n):
-        if mm == root:
-            continue  # the root emits no arrow
-        for nn in range(n):
-            if mm != nn and np.isfinite(V[mm, nn]):
-                # arrow m -> n costs V[m, n]; reversed for the arborescence
-                G.add_edge(nn, mm, weight=float(V[mm, nn]))
-    try:
-        arb = nx.algorithms.tree.branchings.minimum_spanning_arborescence(
-            G, attr="weight")
-    except nx.NetworkXException:
-        return math.inf
-    return float(sum(d["weight"] for _, _, d in arb.edges(data=True)))
+    """Chu-Liu/Edmonds minimum of the i-graphs rooted at ``root``.
+
+    Every node but the root takes its cheapest out-arrow; if those arrows
+    close a cycle, the cycle is contracted into one node whose out-arrows
+    cost what leaving the cycle adds over its own arrow, and the contracted
+    problem is solved recursively.  ``inf`` costs are absent arrows.
+    """
+    C = np.array(V, dtype=float)
+    np.fill_diagonal(C, math.inf)
+    n = C.shape[0]
+    others = [k for k in range(n) if k != root]
+    best = C.argmin(axis=1)
+    if any(math.isinf(C[k, best[k]]) for k in others):
+        return math.inf  # a node with no arrow out
+    cycle = None
+    state = [0] * n  # 0 unseen, 1 on the current walk, 2 leads to the root
+    state[root] = 2
+    for start in others:
+        walk, k = [], start
+        while state[k] == 0:
+            state[k] = 1
+            walk.append(k)
+            k = int(best[k])
+        if state[k] == 1:
+            cycle = walk[walk.index(k):]
+            break
+        for k in walk:
+            state[k] = 2
+    if cycle is None:
+        return float(sum(C[k, best[k]] for k in others))
+    rest = [k for k in range(n) if k not in cycle]
+    own = C[cycle, best[cycle]]
+    D = np.zeros((len(rest) + 1,) * 2)  # the cycle is the last node
+    D[:-1, :-1] = C[np.ix_(rest, rest)]
+    D[:-1, -1] = C[np.ix_(rest, cycle)].min(axis=1)
+    D[-1, :-1] = (C[np.ix_(cycle, rest)] - own[:, None]).min(axis=0)
+    return float(own.sum()) + _arborescence_weight(D, rest.index(root))
 
 
 def w_graph_bruteforce(V: np.ndarray, root: int) -> float:
@@ -815,6 +833,8 @@ class BoundaryChainConfig:
     The theory fixes only the ordering; at finite noise the prefactors shift
     the measured exponents, so the defaults come from a sweep of
     ``boundary_chain`` over a ladder of radii at the desk scale eps ~ 0.1.
+    ``max_transitions`` is checked between noise blocks, so a run may end a
+    block past it.
     """
 
     rho1p: float = 0.15
@@ -849,7 +869,13 @@ def boundary_chain(model: GradientSDE, bc: BoundaryChainConfig, eps: float,
     The chain lives on the inner shells around the stable equilibria: each
     step exits the outer rho0-neighborhood and records which rho1-shell the
     path hits next.  eps log P-hat is compared to the avoid-others
-    quasipotentials between the nodes.
+    quasipotentials between the nodes.  Replica ``r`` draws from stream
+    ``SeedSequence(entropy=seed, spawn_key=(r,))`` in chunks of at most
+    20 000 steps, fewer when the chunk's noise block would exceed
+    ``_NOISE_BLOCK_BYTES`` (the cap ``simulate_toy`` shares); the block holds
+    the path once integrated, so the chain needs no second copy.  A nonfinite
+    state raises ``BlowupError`` naming its earliest step and, within it, the
+    lowest replica.
     """
     pts, stable = model.equilibria()
     nodes = pts[stable]
@@ -875,26 +901,30 @@ def boundary_chain(model: GradientSDE, bc: BoundaryChainConfig, eps: float,
     u = nodes[resident].astype(float)
     waiting_exit = np.ones(n_replicas, bool)
     n_steps = int(horizon_per_replica / dt)
-    chunk = min(20000, n_steps)
+    chunk = max(min(20000, n_steps, _NOISE_BLOCK_BYTES // (8 * max(n_replicas, 1))), 1)
     root_eps_dt = math.sqrt(eps * dt)
-    noise = np.empty((n_replicas, chunk))
-    path = np.empty((chunk, n_replicas))
+    # one (replica, step) block: a replica's noise row, overwritten step by
+    # step with its path once the step has used it
+    block = np.empty((n_replicas, chunk))
     done = 0
     while done < n_steps and counts.sum() < bc.max_transitions:
         k = min(chunk, n_steps - done)
-        xi = noise[:, :k]
-        for rng, row in zip(rngs, xi):
+        path = block[:, :k]
+        for rng, row in zip(rngs, path):
             rng.standard_normal(out=row)
-        xi *= root_eps_dt
+        path *= root_eps_dt
         for s in range(k):
-            u = u - model.drift(u) * dt + xi[:, s]
-            path[s] = u
-        finite = np.isfinite(path[:k])
-        if not finite.all():
-            step, replica = np.argwhere(~finite)[0]
+            col = path[:, s]
+            np.add(u - model.drift(u) * dt, col, out=col)
+            u = col
+        bad = ~np.isfinite(path)
+        if bad.any():
+            step = int(bad.any(axis=0).argmax())
+            replica = int(bad[:, step].argmax())
             raise BlowupError(f"nonfinite toy state at t={(done + step + 1) * dt:.4g} "
                               f"(replica {replica}); decrease dt")
-        _first_passages(path[:k], nodes, bc.rho0, bc.rho1, resident,
+        u = u.copy()  # the next chunk's draws overwrite the block
+        _first_passages(path.T, nodes, bc.rho0, bc.rho1, resident,
                         waiting_exit, counts)
         done += k
 

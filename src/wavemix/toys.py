@@ -220,7 +220,8 @@ def simulate_toy(model, eps: float | None, dt: float, horizon: float, seed: int,
     several estimates from one seed give each its own ``stream``.  A
     nonfinite path raises ``BlowupError`` at the end of the chunk it appears
     in: 4096 steps, fewer when the chunk's noise block would exceed
-    ``_NOISE_BLOCK_BYTES``.
+    ``_NOISE_BLOCK_BYTES`` (the cap ``rates.boundary_chain`` shares).  One
+    block is allocated and refilled for every chunk.
     """
     if eps is None:
         if not isinstance(model, OrnsteinUhlenbeck):
@@ -244,11 +245,13 @@ def simulate_toy(model, eps: float | None, dt: float, horizon: float, seed: int,
     if out_int is not None:
         out_int[:, 0] = 0.0
     root_eps_dt = math.sqrt(eps * dt)
-    chunk = max(min(4096, _NOISE_BLOCK_BYTES // (8 * max(n_traj, 1))), 1)
+    chunk = max(min(4096, n_steps, _NOISE_BLOCK_BYTES // (8 * max(n_traj, 1))), 1)
+    block = np.empty((chunk, n_traj))
     step = 0
     while step < n_steps:
         k = min(chunk, n_steps - step)
-        xi = rng.standard_normal((k, n_traj))
+        xi = block[:k]
+        rng.standard_normal(out=xi)
         for s in range(k):
             u = u - model.drift(u) * dt + root_eps_dt * xi[s]
             if integrand is not None:

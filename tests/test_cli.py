@@ -128,7 +128,11 @@ def test_consecutive_calls_do_not_share_arguments(monkeypatch):
 
 
 def test_import_leaves_heavy_libraries_unloaded():
-    code = ("import sys, wavemix.cli; "
+    # fw-graph's W-graph weights need no graph library either
+    code = ("import sys, numpy as np, wavemix.cli; from wavemix import rates; "
+            "V = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]], float); "
+            "rates.w_graph_weights(rates.EquilibriumNetwork('x', [0, 1, 2], "
+            "np.ones(3, bool), V)); "
             "print(sorted(m for m in ('networkx', 'scipy.stats') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, check=True)

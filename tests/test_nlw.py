@@ -529,3 +529,20 @@ def test_noise_block_cap_keeps_paths_bitwise(basis16, noise16, monkeypatch):
     finals.append(run_flow(cfg, nl, noise16, y0, n_traj=n_traj).final_states)
     assert max(chunks) == 3
     assert np.array_equal(finals[0], finals[1])
+
+
+def test_noiseless_simulate_draws_no_normals(basis16, noise16, monkeypatch):
+    # eps = 0 zeroes every noise factor, so drawing normals would be wasted
+    cfg = make_cfg(basis16, eps=0.0, horizon=1.0)
+    chunks = []
+    real = nlw.draw_normals
+
+    def recorded(rngs, buf, chunk):
+        chunks.append(chunk)
+        real(rngs, buf, chunk)
+
+    monkeypatch.setattr(nlw, "draw_normals", recorded)
+    traj = simulate(cfg, Nonlinearity.klein_gordon(1.0), noise16,
+                    smooth_state(basis16, alpha=cfg.alpha))
+    assert chunks == []
+    assert np.isfinite(traj.states).all()

@@ -240,6 +240,22 @@ def test_w_graph_edmonds_equals_bruteforce():
                 (math.isinf(W[i]) and math.isinf(w_graph_bruteforce(V, i)))
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(2, 6).flatmap(lambda n: st.lists(
+    st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.25, math.inf]),
+    min_size=n * n, max_size=n * n)))
+def test_w_graph_weights_match_bruteforce(costs):
+    # few distinct costs give ties and nested cycle contractions; inf entries
+    # are absent arrows and can leave a root unreachable
+    n = math.isqrt(len(costs))
+    V = np.array(costs).reshape(n, n)
+    np.fill_diagonal(V, 0.0)
+    W = w_graph_weights(EquilibriumNetwork("rand", list(range(n)), np.ones(n, bool), V))
+    for i in range(n):
+        ref = w_graph_bruteforce(V, i)
+        assert W[i] == ref or W[i] == pytest.approx(ref, rel=1e-12)
+
+
 def test_chain_variant_matches_igraph_for_two_nodes():
     cubic = builtin_cubic()
     net = toy_equilibrium_network(cubic).restrict_to_stable()
@@ -482,10 +498,39 @@ def test_boundary_chain_golden_counts_three_wells():
 
 
 def test_boundary_chain_blowup_raises():
-    # explicit Euler at dt = 0.5 is unstable for the cubic drift
-    with np.errstate(all="ignore"), pytest.raises(BlowupError, match="nonfinite"):
-        boundary_chain(builtin_doublewell(), BoundaryChainConfig(), eps=1.0, seed=0,
-                       n_replicas=4, horizon_per_replica=50.0, dt=0.5)
+    # explicit Euler at dt = 0.5 is unstable for the cubic drift; the report
+    # names the earliest nonfinite step and, within it, the lowest replica
+    for seed, where in [(0, r"t=10 \(replica 0\)"), (1, r"t=5 \(replica 2\)")]:
+        with np.errstate(all="ignore"), \
+                pytest.raises(BlowupError, match="nonfinite toy state at " + where):
+            boundary_chain(builtin_doublewell(), BoundaryChainConfig(), eps=1.0,
+                           seed=seed, n_replicas=4, horizon_per_replica=50.0, dt=0.5)
+
+
+def test_boundary_chain_noise_block_cap_keeps_counts_bitwise(monkeypatch):
+    def run():
+        return boundary_chain(builtin_doublewell(), BoundaryChainConfig(), eps=1.0,
+                              seed=3, n_replicas=4, horizon_per_replica=10.0)
+
+    full = run()
+    # 777-step chunks; record each chunk's length and whether a replica is
+    # between an exit and its next hit when the chunk ends
+    chunks, mid_transition = [], []
+    scan = rates_module._first_passages
+
+    def recorded(path, nodes, rho0, rho1, resident, waiting_exit, counts):
+        scan(path, nodes, rho0, rho1, resident, waiting_exit, counts)
+        chunks.append(path.shape[0])
+        mid_transition.append(not waiting_exit.all())
+
+    monkeypatch.setattr(rates_module, "_NOISE_BLOCK_BYTES", 8 * 4 * 777)
+    monkeypatch.setattr(rates_module, "_first_passages", recorded)
+    capped = run()
+    assert chunks == [777] * 12 + [10000 - 12 * 777]
+    assert any(mid_transition[:-1])
+    assert full.counts.sum() > 0
+    np.testing.assert_array_equal(capped.counts, full.counts)
+    np.testing.assert_array_equal(capped.probabilities, full.probabilities)
 
 
 def _scan_reference(path, nodes, rho0, rho1, resident, waiting_exit, counts):
