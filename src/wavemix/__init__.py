@@ -3,9 +3,19 @@
 Spectral Galerkin simulation with exact per-mode linear flow, coupling-based
 mixing diagnostics, occupation-measure and pressure estimation, and
 small-noise rate functions anchored by exact finite-dimensional oracles.
+
+Importing the package pins BLAS to one thread unless the environment already
+sets a count: the ensembles run many small products, for which a BLAS thread
+pool costs more than it gives.  The pin takes effect only when numpy is not
+yet loaded.
 """
 
-from wavemix.spectral import (
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from wavemix.spectral import (  # noqa: E402
     SpectralBasis,
     Field,
     PhaseState,
@@ -17,7 +27,7 @@ from wavemix.spectral import (
     evaluate_nonlinearity,
     energy,
 )
-from wavemix.nlw import Nonlinearity, NoiseModel, SimConfig, simulate
+from wavemix.nlw import Nonlinearity, NoiseModel, SimConfig, simulate  # noqa: E402
 
 __all__ = [
     "SpectralBasis", "Field", "PhaseState", "eigenpairs", "sobolev_norm",

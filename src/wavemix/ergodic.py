@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from wavemix import stats
 
@@ -305,6 +304,7 @@ def fk_eigen_exact(chain: FiniteChain, check_times: Sequence[float] = (1, 2, 4, 
     The convergence entries record lam^-t ||P_t^V psi - <psi, mu> h||_inf for
     psi = 1, which must decay to zero along ``check_times``.
     """
+    from scipy.linalg import expm
     if not chain.is_irreducible():
         raise ValueError("chain is reducible; the eigentriple is not unique")
     T = chain.G + np.diag(chain.V)

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from wavemix import stats
 from wavemix.spectral import (
@@ -311,6 +310,7 @@ class SimConfig:
 
 def _van_loan_covariance(A: np.ndarray, tau: float) -> np.ndarray:
     """int_0^tau e^{As} Q e^{A^T s} ds for Q = diag(0, 1), batched over modes."""
+    from scipy.linalg import expm
     m = A.shape[0]
     Q = np.zeros((m, 2, 2))
     Q[:, 1, 1] = 1.0
@@ -345,6 +345,7 @@ class LinearOps:
 
     def __init__(self, basis: SpectralBasis, gamma: float, eps: float,
                  noise: NoiseModel, dt: float):
+        from scipy.linalg import expm
         lam = basis.eigenvalues
         m = lam.size
         A = np.zeros((m, 2, 2))

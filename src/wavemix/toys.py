@@ -79,12 +79,13 @@ def _horner(coeffs: tuple, u):
 
     polyval starts from y = 0 and applies y = y*u + c for each coefficient;
     for finite u its first step yields c0 exactly, so the loop here starts
-    from u*c0 + c1 and continues in place in the same order.
+    from u*c0 + c1 and continues in place in the same order.  A monic lead
+    (c0 == 1) starts from u + c1, since 1*u == u for every float.
     """
     u = np.asanyarray(u)
     if len(coeffs) == 1:
         return np.zeros_like(u) * u + coeffs[0]
-    y = u * coeffs[0] + coeffs[1]
+    y = u + coeffs[1] if coeffs[0] == 1 else u * coeffs[0] + coeffs[1]
     for c in coeffs[2:]:
         y *= u
         y += c
@@ -221,7 +222,7 @@ def simulate_toy(model, eps: float | None, dt: float, horizon: float, seed: int,
     nonfinite path raises ``BlowupError`` at the end of the chunk it appears
     in: 4096 steps, fewer when the chunk's noise block would exceed
     ``_NOISE_BLOCK_BYTES`` (the cap ``rates.boundary_chain`` shares).  One
-    block is allocated and refilled for every chunk.
+    block is allocated, refilled and scaled in place for every chunk.
     """
     if eps is None:
         if not isinstance(model, OrnsteinUhlenbeck):
@@ -252,8 +253,9 @@ def simulate_toy(model, eps: float | None, dt: float, horizon: float, seed: int,
         k = min(chunk, n_steps - step)
         xi = block[:k]
         rng.standard_normal(out=xi)
+        xi *= root_eps_dt
         for s in range(k):
-            u = u - model.drift(u) * dt + root_eps_dt * xi[s]
+            u = u - model.drift(u) * dt + xi[s]
             if integrand is not None:
                 cur = integrand(u)
                 acc += 0.5 * dt * (prev + cur)

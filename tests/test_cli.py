@@ -127,16 +127,54 @@ def test_consecutive_calls_do_not_share_arguments(monkeypatch):
     assert second.values == parse_config().values and t2 == 1
 
 
-def test_import_leaves_heavy_libraries_unloaded():
-    # fw-graph's W-graph weights need no graph library either
+_HEAVY = ("networkx", "scipy", "scipy.linalg", "scipy.optimize", "scipy.sparse",
+          "scipy.stats")
+
+
+def test_import_leaves_heavy_libraries_unloaded(tmp_path):
+    # each case is a fresh process: the import and fw-graph's W-graph weights
+    # (no graph library), then one tiny run; a module absent from the list is
+    # not loaded, and without "scipy" no scipy module is
     code = ("import sys, numpy as np, wavemix.cli; from wavemix import rates; "
             "V = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]], float); "
             "rates.w_graph_weights(rates.EquilibriumNetwork('x', [0, 1, 2], "
             "np.ones(3, bool), V)); "
-            "print(sorted(m for m in ('networkx', 'scipy.stats') if m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, check=True)
-    assert proc.stdout.strip() == "[]"
+            "code = wavemix.cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
+            f"print(code, sorted(m for m in {_HEAVY!r} if m in sys.modules))")
+
+    def run(*argv):
+        args = [*argv, "--out", str(tmp_path / argv[0])] if argv else []
+        proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                              text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+        exit_code, loaded = proc.stdout.strip().splitlines()[-1].split(" ", 1)
+        return int(exit_code), loaded
+
+    assert run() == (0, "[]")
+    mix = run("mix", "--set", "experiment.n_traj=4", "--set", "integrator.horizon=0.25")
+    assert mix[1] == "['scipy', 'scipy.linalg']"
+    for argv in (("pressure", "--set", "model.kind=ou", "--set", "experiment.n_traj=100",
+                  "--set", "integrator.horizon=1", "--set", "integrator.toy_dt=0.01"),
+                 ("boundary-chain", "--set", "model.kind=doublewell",
+                  "--set", "experiment.eps_list=0.15", "--set", "experiment.rep_horizon=2",
+                  "--set", "integrator.toy_dt=0.002"),
+                 ("fw-graph", "--set", "model.kind=cubic")):
+        assert run(*argv)[1] == "[]", argv
+    # the solver still finds scipy.optimize when a run first needs it
+    exit_code, loaded = run("quasipotential", "--set", "model.kind=cubic")
+    assert exit_code == EXIT_PASS and "'scipy.optimize'" in loaded
+
+
+def test_package_import_pins_blas_threads():
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    code = f"import os, wavemix; print([os.environ[v] for v in {blas!r}])"
+    env = {k: v for k, v in os.environ.items() if k not in blas}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    for preset, want in (({}, "['1', '1', '1']"),
+                         ({"OPENBLAS_NUM_THREADS": "2"}, "['2', '1', '1']")):
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env={**env, **preset}, check=True)
+        assert proc.stdout.strip() == want
 
 
 def test_selftest_passes(tmp_path, capsys):

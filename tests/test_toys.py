@@ -52,15 +52,17 @@ def test_potential_derivative_matches_drift():
 
 _coeff = st.one_of(st.integers(-5, 5), st.just(0.0),
                    st.floats(-10.0, 10.0, allow_nan=False, width=64))
-_point = st.one_of(st.integers(-50, 50), st.floats(-50.0, 50.0, allow_nan=False))
+_point = st.one_of(st.integers(-50, 50), st.floats(-50.0, 50.0, allow_nan=False),
+                   st.sampled_from([0.0, -0.0]))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(coeffs=st.lists(_coeff, min_size=1, max_size=6), lead_zeros=st.integers(0, 2),
-       kind=st.sampled_from(["python", "0-d", "1-d", "n-d"]),
+       monic=st.booleans(), kind=st.sampled_from(["python", "0-d", "1-d", "n-d"]),
        points=st.lists(_point, min_size=1, max_size=12))
-def test_horner_drift_matches_polyval(coeffs, lead_zeros, kind, points):
-    coeffs = coeffs + [0.0] * lead_zeros     # zero leading (highest) powers
+def test_horner_drift_matches_polyval(coeffs, lead_zeros, monic, kind, points):
+    # zero leading (highest) powers, or a leading 1 that takes the monic start
+    coeffs = coeffs + [0.0] * lead_zeros + [1.0] * monic
     model = GradientSDE(tuple(coeffs))
     if kind == "python":
         u = points[0]
@@ -78,6 +80,16 @@ def test_horner_drift_matches_polyval(coeffs, lead_zeros, kind, points):
         assert type(got) is type(want)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
+    if monic and len(coeffs) > 1:
+        # the monic start u + c1 equals the general u*1 + c1 bit for bit, signed
+        # zeros and infinities included (where polyval's 0*inf gives nan)
+        desc = model._b_desc
+        assert desc[0] == 1
+        v = np.asarray(points + [0.0, -0.0, math.inf, -math.inf], float)
+        want = v * desc[0] + desc[1]
+        for c in desc[2:]:
+            want = want * v + c
+        assert np.array_equal(model.drift(v).view(np.uint64), want.view(np.uint64))
 
 
 def test_exact_density_gaussian():
@@ -136,6 +148,35 @@ def test_noise_block_cap_keeps_paths_bitwise(monkeypatch):
     # the cap really shortened the chunk: a bad start stops after 100 steps
     with pytest.raises(BlowupError, match=r"near t=0\.1 "):
         run(np.array([0.0, 0.0, np.nan, 0.0, 0.0]))
+
+
+def test_block_scaled_noise_matches_per_step_scaling(monkeypatch):
+    # simulate_toy scales each noise block once per chunk; the reference loop
+    # here scales each step's draws as it uses them, the same IEEE product.
+    # A 64-step cap over 1000 steps leaves a short last chunk of 40 steps.
+    model, eps, dt, seed, n_traj, stride = builtin_cubic(), 0.3, 1e-3, 9, 5, 7
+    n_steps = 1000
+    monkeypatch.setattr(toys, "_NOISE_BLOCK_BYTES", 8 * n_traj * 64)
+    t, paths, ints = simulate_toy(model, eps, dt, n_steps * dt, seed, n_traj=n_traj,
+                                  u0=0.5, record_stride=stride, integrand=np.square)
+
+    xi = np.random.Generator(np.random.Philox(np.random.SeedSequence(
+        entropy=seed, spawn_key=()))).standard_normal((n_steps, n_traj))
+    root_eps_dt = math.sqrt(eps * dt)
+    u = np.full(n_traj, 0.5)
+    acc, prev = np.zeros(n_traj), np.square(u)
+    want_paths, want_ints = [u], [acc.copy()]
+    for s in range(n_steps):
+        u = u - model.drift(u) * dt + root_eps_dt * xi[s]
+        cur = np.square(u)
+        acc += 0.5 * dt * (prev + cur)
+        prev = cur
+        if (s + 1) % stride == 0 or s + 1 == n_steps:
+            want_paths.append(u)
+            want_ints.append(acc.copy())
+    assert np.array_equal(t, np.array(list(range(0, n_steps, stride)) + [n_steps]) * dt)
+    assert np.array_equal(paths, np.array(want_paths).T)
+    assert np.array_equal(ints, np.array(want_ints).T)
 
 
 def test_ou_stationary_variance():
