@@ -277,12 +277,24 @@ def _build_toy(cfg: RunConfig):
     raise ConfigError(f"model kind {kind!r} is not a toy")
 
 
+# First spawn-key entry of the start-state streams: an arbitrary constant far
+# from the small indices of the trajectory and replica streams, whose keys
+# have one entry anyway.
+_START_STREAM = 0x73746172
+
+
 def _start(cfg: RunConfig, sim: nlw.SimConfig, k: int,
            scale: float | None = None) -> PhaseState:
-    """Smooth random start state number ``k`` of a run, drawn from seed + k."""
+    """Smooth random start state number ``k`` of a run.
+
+    It is drawn from ``SeedSequence(entropy=seed, spawn_key=(_START_STREAM,
+    k))``, so no two (seed, k) pairs share a stream: seed s + 1 does not
+    start where seed s put its second state.
+    """
     if scale is None:
         scale = cfg["experiment"]["state_scale"]
-    rng = np.random.default_rng(cfg.seed + k)
+    rng = np.random.default_rng(np.random.SeedSequence(
+        entropy=cfg.seed, spawn_key=(_START_STREAM, k)))
     m = sim.basis.mode_count
     decay = 1.0 / np.arange(1, m + 1) ** 2
     return PhaseState.from_coeffs(sim.basis, scale * rng.standard_normal(m) * decay,

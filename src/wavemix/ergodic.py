@@ -16,6 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from wavemix import stats
+from wavemix.nlw import _expm
 
 
 # --------------------------------------------------------------------------
@@ -304,7 +305,6 @@ def fk_eigen_exact(chain: FiniteChain, check_times: Sequence[float] = (1, 2, 4, 
     The convergence entries record lam^-t ||P_t^V psi - <psi, mu> h||_inf for
     psi = 1, which must decay to zero along ``check_times``.
     """
-    from scipy.linalg import expm
     if not chain.is_irreducible():
         raise ValueError("chain is reducible; the eigentriple is not unique")
     T = chain.G + np.diag(chain.V)
@@ -326,7 +326,7 @@ def fk_eigen_exact(chain: FiniteChain, check_times: Sequence[float] = (1, 2, 4, 
     conv = {}
     ones = np.ones(chain.n)
     for t in check_times:
-        P_t = expm(T * float(t))
+        P_t = _expm((T * float(t))[None])[0]
         conv[float(t)] = float(np.max(np.abs(
             math.exp(-log_lam * t) * (P_t @ ones) - float(ones @ mu) * h)))
     return EigenTriple(log_lam, math.exp(log_lam), h, mu, res_h, res_mu, conv)

@@ -308,9 +308,34 @@ class SimConfig:
 # Exact linear step operators
 
 
+def _expm(A: np.ndarray) -> np.ndarray:
+    """Matrix exponentials of a stack (m, n, n) of small matrices.
+
+    Scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 2005, with a
+    Taylor instead of a Pade kernel): each matrix is scaled by 2^-s, the least
+    power of two that brings its 1-norm to at most 1/2; a degree-18 Taylor
+    series in Horner form, whose truncation error there is below 1e-22, gives
+    the exponential of the scaled matrix; and that matrix alone is squared s
+    times.  The operators here are 2x2 and 4x4 and built once per
+    configuration, so this replaces ``scipy.linalg.expm``, whose import costs
+    a wave run about 0.2 s and 20 MB, at no measurable cost.
+    """
+    norm = np.abs(A).sum(axis=-2).max(axis=-1)
+    f, e = np.frexp(norm)  # norm = f 2^e, 1/2 <= f < 1
+    s = np.maximum(e + (f > 0.5), 0)
+    X = np.ldexp(A, -s[:, None, None])
+    eye = np.eye(A.shape[-1])
+    E = eye + X / 18.0
+    for k in range(17, 0, -1):
+        E = eye + (X @ E) / k
+    for i in range(int(s.max())):
+        sq = s > i
+        E[sq] = E[sq] @ E[sq]
+    return E
+
+
 def _van_loan_covariance(A: np.ndarray, tau: float) -> np.ndarray:
     """int_0^tau e^{As} Q e^{A^T s} ds for Q = diag(0, 1), batched over modes."""
-    from scipy.linalg import expm
     m = A.shape[0]
     Q = np.zeros((m, 2, 2))
     Q[:, 1, 1] = 1.0
@@ -318,7 +343,7 @@ def _van_loan_covariance(A: np.ndarray, tau: float) -> np.ndarray:
     C[:, :2, :2] = -A
     C[:, :2, 2:] = Q
     C[:, 2:, 2:] = np.transpose(A, (0, 2, 1))
-    E = expm(C * tau)
+    E = _expm(C * tau)
     F2 = E[:, 2:, 2:]
     G = E[:, :2, 2:]
     return np.transpose(F2, (0, 2, 1)) @ G
@@ -345,7 +370,6 @@ class LinearOps:
 
     def __init__(self, basis: SpectralBasis, gamma: float, eps: float,
                  noise: NoiseModel, dt: float):
-        from scipy.linalg import expm
         lam = basis.eigenvalues
         m = lam.size
         A = np.zeros((m, 2, 2))
@@ -353,7 +377,7 @@ class LinearOps:
         A[:, 1, 0] = -lam
         A[:, 1, 1] = -gamma
         self.A = A
-        self.P_half = expm(A * (dt / 2.0))
+        self.P_half = _expm(A * (dt / 2.0))
         sig2 = eps * noise.coeffs ** 2
         self.cov_half = sig2[:, None, None] * _van_loan_covariance(A, dt / 2.0)
         self.chol_half = _chol2x2(self.cov_half)

@@ -145,14 +145,17 @@ class SpectralBasis:
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """Grid values of the field with the given coefficients (batched on the left).
 
-        1D multiplies by the dense ``eigenfunctions`` matrix; 2D forms
-        ``S1 C S2^T`` from the K x K coefficient block C of each batch entry.
+        1D multiplies by the dense ``eigenfunctions`` matrix, with any leading
+        axes folded into one (B, M) operand so that a strided batch is one
+        gemm rather than numpy's stacked loop; 2D forms ``S1 C S2^T`` from the
+        K x K coefficient block C of each batch entry.
         """
+        lead = np.shape(coeffs)[:-1]
         if self.dim == 1:
-            return coeffs @ self.eigenfunctions.T
+            rows = np.reshape(coeffs, (-1, self.mode_count))
+            return (rows @ self.eigenfunctions.T).reshape(lead + (-1,))
         s1, s2, _, _, flat = self._tensor_factors
         n, k = s1.shape
-        lead = np.shape(coeffs)[:-1]
         block = np.zeros(lead + (k * k,))
         block[..., flat] = coeffs
         rows = (block.reshape(-1, k) @ s2.T).reshape(lead + (k, n))  # C S2^T

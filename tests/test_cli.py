@@ -151,8 +151,9 @@ def test_import_leaves_heavy_libraries_unloaded(tmp_path):
         return int(exit_code), loaded
 
     assert run() == (0, "[]")
-    mix = run("mix", "--set", "experiment.n_traj=4", "--set", "integrator.horizon=0.25")
-    assert mix[1] == "['scipy', 'scipy.linalg']"
+    tiny = ("--set", "experiment.n_traj=4", "--set", "integrator.horizon=0.25")
+    for cmd in ("mix", "girsanov-tv", "energy-audit", "simulate", "couple-fp"):
+        assert run(cmd, *tiny)[1] == "[]", cmd
     for argv in (("pressure", "--set", "model.kind=ou", "--set", "experiment.n_traj=100",
                   "--set", "integrator.horizon=1", "--set", "integrator.toy_dt=0.01"),
                  ("boundary-chain", "--set", "model.kind=doublewell",
@@ -163,6 +164,18 @@ def test_import_leaves_heavy_libraries_unloaded(tmp_path):
     # the solver still finds scipy.optimize when a run first needs it
     exit_code, loaded = run("quasipotential", "--set", "model.kind=cubic")
     assert exit_code == EXIT_PASS and "'scipy.optimize'" in loaded
+
+
+def test_start_states_of_neighbouring_seeds_share_nothing():
+    # start state k of a run has its own spawned stream: seed s + 1 does not
+    # start from the second state of seed s, nor repeat any of its draws
+    starts = []
+    for seed in (41, 42):
+        cfg = parse_config(seed=seed)
+        sim = cli._wave(cfg)[3]
+        starts += [cli._start(cfg, sim, k).as_array() for k in (1, 2)]
+    values = np.concatenate([s.ravel() for s in starts])
+    assert np.unique(values).size == values.size
 
 
 def test_package_import_pins_blas_threads():

@@ -183,6 +183,100 @@ def test_linear_thousand_steps_exact(basis16, noise16):
                                    rtol=0, atol=1e-10 * scale)
 
 
+@st.composite
+def damped_modes(draw):
+    """(lam, gamma, tau) of an under-, over- or critically damped mode."""
+    gamma = draw(st.floats(0.0, 5.0))
+    crit = gamma * gamma / 4.0
+    kind = draw(st.sampled_from(["under", "critical", "over"]))
+    if kind == "under":
+        lam = min(crit + 10.0 ** draw(st.floats(-6.0, 4.0)), 1e4)
+    elif kind == "over":
+        lam = crit * draw(st.floats(0.0, 1.0, exclude_max=True))
+    else:
+        lam = crit
+    return lam, gamma, draw(st.floats(0.0, 0.1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(modes=st.lists(damped_modes(), min_size=1, max_size=6))
+def test_expm_matches_damped_oscillator(modes):
+    # one stack mixes matrices that need from 0 to 11 squarings; the error
+    # bound is a few ulps times 1 + |A tau|_1, the condition of e^{A tau}
+    # (at lam = 1e4, tau = 0.1 the closed form itself is off by ~1e-13)
+    A = np.array([[[0.0, 1.0], [-lam, -gamma]] for lam, gamma, _ in modes])
+    taus = np.array([tau for _, _, tau in modes])
+    A = A * taus[:, None, None]
+    E = nlw._expm(A)
+    for (lam, gamma, tau), a, e in zip(modes, A, E):
+        exact = damped_oscillator_exact(lam, gamma, tau)
+        rel = np.max(np.abs(e - exact)) / np.max(np.abs(exact))
+        assert rel <= 2e-15 * (1.0 + np.abs(a).sum(axis=0).max()), (lam, gamma, tau)
+
+
+def test_expm_matches_scipy(monkeypatch):
+    expm = pytest.importorskip("scipy.linalg").expm
+    # every stack the operator build exponentiates: the 2x2 half-step
+    # propagators and the 4x4 Van Loan blocks of a 1D and a 2D configuration
+    stacks = []
+
+    def scipy_expm(A):
+        stacks.append(A)
+        return expm(A)
+    for lengths, m, dt in (((PI,), 32, 0.01), ((1.0, 1.0), 144, 0.002)):
+        basis = SpectralBasis(lengths, m)
+        args = (basis, 0.5, 1.0, NoiseModel.power_law(basis, 0.5, 2.5), dt)
+        ops = nlw.LinearOps(*args)
+        monkeypatch.setattr(nlw, "_expm", scipy_expm)
+        ref = nlw.LinearOps(*args)
+        monkeypatch.undo()
+        # entry by entry: the position variance is ~ (dt/2)^3 / 3, far below
+        # the largest entry of the Van Loan block it is read from.  SciPy's
+        # own position variance is off by up to 2e-12 of itself against a
+        # 50-digit reference, hence 1e-11 here; the quadrature test below
+        # holds _expm to 1e-13
+        np.testing.assert_allclose(ops.P_half, ref.P_half, rtol=1e-13, atol=0)
+        for name in ("cov_half", "chol_half"):
+            np.testing.assert_allclose(getattr(ops, name), getattr(ref, name),
+                                       rtol=1e-11, atol=0, err_msg=name)
+    assert sorted(A.shape for A in stacks) == [(32, 2, 2), (32, 4, 4),
+                                                (144, 2, 2), (144, 4, 4)]
+    for A in stacks:
+        for a, e in zip(A, nlw._expm(A)):
+            ref = expm(a)
+            assert np.max(np.abs(e - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # tilted 2-state and 3-state chain generators at the eigentriple's times
+    for G, V in ((np.array([[-1.0, 1.0], [1.0, -1.0]]), np.array([1.0, 0.0])),
+                 (np.array([[-0.7, 0.7], [1.3, -1.3]]), np.array([0.4, -0.2])),
+                 (np.array([[-2.0, 1.5, 0.5], [0.3, -1.0, 0.7], [1.0, 2.0, -3.0]]),
+                  np.array([0.3, -0.2, 1.0]))):
+        for t in (0.5, 1.0, 2.0, 4.0, 8.0):
+            T = (G + np.diag(V)) * t
+            ref = expm(T)
+            got = nlw._expm(T[None])[0]
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("lengths, m, dt", [((PI,), 32, 0.01), ((PI,), 64, 0.005),
+                                              ((1.0, 1.0), 144, 0.002)])
+def test_noise_covariance_matches_quadrature(lengths, m, dt):
+    # the half-step noise covariance sig2 int_0^tau p(s) p(s)^T ds, with p the
+    # velocity column of the closed-form propagator, by 24-node Gauss-Legendre
+    # (every integrand is entire and lam tau^2 <= 0.03, so the rule is exact
+    # to ~1e-15); each entry and each Cholesky entry is held to its own size
+    basis = SpectralBasis(lengths, m)
+    noise = NoiseModel.power_law(basis, 0.5, 2.5)
+    ops = nlw.LinearOps(basis, 0.5, 1.0, noise, dt)
+    tau = dt / 2.0
+    x, w = np.polynomial.legendre.leggauss(24)
+    ref = np.empty((m, 2, 2))
+    for i, lam in enumerate(basis.eigenvalues):
+        p = np.array([damped_oscillator_exact(lam, 0.5, s)[:, 1] for s in tau / 2 * (x + 1)])
+        ref[i] = noise.coeffs[i] ** 2 * tau / 2 * np.einsum("j,ja,jb->ab", w, p, p)
+    np.testing.assert_allclose(ops.cov_half, ref, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(ops.chol_half, np.linalg.cholesky(ref), rtol=1e-13, atol=0)
+
+
 def test_equilibrium_fixed_point(basis16, noise16):
     # the origin is an equilibrium of the deterministic Klein-Gordon flow
     cfg = make_cfg(basis16, eps=0.0, horizon=2.0)

@@ -73,6 +73,19 @@ def test_1d_transforms_stay_dense(basis_pi, lead):
     assert np.array_equal(basis_pi.analyze(v), (v * w) @ E)
 
 
+def test_1d_synthesize_folds_strided_batch(basis_pi):
+    # the coupled kick's strided (B, 3, M) position view is one (3B, M) gemm;
+    # each system still gets its own dense product
+    rng = np.random.default_rng(9)
+    states = rng.standard_normal((128, 3, 2, basis_pi.mode_count))
+    view = states[:, :, 0, :]
+    E = basis_pi.eigenfunctions
+    ref = np.array([[E @ c for c in systems] for systems in view])
+    got = basis_pi.synthesize(view)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 def test_2d_eigenvalues_sorted_and_correct():
     b = SpectralBasis((1.0, 2.0), 12)
     assert np.all(np.diff(b.eigenvalues) >= -1e-12)
