@@ -281,6 +281,8 @@ def _build_toy(cfg: RunConfig):
 # from the small indices of the trajectory and replica streams, whose keys
 # have one entry anyway.
 _START_STREAM = 0x73746172
+# First spawn-key entry of the ldp1 horizon streams, likewise.
+_LDP1_STREAM = 0x6C647031
 
 
 def _start(cfg: RunConfig, sim: nlw.SimConfig, k: int,
@@ -568,9 +570,10 @@ def _cmd_ldp1(cfg: RunConfig, out_dir: Path, threads: int) -> int:
         avgs = []
         for k, T in enumerate(horizons):
             _, _, ints = toys.simulate_toy(ou, None, cfg["integrator"]["toy_dt"],
-                                           T, cfg.seed + k, n_traj=n_traj,
+                                           T, cfg.seed, n_traj=n_traj,
                                            record_stride=10 ** 9,
-                                           integrand=lambda u: u)
+                                           integrand=lambda u: u,
+                                           stream=(_LDP1_STREAM, k))
             avgs.append(ints[:, -1] / T)
     elif kind == "chain2":
         chain = erg.two_state_chain(1.0, 1.0, v=(1.0, 0.0))
@@ -578,7 +581,8 @@ def _cmd_ldp1(cfg: RunConfig, out_dir: Path, threads: int) -> int:
         rate = erg.legendre(curve)
         avgs = []
         for k, T in enumerate(horizons):
-            ints = chain.sample_occupation(T, n_traj, cfg.seed + k)
+            ints = chain.sample_occupation(T, n_traj, cfg.seed,
+                                           stream=(_LDP1_STREAM, k))
             avgs.append(ints / T)
     else:
         raise ConfigError("ldp1 needs model kind ou or chain2")

@@ -248,9 +248,13 @@ class FiniteChain:
         return pi / pi.sum()
 
     def sample_occupation(self, horizon: float, n_paths: int, seed: int,
-                          start: int = 0) -> np.ndarray:
-        """int_0^T V(x_s) ds per Gillespie path (holding times are exact)."""
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
+                          start: int = 0, stream: tuple[int, ...] = ()) -> np.ndarray:
+        """int_0^T V(x_s) ds per Gillespie path (holding times are exact).
+
+        The paths draw from ``SeedSequence(entropy=seed, spawn_key=stream)``.
+        """
+        rng = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(entropy=seed, spawn_key=stream)))
         rates = -np.diag(self.G)
         jump_p = self.G.copy()
         np.fill_diagonal(jump_p, 0.0)

@@ -3,8 +3,9 @@
 The quasipotential V(z1, z2) is minimized by direct collocation: the state
 path is the optimization variable, the control is recovered from the equation
 residual, and the endpoint constraint enters through a penalty with weight
-continuation.  Scalar toys use banded Newton collocation (damped Newton steps
-on the exact tridiagonal Hessian of the action); wave states use L-BFGS.
+continuation.  Scalar toys use banded Newton collocation (``newton.minimize``:
+damped Newton steps on the exact tridiagonal Hessian of the action, in plain
+NumPy); wave states use SciPy's L-BFGS-B.
 Gradient toys carry exact oracles (positive variation of the potential) that
 guard the solver, and the rate function over equilibria uses minimum-cost
 rooted graphs with a brute-force cross-check.
@@ -14,33 +15,18 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from wavemix import stats
+from wavemix.newton import minimize
 from wavemix.nlw import _NOISE_BLOCK_BYTES, BlowupError, NoiseModel, Nonlinearity, \
     SimConfig, _strang_drive, linear_ops
 from wavemix.spectral import PhaseState, SpectralBasis, phase_norm_sq_arr
 from wavemix.toys import GradientSDE, gradient_sde_exact_density, simulate_toy, \
     autocorrelation_time
-
-# ``minimize`` (scipy.optimize's) is bound on first access, so that runs which
-# never solve do not import scipy.optimize (about 20 MB and 0.2 s).  It stays
-# a module attribute, not a wrapper function: the benchmark's tracer and the
-# tests rebind ``rates.minimize``, and every call site here looks it up on the
-# module when it runs, so a rebinding reaches the solves.
-_rates = sys.modules[__name__]
-
-
-def __getattr__(name):
-    if name == "minimize":
-        from scipy.optimize import minimize
-        globals()["minimize"] = minimize
-        return minimize
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # --------------------------------------------------------------------------
@@ -222,13 +208,14 @@ def find_equilibria(basis: SpectralBasis, nl: Nonlinearity, gamma: float,
 def gradient_rate_oracle(potential: Callable, u, search_range=(-10.0, 10.0),
                          n_starts: int = 16) -> float:
     """Rate value 2 (A(u) - inf A) with the infimum located by multistart."""
+    from scipy import optimize
     lo, hi = search_range
     starts = np.linspace(lo, hi, n_starts)
     best = math.inf
     for s in starts:
-        res = _rates.minimize(lambda x: float(potential(x[0])), np.array([s]),
-                              method="Nelder-Mead",
-                              options={"xatol": 1e-10, "fatol": 1e-12})
+        res = optimize.minimize(lambda x: float(potential(x[0])), np.array([s]),
+                                method="Nelder-Mead",
+                                options={"xatol": 1e-10, "fatol": 1e-12})
         best = min(best, float(res.fun))
     return 2.0 * (float(potential(u)) - best)
 
@@ -291,9 +278,8 @@ def toy_quasipotential(model: GradientSDE, z1: float, z2: float, eta: float = 0.
         x = np.linspace(z1, z2, K + 1)[1:]
         stopped = True
         for w_pen in penalty_ladder:
-            res = _rates.minimize(_toy_action_and_grad, x, method=_newton_lm,
-                                  jac=True, hess=_toy_hessian,
-                                  args=(model, z1, z2, dt, w_pen / eta ** 2))
+            res = minimize(_toy_action_and_grad, x, hess=_toy_hessian,
+                           args=(model, z1, z2, dt, w_pen / eta ** 2))
             x = res.x
             stopped = stopped and res.success
         u, _, phi, _, _ = _toy_controls(x, model, z1, dt)
@@ -351,9 +337,8 @@ def _toy_action_and_grad(x, model, z1, z2, dt, pen):
 
 
 def _toy_hessian(x, model, z1, z2, dt, pen):
-    """Exact Hessian of ``_toy_action_and_grad`` in the upper banded form of
-    ``scipy.linalg.solveh_banded``: row 0 the superdiagonal, row 1 the
-    diagonal."""
+    """Exact Hessian of ``_toy_action_and_grad``, tridiagonal, in upper banded
+    form: row 0 the superdiagonal (its first entry 0), row 1 the diagonal."""
     u, mids, phi, a, c = _toy_controls(x, model, z1, dt)
     curv = 0.25 * phi * model.drift_second(mids)  # phi_k d2 phi_k / du du
     diag = np.zeros_like(u)
@@ -364,73 +349,6 @@ def _toy_hessian(x, model, z1, z2, dt, pen):
     ab[0, 1:] = dt * (a * c + curv)[1:]
     ab[1] = diag[1:]
     return ab
-
-
-def _newton_lm(fun, x0, args=(), jac=None, hess=None, maxiter=1000, rtol=1e-9,
-               **_):
-    """Levenberg-Marquardt-damped Newton descent, a ``minimize`` method.
-
-    ``hess`` returns a symmetric banded Hessian H in the form
-    ``solveh_banded`` reads.  Each step solves (H + lam D) p = -g, with D the
-    absolute diagonal of H, and must lower J; lam is raised until one does
-    and then adapted to the model's gain ratio (Nielsen's rule).
-
-    The run stops when the predicted remaining decrease, half the Newton
-    decrement g^T H^-1 g, is at most ``rtol`` max(|J|, 1).  The rule is
-    relative because the endpoint penalty scales the gradient far above its
-    roundoff; the floor of 1 covers downhill transitions, whose J tends to 0.
-    Where H is singular at the optimum (a path that ends on a saddle), the
-    rule is met instead when no damping lowers J and g^T D^-1 g obeys the
-    same bound.  ``status``: 0 stopping rule met, 1 ``maxiter`` accepted
-    steps, 2 no damping lowers J elsewhere.
-    """
-    x = np.array(x0, dtype=float)
-    f, g = fun(x, *args), jac(x, *args)
-    nfev, lam, status = 1, 1e-3, 1
-    for nit in range(maxiter + 1):
-        tol = 2 * rtol * max(abs(f), 1.0)
-        H = hess(x, *args)
-        newton = _banded_step(H, g, 0.0)
-        if newton is not None and -(g @ newton) <= tol:
-            status = 0
-            break
-        if nit == maxiter:
-            break
-        D, nu = np.abs(H[-1]), 2.0
-        while lam <= 1e16:
-            step = _banded_step(H, g, lam * D)
-            if step is not None:
-                f_new = fun(x + step, *args)
-                nfev += 1
-                if f_new < f:
-                    break
-            lam *= nu
-            nu *= 2.0
-        else:
-            status = 0 if g @ (g / D) <= tol else 2
-            break
-        # gain ratio against the decrease the damped quadratic model predicts
-        rho = (f - f_new) / (0.5 * (step @ (lam * D * step) - g @ step))
-        lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 1e-15)
-        x = x + step
-        f, g = f_new, jac(x, *args)
-    from scipy.optimize import OptimizeResult
-    messages = ("stopping rule met", "maxiter reached", "no damping lowers J")
-    return OptimizeResult(x=x, fun=f, jac=g, nit=nit, nfev=nfev, status=status,
-                          success=status == 0, message=messages[status])
-
-
-def _banded_step(H, g, damping):
-    """-(H + diag(damping))^-1 g, or None where that matrix is not positive
-    definite."""
-    from scipy.linalg import solveh_banded
-    if np.any(damping):
-        H = H.copy()
-        H[-1] += damping
-    try:
-        return solveh_banded(H, -g)
-    except np.linalg.LinAlgError:
-        return None
 
 
 # --------------------------------------------------------------------------
@@ -451,6 +369,7 @@ def nlw_quasipotential(basis: SpectralBasis, nl: Nonlinearity, gamma: float,
     noise modes get a large finite weight and any residual action they carry
     beyond tolerance turns the reported value into the +inf sentinel.
     """
+    from scipy import optimize
     m = basis.mode_count
     lam = basis.eigenvalues
     h = np.zeros(m) if h_coeffs is None else np.asarray(h_coeffs, float)
@@ -476,7 +395,7 @@ def nlw_quasipotential(basis: SpectralBasis, nl: Nonlinearity, gamma: float,
         X[1] = p1 + dt * v1
         x = X[2:].ravel().copy()
         for w_pen in penalty_ladder:
-            res = _rates.minimize(
+            res = optimize.minimize(
                 _nlw_action_and_grad, x, method="L-BFGS-B", jac=True,
                 args=(p1, v1, p2, v2, lam, gamma, alpha, inv_b2, nl, basis, h,
                       dt, K, m, w_pen / eta ** 2),

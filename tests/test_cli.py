@@ -159,10 +159,14 @@ def test_import_leaves_heavy_libraries_unloaded(tmp_path):
                  ("boundary-chain", "--set", "model.kind=doublewell",
                   "--set", "experiment.eps_list=0.15", "--set", "experiment.rep_horizon=2",
                   "--set", "integrator.toy_dt=0.002"),
-                 ("fw-graph", "--set", "model.kind=cubic")):
+                 ("fw-graph", "--set", "model.kind=cubic"),
+                 # the toy quasipotential solves by banded Newton without SciPy
+                 ("quasipotential", "--set", "model.kind=cubic"),
+                 ("fw-graph", "--set", "model.kind=cubic",
+                  "--set", "experiment.use_solver=true")):
         assert run(*argv)[1] == "[]", argv
-    # the solver still finds scipy.optimize when a run first needs it
-    exit_code, loaded = run("quasipotential", "--set", "model.kind=cubic")
+    # the wave solver still finds scipy.optimize when a run first needs it
+    exit_code, loaded = run("quasipotential", "--set", "model.modes=4")
     assert exit_code == EXIT_PASS and "'scipy.optimize'" in loaded
 
 
@@ -176,6 +180,23 @@ def test_start_states_of_neighbouring_seeds_share_nothing():
         starts += [cli._start(cfg, sim, k).as_array() for k in (1, 2)]
     values = np.concatenate([s.ravel() for s in starts])
     assert np.unique(values).size == values.size
+
+
+def test_ldp1_horizons_of_neighbouring_seeds_share_nothing(tmp_path, monkeypatch):
+    # horizon k of an ldp1 run has its own spawned stream: seed s + 1 does not
+    # redraw the paths of seed s's second horizon (equal horizons, so a shared
+    # stream would give equal time averages)
+    real = cli.erg.ldp_level1_check
+    for model in ("ou", "chain2"):
+        avgs = {}
+        for seed in (7, 8):
+            def record(horizons, averages, *args, seed=seed):
+                avgs[seed] = averages
+                return real(horizons, averages, *args)
+            monkeypatch.setattr(cli.erg, "ldp_level1_check", record)
+            main(["ldp1", "--model", model, "--n-traj", "200", "--horizons", "8,8",
+                  "--seed", str(seed), "--out", str(tmp_path / f"{model}{seed}")])
+        assert np.intersect1d(avgs[8][0], avgs[7][1]).size == 0, model
 
 
 def test_package_import_pins_blas_threads():

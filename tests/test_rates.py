@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import wavemix.rates as rates_module
+from wavemix import newton
 from wavemix.nlw import BlowupError, NoiseModel, Nonlinearity
 from wavemix.rates import (
     BoundaryChainConfig,
@@ -165,6 +166,69 @@ def test_toy_solver_ends_every_solve_on_its_stopping_rule(monkeypatch):
     assert res.converged and res.horizon == 16.0
     assert res.grad_norm == np.max(np.abs(solves[-1].jac))
     assert math.isfinite(res.grad_norm)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.integers(2, 700), seed=st.integers(0, 2 ** 32 - 1),
+       dominant=st.booleans(), damped=st.booleans(),
+       log_scale=st.floats(-6.0, 6.0))
+@example(n=2, seed=0, dominant=True, damped=False, log_scale=0.0)
+@example(n=3, seed=1, dominant=True, damped=True, log_scale=0.0)
+@example(n=699, seed=2, dominant=False, damped=True, log_scale=0.0)
+@example(n=700, seed=3, dominant=False, damped=False, log_scale=0.0)
+def test_tridiagonal_solve_matches_scipy(n, seed, dominant, damped, log_scale):
+    linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(seed)
+    ab = np.zeros((2, n))
+    ab[0, 1:] = rng.standard_normal(n - 1)
+    if dominant:   # strictly diagonally dominant, so positive definite
+        off = np.abs(ab[0])
+        ab[1] = off + np.append(off[1:], 0.0) + rng.uniform(0.01, 2.0, n)
+    else:          # often indefinite further down the factorization
+        ab[1] = rng.uniform(-0.5, 3.0, n)
+    ab *= 10.0 ** log_scale
+    b = rng.standard_normal(n)
+    damping = rng.uniform(0.0, 1.0, n) * 10.0 ** log_scale if damped else None
+    full = ab.copy()
+    if damped:
+        full[1] += damping
+    try:
+        ref = linalg.solveh_banded(full, b)
+    except np.linalg.LinAlgError:
+        ref = None
+    got = newton.tridiagonal_solve(ab, b, damping)
+    if ref is None:
+        assert got is None
+    else:
+        assert got is not None and np.array_equal(got, ref)
+
+
+def test_tridiagonal_solve_flags_indefinite_and_nonfinite():
+    linalg = pytest.importorskip("scipy.linalg")
+    ab = np.array([[0.0, 2.0], [1.0, 1.0]])      # [[1, 2], [2, 1]]
+    with pytest.raises(np.linalg.LinAlgError):
+        linalg.solveh_banded(ab, np.ones(2))
+    assert newton.tridiagonal_solve(ab, np.ones(2)) is None
+    spd = np.array([[0.0, 1.0, 1.0], [4.0, 4.0, 4.0]])
+    for H, g, damping in ((spd, np.array([1.0, np.nan, 1.0]), None),
+                          (spd, np.array([1.0, 1.0, np.inf]), None),
+                          (np.where(spd == 4.0, np.inf, spd), np.ones(3), None),
+                          (spd, np.ones(3), np.array([0.0, np.nan, 0.0]))):
+        with pytest.raises(ValueError):
+            newton.tridiagonal_solve(H, g, damping)
+
+
+def test_newton_raises_on_a_nan_gradient():
+    # a NaN must not read as an indefinite Hessian (status 2); it aborts
+    def fun(x):
+        return float(x @ x), np.where(x > 0.5, np.nan, 2 * x)
+
+    def hess(x):
+        return np.array([[0.0, 0.0], [2.0, 2.0]])
+    with pytest.raises(ValueError):
+        newton.minimize(fun, np.array([1.0, 0.0]), hess=hess)
+    res = newton.minimize(fun, np.array([0.25, 0.0]), hess=hess)
+    assert res.success and np.abs(res.x).max() < 1e-6
 
 
 # ------------------------------------------------------------ equilibria
