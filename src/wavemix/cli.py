@@ -488,10 +488,14 @@ def _cmd_mix(cfg: RunConfig, out_dir: Path, threads: int) -> int:
                           n_traj=cfg["experiment"]["n_traj"], threads=threads)
     _write_csv(out_dir / "mixing.csv", ["t", "delta"],
                [[rep.t[i], rep.delta[i]] for i in range(rep.t.size)])
-    return _finish(cfg, out_dir, "pass" if rep.passed else "fail",
+    status = ("inconclusive" if rep.inconclusive
+              else "pass" if rep.passed else "fail")
+    return _finish(cfg, out_dir, status,
                    {"kappa": rep.kappa, "kappa_ci": list(rep.kappa_ci),
-                    "noise_floor": rep.noise_floor},
-                   {"kappa_positive_at": 0.95})
+                    "noise_floor": rep.noise_floor,
+                    "points_above_floor": rep.n_above_floor},
+                   {"kappa_positive_at": 0.95,
+                    "min_points_above_floor": cpl.MIN_FIT_POINTS})
 
 
 def _cmd_occupation(cfg: RunConfig, out_dir: Path, threads: int) -> int:

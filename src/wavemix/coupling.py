@@ -547,6 +547,10 @@ def maximal_coupling_discrete(p, q) -> MaximalCoupling:
 # Coupling-based mixing rate
 
 
+# Record points of Delta(t) above the noise floor that the rate fit needs.
+MIN_FIT_POINTS = 5
+
+
 @dataclass
 class MixingReport:
     t: np.ndarray
@@ -556,6 +560,12 @@ class MixingReport:
     kappa_ci: tuple[float, float]
     fit: stats.LineFit | None
     passed: bool
+    n_above_floor: int
+
+    @property
+    def inconclusive(self) -> bool:
+        """Too few points above the noise floor to fit a rate at all."""
+        return self.n_above_floor < MIN_FIT_POINTS
 
 
 def mixing_rate(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
@@ -566,7 +576,8 @@ def mixing_rate(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
 
     Delta(t) = max_psi |E_z psi(y_t) - E_z' psi(y_t)| is fitted log-linearly on
     the window above the Monte Carlo noise floor; the report passes when the
-    95% interval of the fitted rate stays positive.
+    95% interval of the fitted rate stays positive, and is inconclusive when
+    fewer than ``MIN_FIT_POINTS`` record points lie above the floor.
     """
     from wavemix.nlw import run_flow
 
@@ -594,9 +605,10 @@ def mixing_rate(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
     kappa = math.nan
     ci = (math.nan, math.nan)
     passed = False
-    if mask.sum() >= 5:
+    n_above = int(mask.sum())
+    if n_above >= MIN_FIT_POINTS:
         fit = stats.line_fit(res_a.t[mask], np.log(delta[mask]))
         kappa = -fit.slope
         ci = (kappa - 1.96 * fit.slope_se, kappa + 1.96 * fit.slope_se)
         passed = ci[0] > 0
-    return MixingReport(res_a.t, delta, floor, kappa, ci, fit, passed)
+    return MixingReport(res_a.t, delta, floor, kappa, ci, fit, passed, n_above)

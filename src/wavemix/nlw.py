@@ -12,14 +12,19 @@ Every stepper of the package -- ``run_flow``, ``step_stochastic``,
 ``regularity_split``, the coupled triple in ``coupling`` and the noiseless
 stabilization in ``rates`` -- runs the one driver ``_strang_drive`` on a block
 of paths.  The driver owns the chunked noise buffer and the per-chunk
-finiteness check; a caller supplies the kick and two hooks: ``mid``, which
-sees the second half-step's noise increment (the Girsanov bookkeeping), and
-``on_step``, called after every step (integrands, monitors, recording on the
-grid of ``stats.record_steps``).
+finiteness check; a caller supplies the kick, the sync steps after which it
+reads the state (every step unless it says otherwise) and two hooks: ``mid``,
+which sees the second half-step's noise increment (the Girsanov bookkeeping),
+and ``on_step``, called after every sync step (integrands, monitors,
+recording on the grid of ``stats.record_steps``).  Between two sync steps the
+closing half-step of one step and the opening half-step of the next run as
+one exact full step, which leaves the law of the state at every sync step
+unchanged.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -366,7 +371,7 @@ def _chol2x2(S: np.ndarray) -> np.ndarray:
 
 
 class LinearOps:
-    """Per-mode half-step propagator and noise convolution factors."""
+    """Per-mode half- and full-step propagators and noise convolution factors."""
 
     def __init__(self, basis: SpectralBasis, gamma: float, eps: float,
                  noise: NoiseModel, dt: float):
@@ -384,6 +389,16 @@ class LinearOps:
         self.sig2 = sig2
         self.dt = dt
         self.noisy = sig2 > 0
+
+    # The full step, two consecutive half-steps in one, is built on first use:
+    # only a run that reads its state less often than every step merges them.
+    @functools.cached_property
+    def P_full(self) -> np.ndarray:
+        return _expm(self.A * self.dt)
+
+    @functools.cached_property
+    def chol_full(self) -> np.ndarray:
+        return _chol2x2(self.sig2[:, None, None] * _van_loan_covariance(self.A, self.dt))
 
     def cov_inverse(self, j: int) -> np.ndarray:
         S = self.cov_half[j]
@@ -523,50 +538,76 @@ def make_kick_fn(basis: SpectralBasis, nl: Nonlinearity, h_coeffs: np.ndarray) -
 
 _CHUNK_STEPS = 256
 # Bytes a chunk's noise block may take: a large batch gets fewer steps per
-# chunk.  Every stream still draws its values in the same order.
+# chunk.  Every stream still draws its values in the same order.  The block is
+# also large enough to lift glibc's dynamic mmap and trim thresholds above the
+# 2D kick's temporaries (about 1.7 MB at 64 paths and 144 modes): with a 1 MiB
+# cap those were mapped and unmapped on every step.
 _NOISE_BLOCK_BYTES = 4 << 20
 
 
 def _strang_drive(states: np.ndarray, ops: LinearOps, rngs, kick: Callable,
                   n_steps: int, on_step: Callable | None = None,
-                  mid: Callable | None = None, *, chunk_steps: int = _CHUNK_STEPS,
-                  offset: int = 0) -> np.ndarray:
+                  mid: Callable | None = None, *, sync=None,
+                  chunk_steps: int = _CHUNK_STEPS, offset: int = 0) -> np.ndarray:
     """Advance a block of states ``n_steps`` Strang steps and return it.
 
-    ``states`` has shape (n_paths, ..., 2, M); path ``i`` draws both half-step
-    convolutions from ``rngs[i]``, shared by every system of the path, and
-    ``rngs=None`` runs the noiseless scheme without drawing.  One step is an
-    exact linear half-step, the velocity kick ``dt * kick(states)``,
-    ``mid(w2)`` with the (n_paths, 2, M) noise increment of the second
-    half-step, and the second exact half-step; ``on_step(step, states)``
-    follows.  A nonfinite block raises ``BlowupError`` once per chunk.
+    ``states`` has shape (n_paths, ..., 2, M); path ``i`` draws its noise from
+    ``rngs[i]``, shared by every system of the path, and ``rngs=None`` runs the
+    noiseless scheme without drawing.  One step is an exact linear half-step,
+    the velocity kick ``dt * kick(states)``, ``mid(w2)`` with the
+    (n_paths, 2, M) noise increment of the second half-step, and the second
+    exact half-step; ``on_step(step, states)`` follows.
+
+    ``sync`` holds the steps after which the caller reads the state; ``None``
+    (the default) makes every step one, and the last step always is one.
+    After any other step the second half-step and the next step's first one
+    run as one exact full step (``P_full``, ``chol_full``), and neither
+    ``mid`` nor ``on_step`` is called, so ``mid`` needs every step synced.
+    Each path draws one (2, M) increment per linear step, in the order the
+    steps use them: ``n_steps`` plus the number of sync steps in all.  A
+    nonfinite block raises ``BlowupError`` once per chunk.
     """
+    if mid is not None and sync is not None:
+        raise ValueError("mid sees every second half-step: every step must sync")
     dt = ops.dt
     lift = (slice(None),) + (None,) * (states.ndim - 3)  # one increment per path
     normals = None
     if rngs is not None:
         n_paths, m = len(states), ops.P_half.shape[0]
-        step_bytes = 8 * n_paths * 2 * 2 * m  # one step's float64 normals
+        step_bytes = 8 * n_paths * 2 * 2 * m  # one step's float64 normals, at most
         chunk_steps = max(min(chunk_steps, _NOISE_BLOCK_BYTES // max(step_bytes, 1)), 1)
-        normals = np.empty((n_paths, min(chunk_steps, n_steps), 2, 2, m))
+        normals = np.empty((n_paths, 2 * min(chunk_steps, n_steps), 2, m))
+    synced = True  # the state sits at a sync step: the next step opens with a half-step
     step = 0
     while step < n_steps:
         chunk = min(chunk_steps, n_steps - step)
+        steps = range(step + 1, step + chunk + 1)
+        closes = [sync is None or s in sync or s == n_steps for s in steps]
+        k = 0  # the block's next increment: one per linear step
         if normals is not None:
-            draw_normals(rngs, normals, chunk)
-        for s in range(chunk):
-            states = apply_modewise(ops.P_half, states)
-            if normals is not None:
-                states += apply_modewise(ops.chol_half, normals[:, s, 0])[lift]
+            draw_normals(rngs, normals, chunk + synced + sum(closes[:-1]))
+        for s, close in zip(steps, closes):
+            if synced:
+                states = apply_modewise(ops.P_half, states)
+                if normals is not None:
+                    states += apply_modewise(ops.chol_half, normals[:, k])[lift]
+                k += 1
             states[..., 1, :] += dt * kick(states)
-            w2 = None if normals is None else apply_modewise(ops.chol_half, normals[:, s, 1])
-            if mid is not None:
-                mid(w2)
-            states = apply_modewise(ops.P_half, states)
-            if w2 is not None:
-                states += w2[lift]
-            if on_step is not None:
-                on_step(step + s + 1, states)
+            synced = close
+            if close:
+                w2 = None if normals is None else apply_modewise(ops.chol_half, normals[:, k])
+                if mid is not None:
+                    mid(w2)
+                states = apply_modewise(ops.P_half, states)
+                if w2 is not None:
+                    states += w2[lift]
+                if on_step is not None:
+                    on_step(s, states)
+            else:
+                states = apply_modewise(ops.P_full, states)
+                if normals is not None:
+                    states += apply_modewise(ops.chol_full, normals[:, k])[lift]
+            k += 1
         step += chunk
         check_finite(states, step * dt, offset)
     return states
@@ -581,6 +622,9 @@ def run_flow(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel, y0: PhaseState
 
     ``probes`` are evaluated at recorded times; ``integrands`` are accumulated
     by the trapezoid rule at every step and reported at recorded times.
+    Without integrands the linear half-steps between recorded steps merge (see
+    ``_strang_drive``), so ``cfg.stride`` decides which path a seed gives;
+    its law at the recorded times does not depend on the stride.
     """
     probes = dict(probes or {})
     integrands = dict(integrands or {})
@@ -623,8 +667,10 @@ def run_flow(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel, y0: PhaseState
                 record(rec[step], states)
 
         record(0, states)
+        # integrands read every step; probes alone only the recorded ones
         finals[lo:hi] = _strang_drive(states, ops, rngs, lambda s: kick(s[:, 0, :]),
-                                      cfg.n_steps, on_step, offset=lo)
+                                      cfg.n_steps, on_step,
+                                      sync=None if integrands else rec, offset=lo)
 
     blocks = [(lo, min(lo + block_size, n_traj)) for lo in range(0, n_traj, block_size)]
     if threads > 1 and len(blocks) > 1:

@@ -220,19 +220,22 @@ def gradient_rate_oracle(potential: Callable, u, search_range=(-10.0, 10.0),
     return 2.0 * (float(potential(u)) - best)
 
 
-def toy_quasipotential_oracle(model: GradientSDE, a: float, b: float,
-                              n_grid: int = 200001) -> float:
+def toy_quasipotential_oracle(model: GradientSDE, a: float, b: float) -> float:
     """Exact 1D gradient quasipotential: twice the uphill variation of A.
 
     The optimal transition follows the interval from a to b; descending
     stretches are free and ascending stretches cost twice the potential gain.
+    A is monotone between consecutive roots of its derivative, the drift, so
+    its values at a, at the roots strictly between a and b in travel order and
+    at b carry the whole variation.
     """
     if a == b:
         return 0.0
-    u = np.linspace(a, b, n_grid)
-    A = model.potential(u)
-    climbs = np.diff(A)
-    return float(2.0 * np.sum(climbs[climbs > 0]))
+    roots = model.equilibria()[0]
+    inner = roots[(roots > min(a, b)) & (roots < max(a, b))]
+    u = np.concatenate([[a], inner if a < b else inner[::-1], [b]])
+    rises = np.diff(model.potential(u))
+    return float(2.0 * np.sum(rises[rises > 0]))
 
 
 # --------------------------------------------------------------------------

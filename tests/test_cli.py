@@ -306,6 +306,19 @@ def test_boundary_chain_inconclusive_exit(tmp_path):
     assert verdict["status"] == "inconclusive"
 
 
+def test_mix_undersampled_gap_is_inconclusive(tmp_path):
+    # 16 steps recorded every 8th give 3 points of Delta(t), too few to fit
+    out = tmp_path / "mix"
+    code = main(["mix", "--set", "model.modes=16", "--horizon", "0.5",
+                 "--n-traj", "4", "--out", str(out), "--seed", "1"])
+    assert code == 2
+    verdict = json.loads((out / "verdict.json").read_text())
+    assert verdict["status"] == "inconclusive"
+    assert verdict["metrics"]["points_above_floor"] <= 3
+    assert verdict["metrics"]["kappa"] == "nan"
+    assert verdict["tolerances"]["min_points_above_floor"] == 5
+
+
 @pytest.mark.parametrize("args", [
     ["energy-audit", "--set", "noise.eps=0", "--set", "model.modes=16",
      "--horizon", "10"],

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from wavemix import nlw
+from wavemix import nlw, stats
 from wavemix.nlw import (
     GrowthMonitor,
     NoiseModel,
@@ -275,6 +275,22 @@ def test_noise_covariance_matches_quadrature(lengths, m, dt):
         ref[i] = noise.coeffs[i] ** 2 * tau / 2 * np.einsum("j,ja,jb->ab", w, p, p)
     np.testing.assert_allclose(ops.cov_half, ref, rtol=1e-13, atol=0)
     np.testing.assert_allclose(ops.chol_half, np.linalg.cholesky(ref), rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("lengths, m", [((PI,), 32), ((PI, PI), 144)])
+def test_full_step_composes_two_half_steps(lengths, m):
+    # the merged step is the exact flow over dt: the half-step propagator
+    # squared, and the half-step covariance propagated once more plus itself.
+    # Entry by entry against each entry's own size, since the position
+    # variance ~ dt^3 / 12 sits far below the other entries
+    basis = SpectralBasis(lengths, m)
+    ops = nlw.LinearOps(basis, 0.5, 1.0, NoiseModel.power_law(basis, 0.5, 2.5),
+                        0.5 / np.sqrt(basis.eigenvalues[-1]))
+    P, S = ops.P_half, ops.cov_half
+    np.testing.assert_allclose(ops.P_full, P @ P, rtol=1e-12, atol=0)
+    cov_full = ops.chol_full @ np.swapaxes(ops.chol_full, -1, -2)
+    np.testing.assert_allclose(cov_full, P @ S @ np.swapaxes(P, -1, -2) + S,
+                               rtol=1e-12, atol=0)
 
 
 def test_equilibrium_fixed_point(basis16, noise16):
@@ -553,17 +569,105 @@ def test_short_last_chunk_is_batching_invariant(basis16, noise16, monkeypatch):
 
     monkeypatch.setattr(nlw, "trajectory_streams", counted_streams)
     n_traj = 7
+    n_sync = len(stats.record_steps(cfg.n_steps, cfg.stride)) - 1
     finals = []
     for block in (128, 5):
         draws.clear()
         finals.append(run_flow(cfg, nl, noise16, y0, n_traj=n_traj,
                                block_size=block).final_states)
-        # every stream draws exactly its steps' worth, short last chunk included
-        assert sum(draws) == n_traj * cfg.n_steps * 2 * 2 * basis16.mode_count
+        # every stream draws exactly its steps' worth, short last chunk
+        # included: one (2, M) increment per step and one more per recorded step
+        assert sum(draws) == n_traj * (cfg.n_steps + n_sync) * 2 * basis16.mode_count
     np.testing.assert_array_equal(finals[0], finals[1])
 
 
 # ------------------------------------------------------------ one Strang driver
+
+
+def _per_step_reference(states, ops, xi, kick, n_steps):
+    """Textbook Strang steps: every half-step draws its own increment."""
+    seen = {}
+    for s in range(1, n_steps + 1):
+        states = (_einsum_modewise(ops.P_half, states)
+                  + _einsum_modewise(ops.chol_half, xi[:, 2 * s - 2]))
+        states[:, 1] += ops.dt * kick(states)
+        states = (_einsum_modewise(ops.P_half, states)
+                  + _einsum_modewise(ops.chol_half, xi[:, 2 * s - 1]))
+        seen[s] = states
+    return seen
+
+
+def _merged_reference(states, ops, xi, kick, n_steps, sync):
+    """Strang steps whose half-steps merge into full steps between sync steps."""
+    seen = {}
+    k = 0
+    for s in range(1, n_steps + 1):
+        if s == 1 or s - 1 in seen:
+            states = (_einsum_modewise(ops.P_half, states)
+                      + _einsum_modewise(ops.chol_half, xi[:, k]))
+            k += 1
+        states[:, 1] += ops.dt * kick(states)
+        P, L = ((ops.P_half, ops.chol_half) if s in sync or s == n_steps
+                else (ops.P_full, ops.chol_full))
+        states = _einsum_modewise(P, states) + _einsum_modewise(L, xi[:, k])
+        k += 1
+        if P is ops.P_half:
+            seen[s] = states
+    assert k == xi.shape[1]
+    return seen
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n_steps=st.integers(1, 24), stride=st.integers(0, 6),
+       n_paths=st.integers(1, 4), cap_steps=st.integers(1, 8))
+def test_strang_drive_matches_textbook_loops_bitwise(n_steps, stride, n_paths, cap_steps):
+    # stride 0 syncs every step (sync=None); otherwise _strang_drive syncs on the
+    # recording grid, and with stride 1 that again is every step
+    basis = SpectralBasis((PI,), 8)
+    dt = 0.5 / np.sqrt(basis.eigenvalues[-1])
+    ops = nlw.LinearOps(basis, 0.5, 1.0, NoiseModel.power_law(basis, 0.5, 2.5), dt)
+    kick_fn = nlw.make_kick_fn(basis, Nonlinearity.klein_gordon(1.0), np.zeros(8))
+    kick = lambda st: kick_fn(st[:, 0, :])  # noqa: E731
+    y0 = np.stack([smooth_state(basis, seed=i).as_array() for i in range(n_paths)])
+    sync = None if stride == 0 else stats.record_steps(n_steps, stride)
+    seen = {}
+
+    def on_step(step, states):
+        seen[step] = states.copy()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nlw, "_NOISE_BLOCK_BYTES", cap_steps * 8 * n_paths * 4 * 8)
+        final = nlw._strang_drive(y0.copy(), ops, trajectory_streams(3, n_paths), kick,
+                                  n_steps, on_step, sync=sync)
+    every = sync is None or len(sync) == n_steps + 1
+    n_inc = n_steps + (n_steps if every else len(sync) - 1)
+    xi = np.stack([r.standard_normal((n_inc, 2, 8)) for r in trajectory_streams(3, n_paths)])
+    ref = (_per_step_reference(y0.copy(), ops, xi, kick, n_steps) if every
+           else _merged_reference(y0.copy(), ops, xi, kick, n_steps, sync))
+    assert seen.keys() == ref.keys()
+    for s in ref:
+        assert np.array_equal(seen[s], ref[s]), s
+    assert np.array_equal(final, ref[n_steps])
+
+
+def test_strang_drive_mid_needs_every_step_synced(basis16, noise16):
+    # mid reads each step's second half-step increment, which a merged step lacks
+    ops = linear_ops(make_cfg(basis16), noise16)
+    with pytest.raises(ValueError, match="every step must sync"):
+        nlw._strang_drive(np.zeros((1, 2, 16)), ops, None, lambda st: st[:, 0] * 0,
+                          4, mid=lambda w2: None, sync={0: 0, 4: 1})
+
+
+def test_noiseless_merged_steps_match_per_step_run(basis16, noise16):
+    # at eps = 0 both schemes are the deterministic splitting, and P_full is
+    # P_half squared up to rounding
+    cfg = make_cfg(basis16, eps=0.0, horizon=5.0, stride=8)
+    nl = Nonlinearity.klein_gordon(1.0)
+    y0 = smooth_state(basis16, alpha=cfg.alpha)
+    merged = run_flow(cfg, nl, noise16, y0, return_states=True)  # probes only
+    per_step = simulate(cfg, nl, noise16, y0)  # its integrand reads every step
+    np.testing.assert_allclose(merged.states[0], per_step.states, rtol=0, atol=1e-12)
+    assert not np.array_equal(merged.states[0], per_step.states)
 
 
 def test_regularity_split_drive_is_simulate_bitwise(basis16, noise16):
@@ -615,13 +719,15 @@ def test_noise_block_cap_keeps_paths_bitwise(basis16, noise16, monkeypatch):
         draw_normals(rngs, buf, chunk)
 
     monkeypatch.setattr(nlw, "draw_normals", recorded)
+    # one (2, M) increment per step and one more per recorded step
+    n_inc = cfg.n_steps + len(stats.record_steps(cfg.n_steps, cfg.stride)) - 1
     finals = [run_flow(cfg, nl, noise16, y0, n_traj=n_traj).final_states]
-    assert max(chunks) == min(cfg.n_steps, 256)
+    assert cfg.n_steps <= 256 and chunks == [n_inc]
     # room for three steps of the (n_traj, 2, 2, M) normals
     chunks.clear()
     monkeypatch.setattr(nlw, "_NOISE_BLOCK_BYTES", 3 * 8 * n_traj * 4 * basis16.mode_count)
     finals.append(run_flow(cfg, nl, noise16, y0, n_traj=n_traj).final_states)
-    assert max(chunks) == 3
+    assert len(chunks) == math.ceil(cfg.n_steps / 3) and sum(chunks) == n_inc
     assert np.array_equal(finals[0], finals[1])
 
 

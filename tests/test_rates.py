@@ -88,8 +88,8 @@ def test_gradient_rate_oracle_cubic():
 
 def test_toy_quasipotential_oracle_values():
     cubic = builtin_cubic()
-    assert toy_quasipotential_oracle(cubic, 0.0, 3.0) == pytest.approx(5.0 / 6.0, rel=1e-6)
-    assert toy_quasipotential_oracle(cubic, 3.0, 0.0) == pytest.approx(16.0 / 3.0, rel=1e-6)
+    assert toy_quasipotential_oracle(cubic, 0.0, 3.0) == pytest.approx(5.0 / 6.0, rel=1e-14)
+    assert toy_quasipotential_oracle(cubic, 3.0, 0.0) == pytest.approx(16.0 / 3.0, rel=1e-14)
     assert toy_quasipotential_oracle(cubic, 1.0, 1.0) == 0.0
 
 
