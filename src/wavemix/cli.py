@@ -307,11 +307,25 @@ def _start(cfg: RunConfig, sim: nlw.SimConfig, k: int,
 # Artifact emission
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with path.open("w", encoding="utf-8") as f:
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(x) for x in row) + "\n")
+class _RunDir:
+    """The ``--out`` directory of one run and the artifacts the run wrote there.
+
+    The verdict lists and hashes only these, so files an earlier run left in
+    the same directory stay out of a later verdict.
+    """
+
+    def __init__(self, path: Path):
+        self.path = path
+        self.written: list[Path] = []
+
+    def write_text(self, name: str, text: str) -> None:
+        path = self.path / name
+        path.write_text(text, encoding="utf-8")
+        self.written.append(path)
+
+    def write_csv(self, name: str, header: list[str], rows) -> None:
+        self.write_text(name, "".join(",".join(map(_fmt, row)) + "\n"
+                                      for row in [header, *rows]))
 
 
 def _fmt(x) -> str:
@@ -324,12 +338,10 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _finish(cfg: RunConfig, out_dir: Path, status: str, metrics: dict,
+def _finish(cfg: RunConfig, out: _RunDir, status: str, metrics: dict,
             tolerances: dict) -> int:
-    manifest = out_dir / "manifest.ini"
-    manifest.write_text(cfg.emit())
-    artifacts = sorted(p for p in out_dir.iterdir()
-                       if p.name not in ("verdict.json",))
+    out.write_text("manifest.ini", cfg.emit())
+    artifacts = sorted(out.written)
     h = hashlib.sha256()
     for p in artifacts:
         h.update(p.name.encode())
@@ -343,8 +355,8 @@ def _finish(cfg: RunConfig, out_dir: Path, status: str, metrics: dict,
         "artifact_hash": h.hexdigest()[:16],
         "artifacts": [p.name for p in artifacts],
     }
-    (out_dir / "verdict.json").write_text(json.dumps(verdict, indent=2,
-                                                     sort_keys=True) + "\n")
+    (out.path / "verdict.json").write_text(json.dumps(verdict, indent=2,
+                                                      sort_keys=True) + "\n")
     print(json.dumps({"status": status, "config_hash": verdict["config_hash"],
                       "artifact_hash": verdict["artifact_hash"]}))
     return {"pass": EXIT_PASS, "fail": EXIT_FAIL,
@@ -372,7 +384,7 @@ def _jsonify(obj):
 # Experiment implementations
 
 
-def _cmd_simulate(cfg: RunConfig, out_dir: Path, threads: int) -> int:
+def _cmd_simulate(cfg: RunConfig, out: _RunDir, threads: int) -> int:
     kind = cfg["model"]["kind"]
     if kind == "nlw":
         basis, nl, noise, sim = _wave(cfg)
@@ -381,23 +393,23 @@ def _cmd_simulate(cfg: RunConfig, out_dir: Path, threads: int) -> int:
         s = cfg["experiment"]["s_exponent"]
         rows = [[traj.t[i], traj.energy[i], traj.norm_h()[i], traj.norm_hs(s)[i],
                  *traj.states[i, 0, :k]] for i in range(traj.t.size)]
-        _write_csv(out_dir / "trajectory.csv",
-                   ["t", "E", "normH", "normHs"] + [f"mode_{j + 1}" for j in range(k)],
-                   rows)
+        out.write_csv("trajectory.csv",
+                      ["t", "E", "normH", "normHs"] + [f"mode_{j + 1}" for j in range(k)],
+                      rows)
         finite = bool(np.isfinite(traj.states).all())
-        return _finish(cfg, out_dir, "pass" if finite else "fail",
+        return _finish(cfg, out, "pass" if finite else "fail",
                        {"final_energy": traj.energy[-1]}, {"finite": True})
     model = _build_toy(cfg)
     eps = cfg["model"]["toy_eps"] if kind != "ou" else None
     t, paths, _ = toys.simulate_toy(model, eps, cfg["integrator"]["toy_dt"],
                                     cfg["integrator"]["horizon"], cfg.seed,
                                     record_stride=cfg["integrator"]["stride"])
-    _write_csv(out_dir / "trajectory.csv", ["t", "u"],
-               [[t[i], paths[0, i]] for i in range(t.size)])
-    return _finish(cfg, out_dir, "pass", {"final": paths[0, -1]}, {})
+    out.write_csv("trajectory.csv", ["t", "u"],
+                  [[t[i], paths[0, i]] for i in range(t.size)])
+    return _finish(cfg, out, "pass", {"final": paths[0, -1]}, {})
 
 
-def _cmd_energy_audit(cfg: RunConfig, out_dir: Path, threads: int) -> int:
+def _cmd_energy_audit(cfg: RunConfig, out: _RunDir, threads: int) -> int:
     basis, nl, noise, sim = _wave(cfg)
     y0 = _start(cfg, sim, 1)
     if cfg["noise"]["eps"] == 0:
@@ -414,45 +426,45 @@ def _cmd_energy_audit(cfg: RunConfig, out_dir: Path, threads: int) -> int:
                                 {"normH2": res.integrals["normH2"][i]})
                  for i in range(res.probes["energy"].shape[0])]
         audit = nlw.energy_audit(trajs)
-    _write_csv(out_dir / "energy.csv", ["t", "E"],
-               [[audit.t[i], audit.series[i]] for i in range(audit.t.size)])
+    out.write_csv("energy.csv", ["t", "E"],
+                  [[audit.t[i], audit.series[i]] for i in range(audit.t.size)])
     slope_ok = audit.decay is not None and (cfg["noise"]["eps"] > 0
                                             or audit.decay_rate >= 0.9 * sim.alpha)
     status = "pass" if (np.isfinite(audit.c_fit) and slope_ok) else "fail"
-    return _finish(cfg, out_dir, status,
+    return _finish(cfg, out, status,
                    {"c_fit": audit.c_fit, "decay_rate": audit.decay_rate,
                     "k_fit": audit.k_fit},
                    {"min_decay_rate": 0.9 * sim.alpha})
 
 
-def _coupled_series(cfg: RunConfig, path: Path, wave, z: PhaseState,
+def _coupled_series(cfg: RunConfig, out: _RunDir, name: str, wave, z: PhaseState,
                     zp: PhaseState) -> None:
     """Run one coupled triple from (z, z') and write its four-column series."""
     basis, nl, noise, sim = wave
     pair = cpl.couple_fp(sim, nl, noise, z, zp, cfg["experiment"]["n_feedback"])
     d0_sq = max(float(phase_norm_sq_arr(z.as_array() - zp.as_array(),
                                         basis.eigenvalues, sim.alpha)), 1e-300)
-    _write_csv(path, ["t", "diff_normH", "lowmode_ratio", "novikov_energy"],
-               [[pair.t[i], pair.diff_vu[i],
-                 pair.lowmode_sq[i] / d0_sq * math.exp(sim.alpha * pair.t[i]),
-                 pair.girsanov.novikov_energy[i]] for i in range(pair.t.size)])
+    out.write_csv(name, ["t", "diff_normH", "lowmode_ratio", "novikov_energy"],
+                  [[pair.t[i], pair.diff_vu[i],
+                    pair.lowmode_sq[i] / d0_sq * math.exp(sim.alpha * pair.t[i]),
+                    pair.girsanov.novikov_energy[i]] for i in range(pair.t.size)])
 
 
-def _cmd_couple_fp(cfg: RunConfig, out_dir: Path, threads: int) -> int:
+def _cmd_couple_fp(cfg: RunConfig, out: _RunDir, threads: int) -> int:
     wave = basis, nl, noise, sim = _wave(cfg)
     z, zp = _start(cfg, sim, 1), _start(cfg, sim, 2)
-    _coupled_series(cfg, out_dir / "couple_fp.csv", wave, z, zp)
+    _coupled_series(cfg, out, "couple_fp.csv", wave, z, zp)
     rep = cpl.fp_contraction_test(
         sim, nl, noise, z, zp,
         n_grid=(2, 4, cfg["experiment"]["n_feedback"], basis.mode_count))
     ok = rep.lowmode_ok and rep.n_star is not None
-    return _finish(cfg, out_dir, "pass" if ok else "fail",
+    return _finish(cfg, out, "pass" if ok else "fail",
                    {"rates": {str(k): v for k, v in rep.rates.items()},
                     "n_star": rep.n_star, "lowmode_margin": rep.lowmode_margin},
                    {"lowmode_margin_max": 1e-6, "rate_floor": sim.alpha / 2})
 
 
-def _cmd_girsanov_tv(cfg: RunConfig, out_dir: Path, threads: int) -> int:
+def _cmd_girsanov_tv(cfg: RunConfig, out: _RunDir, threads: int) -> int:
     wave = basis, nl, noise, sim = _wave(cfg)
     z = _start(cfg, sim, 1, scale=0.3)
     d = np.zeros((2, basis.mode_count))
@@ -465,32 +477,32 @@ def _cmd_girsanov_tv(cfg: RunConfig, out_dir: Path, threads: int) -> int:
     rows = [[exp.distances[i], exp.tv_estimates[i].value, exp.tv_estimates[i].stderr,
              exp.bounds[i].value, exp.novikov_median[i]]
             for i in range(exp.distances.size)]
-    _write_csv(out_dir / "girsanov_tv.csv",
-               ["distance", "tv_estimate", "tv_stderr", "tv_bound",
-                "novikov_median"], rows)
+    out.write_csv("girsanov_tv.csv",
+                  ["distance", "tv_estimate", "tv_stderr", "tv_bound",
+                   "novikov_median"], rows)
     # representative coupled series at the largest separation
     zp = PhaseState.from_coeffs(basis, *(z.as_array() + float(exp.distances[0]) * d),
                                 sim.alpha)
-    _coupled_series(cfg, out_dir / "couple_series.csv", wave, z, zp)
+    _coupled_series(cfg, out, "couple_series.csv", wave, z, zp)
     dominated = all(e.value <= b.value + 3 * e.stderr
                     for e, b in zip(exp.tv_estimates, exp.bounds))
     quad = abs(exp.scaling_fit.slope - 2.0) <= 0.3
     status = "pass" if (dominated and quad) else "fail"
-    return _finish(cfg, out_dir, status,
+    return _finish(cfg, out, status,
                    {"scaling_exponent": exp.scaling_fit.slope,
                     "dominated": dominated},
                    {"scaling_exponent": [1.7, 2.3], "domination_se": 3})
 
 
-def _cmd_mix(cfg: RunConfig, out_dir: Path, threads: int) -> int:
+def _cmd_mix(cfg: RunConfig, out: _RunDir, threads: int) -> int:
     _, nl, noise, sim = _wave(cfg)
     rep = cpl.mixing_rate(sim, nl, noise, _start(cfg, sim, 1), _start(cfg, sim, 2),
                           n_traj=cfg["experiment"]["n_traj"], threads=threads)
-    _write_csv(out_dir / "mixing.csv", ["t", "delta"],
-               [[rep.t[i], rep.delta[i]] for i in range(rep.t.size)])
+    out.write_csv("mixing.csv", ["t", "delta"],
+                  [[rep.t[i], rep.delta[i]] for i in range(rep.t.size)])
     status = ("inconclusive" if rep.inconclusive
               else "pass" if rep.passed else "fail")
-    return _finish(cfg, out_dir, status,
+    return _finish(cfg, out, status,
                    {"kappa": rep.kappa, "kappa_ci": list(rep.kappa_ci),
                     "noise_floor": rep.noise_floor,
                     "points_above_floor": rep.n_above_floor},
@@ -498,7 +510,7 @@ def _cmd_mix(cfg: RunConfig, out_dir: Path, threads: int) -> int:
                     "min_points_above_floor": cpl.MIN_FIT_POINTS})
 
 
-def _cmd_occupation(cfg: RunConfig, out_dir: Path, threads: int) -> int:
+def _cmd_occupation(cfg: RunConfig, out: _RunDir, threads: int) -> int:
     kind = cfg["model"]["kind"]
     horizon = cfg["integrator"]["horizon"]
     if kind == "nlw":
@@ -509,19 +521,19 @@ def _cmd_occupation(cfg: RunConfig, out_dir: Path, threads: int) -> int:
         series = {k: v[0] for k, v in res.integrals.items()}
         rows = [[res.t[i]] + [series[k][i] / res.t[i] if res.t[i] > 0 else 0.0
                               for k in series] for i in range(res.t.size)]
-        _write_csv(out_dir / "occupation.csv", ["t"] + list(series), rows)
-        return _finish(cfg, out_dir, "pass",
+        out.write_csv("occupation.csv", ["t"] + list(series), rows)
+        return _finish(cfg, out, "pass",
                        {"averages": {k: series[k][-1] / res.t[-1] for k in series}}, {})
     eps = None if kind == "ou" else cfg["model"]["toy_eps"]
     t, paths, _ = toys.simulate_toy(_build_toy(cfg), eps, cfg["integrator"]["toy_dt"],
                                     horizon, cfg.seed, record_stride=100)
     rec = erg.occupation_measure(t, {"u": paths})
     rows = [[t[i], rec.averages["u"][0, i]] for i in range(t.size)]
-    _write_csv(out_dir / "occupation.csv", ["t", "avg_u"], rows)
-    return _finish(cfg, out_dir, "pass", {"avg_u": rec.final("u")}, {})
+    out.write_csv("occupation.csv", ["t", "avg_u"], rows)
+    return _finish(cfg, out, "pass", {"avg_u": rec.final("u")}, {})
 
 
-def _cmd_pressure(cfg: RunConfig, out_dir: Path, threads: int) -> int:
+def _cmd_pressure(cfg: RunConfig, out: _RunDir, threads: int) -> int:
     kind = cfg["model"]["kind"]
     betas = cfg["experiment"]["betas"]
     if 0.0 not in betas:
@@ -546,21 +558,21 @@ def _cmd_pressure(cfg: RunConfig, out_dir: Path, threads: int) -> int:
         curve = erg.pressure_curve(betas, estimator, center=0.0)
     else:
         raise ConfigError("pressure needs model kind ou or chain2")
-    _write_csv(out_dir / "pressure.csv", ["beta", "Q", "stderr"],
-               [[curve.betas[i], curve.values[i], curve.stderr[i]]
-                for i in range(curve.betas.size)])
+    out.write_csv("pressure.csv", ["beta", "Q", "stderr"],
+                  [[curve.betas[i], curve.values[i], curve.stderr[i]]
+                   for i in range(curve.betas.size)])
     rate = erg.legendre(curve)
     finite = np.isfinite(rate.values)
-    _write_csv(out_dir / "rate.csv", ["p", "I"],
-               [[rate.p[i], rate.values[i]] for i in range(rate.p.size) if finite[i]])
+    out.write_csv("rate.csv", ["p", "I"],
+                  [[rate.p[i], rate.values[i]] for i in range(rate.p.size) if finite[i]])
     viol = curve.convexity_violations()
-    return _finish(cfg, out_dir, "pass" if viol == 0 else "fail",
+    return _finish(cfg, out, "pass" if viol == 0 else "fail",
                    {"convexity_violations": viol,
                     "Q": dict(zip(map(str, curve.betas), curve.values))},
                    {"convexity_violations": 0})
 
 
-def _cmd_ldp1(cfg: RunConfig, out_dir: Path, threads: int) -> int:
+def _cmd_ldp1(cfg: RunConfig, out: _RunDir, threads: int) -> int:
     kind = cfg["model"]["kind"]
     interval = tuple(cfg["experiment"]["interval"][:2])
     horizons = cfg["experiment"]["horizons"] or [8.0, 16.0, 32.0]
@@ -591,18 +603,18 @@ def _cmd_ldp1(cfg: RunConfig, out_dir: Path, threads: int) -> int:
     else:
         raise ConfigError("ldp1 needs model kind ou or chain2")
     rep = erg.ldp_level1_check(horizons, avgs, interval, rate)
-    _write_csv(out_dir / "ldp1.csv", ["horizon", "log_prob", "hits"],
-               [[rep.horizons[i], rep.log_probs[i], rep.hits[i]]
-                for i in range(rep.horizons.size)])
+    out.write_csv("ldp1.csv", ["horizon", "log_prob", "hits"],
+                  [[rep.horizons[i], rep.log_probs[i], rep.hits[i]]
+                   for i in range(rep.horizons.size)])
     status = ("inconclusive" if rep.inconclusive
               else "pass" if rep.passed else "fail")
-    return _finish(cfg, out_dir, status,
+    return _finish(cfg, out, status,
                    {"empirical": rep.empirical, "target": rep.target,
                     "rel_error": rep.rel_error},
                    {"rel_error_max": 0.2, "min_hits": 50})
 
 
-def _cmd_quasipotential(cfg: RunConfig, out_dir: Path, threads: int) -> int:
+def _cmd_quasipotential(cfg: RunConfig, out: _RunDir, threads: int) -> int:
     kind = cfg["model"]["kind"]
     eta = cfg["experiment"]["eta"]
     if kind in ("cubic", "doublewell"):
@@ -615,11 +627,11 @@ def _cmd_quasipotential(cfg: RunConfig, out_dir: Path, threads: int) -> int:
         res = rates.toy_quasipotential(model, a, b, eta=eta,
                                        eta_ladder=(eta / 2, eta / 4))
         oracle = rates.toy_quasipotential_oracle(model, a, b)
-        _write_csv(out_dir / "quasipotential.csv", ["t", "phi"],
-                   [[res.path.t[i], res.path.phis[i]]
-                    for i in range(res.path.t.size)])
+        out.write_csv("quasipotential.csv", ["t", "phi"],
+                      [[res.path.t[i], res.path.phis[i]]
+                       for i in range(res.path.t.size)])
         ok = res.converged and (oracle == 0 or abs(res.value - oracle) / max(oracle, 1e-12) <= 0.05)
-        return _finish(cfg, out_dir, "pass" if ok else "fail",
+        return _finish(cfg, out, "pass" if ok else "fail",
                        {"value": res.value, "oracle": oracle,
                         "endpoint_error": res.endpoint_error,
                         "grad_norm": res.grad_norm,
@@ -631,13 +643,13 @@ def _cmd_quasipotential(cfg: RunConfig, out_dir: Path, threads: int) -> int:
                     Field.zero(basis), sim.alpha)
     res = rates.nlw_quasipotential(basis, nl, cfg["model"]["gamma"], noise, z1,
                                    z2, eta=max(eta, 0.05))
-    return _finish(cfg, out_dir, "pass" if res.converged else "fail",
+    return _finish(cfg, out, "pass" if res.converged else "fail",
                    {"value": res.value, "endpoint_error": res.endpoint_error,
                     "grad_norm": res.grad_norm},
                    {"eta": eta})
 
 
-def _cmd_fw_graph(cfg: RunConfig, out_dir: Path, threads: int) -> int:
+def _cmd_fw_graph(cfg: RunConfig, out: _RunDir, threads: int) -> int:
     model = _build_toy(cfg)
     if not isinstance(model, toys.GradientSDE):
         raise ConfigError("fw-graph needs a gradient toy model")
@@ -663,8 +675,7 @@ def _cmd_fw_graph(cfg: RunConfig, out_dir: Path, threads: int) -> int:
     payload = net.to_json_dict()
     payload["W"] = W.tolist()
     payload["rate"] = queries
-    (out_dir / "network.json").write_text(json.dumps(payload, indent=2,
-                                                     sort_keys=True) + "\n")
+    out.write_text("network.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
     status = "pass"
     tol = {}
     if cfg["model"]["kind"] == "cubic":
@@ -674,10 +685,10 @@ def _cmd_fw_graph(cfg: RunConfig, out_dir: Path, threads: int) -> int:
                "rel_error_max": 0.07 if cfg["experiment"]["use_solver"] else 1e-9}
         if v0 is None or abs(v0 - target) / target > tol["rel_error_max"]:
             status = "fail"
-    return _finish(cfg, out_dir, status, {"W": W.tolist(), "rate": queries}, tol)
+    return _finish(cfg, out, status, {"W": W.tolist(), "rate": queries}, tol)
 
 
-def _cmd_stationary_smallnoise(cfg: RunConfig, out_dir: Path, threads: int) -> int:
+def _cmd_stationary_smallnoise(cfg: RunConfig, out: _RunDir, threads: int) -> int:
     model = _build_toy(cfg)
     flat = cfg["experiment"]["sets"]
     if len(flat) % 2:
@@ -690,8 +701,7 @@ def _cmd_stationary_smallnoise(cfg: RunConfig, out_dir: Path, threads: int) -> i
     for si, (lo, hi) in enumerate(rep.sets):
         for ei, e in enumerate(rep.eps):
             rows.append([lo, hi, e, rep.eps_log_mu[si, ei]])
-    _write_csv(out_dir / "smallnoise.csv", ["set_lo", "set_hi", "eps",
-                                            "eps_log_mu"], rows)
+    out.write_csv("smallnoise.csv", ["set_lo", "set_hi", "eps", "eps_log_mu"], rows)
     if rep.inconclusive:
         status = "inconclusive"
     else:
@@ -705,7 +715,7 @@ def _cmd_stationary_smallnoise(cfg: RunConfig, out_dir: Path, threads: int) -> i
                 denom = max(abs(tgt), 1e-12)
                 oks.append(abs(rep.intercepts[si] - tgt) / denom <= tol)
         status = "pass" if all(oks) and rep.agreement_ok else "fail"
-    return _finish(cfg, out_dir, status,
+    return _finish(cfg, out, status,
                    {"table": rep.eps_log_mu.tolist(),
                     "intercepts": rep.intercepts.tolist(),
                     "targets": rep.targets.tolist(),
@@ -713,7 +723,7 @@ def _cmd_stationary_smallnoise(cfg: RunConfig, out_dir: Path, threads: int) -> i
                    {"exact_abs_tol": 0.02, "mc_rel_tol": 0.2})
 
 
-def _cmd_boundary_chain(cfg: RunConfig, out_dir: Path, threads: int) -> int:
+def _cmd_boundary_chain(cfg: RunConfig, out: _RunDir, threads: int) -> int:
     model = _build_toy(cfg)
     r = cfg["experiment"]["radii"]
     bc = rates.BoundaryChainConfig(*r[:5]) if len(r) >= 5 else rates.BoundaryChainConfig()
@@ -729,8 +739,8 @@ def _cmd_boundary_chain(cfg: RunConfig, out_dir: Path, threads: int) -> int:
             rows.append([rep.nodes[i], rep.nodes[j], rep.counts[i, j],
                          rep.probabilities[i, j], rep.eps_log_p[i, j],
                          rep.vtilde[i, j]])
-    _write_csv(out_dir / "boundary_chain.csv",
-               ["from", "to", "count", "prob", "eps_log_p", "vtilde"], rows)
+    out.write_csv("boundary_chain.csv",
+                  ["from", "to", "count", "prob", "eps_log_p", "vtilde"], rows)
     if rep.inconclusive:
         status = "inconclusive"
     else:
@@ -741,14 +751,14 @@ def _cmd_boundary_chain(cfg: RunConfig, out_dir: Path, threads: int) -> int:
                     gap = abs(rep.eps_log_p[i, j] + rep.vtilde[i, j]) / rep.vtilde[i, j]
                     ok = ok and gap <= 0.25
         status = "pass" if ok else "fail"
-    return _finish(cfg, out_dir, status,
+    return _finish(cfg, out, status,
                    {"counts": rep.counts.tolist(),
                     "eps_log_p": rep.eps_log_p.tolist(),
                     "vtilde": rep.vtilde.tolist()},
                    {"rel_gap_max": 0.25, "min_cell": 50})
 
 
-def _cmd_selftest(cfg: RunConfig, out_dir: Path, threads: int) -> int:
+def _cmd_selftest(cfg: RunConfig, out: _RunDir, threads: int) -> int:
     """Fast exact oracles: every check here has a closed-form answer."""
     results = {}
     basis = SpectralBasis((math.pi,), 12)
@@ -756,7 +766,7 @@ def _cmd_selftest(cfg: RunConfig, out_dir: Path, threads: int) -> int:
     results["orthonormality"] = bool(np.max(np.abs(gram - np.eye(12))) < 1e-10)
     results["lambda_1"] = bool(abs(basis.eigenvalues[0] - 1.0) < 1e-12)
 
-    mc = cpl.maximal_coupling_discrete([0.5, 0.5], [0.75, 0.25])
+    mc = cpl.MaximalCoupling([0.5, 0.5], [0.75, 0.25])
     results["maximal_coupling_tv"] = bool(abs(mc.tv - 0.25) < 1e-12)
 
     tri = erg.fk_eigen_exact(erg.two_state_chain(1.0, 1.0, v=(1.0, 0.0)),
@@ -776,7 +786,7 @@ def _cmd_selftest(cfg: RunConfig, out_dir: Path, threads: int) -> int:
     for name, ok in results.items():
         print(f"{name}: {'ok' if ok else 'FAIL'}")
     status = "pass" if all(results.values()) else "fail"
-    return _finish(cfg, out_dir, status, results, {})
+    return _finish(cfg, out, status, results, {})
 
 
 COMMANDS = {
@@ -799,7 +809,7 @@ COMMANDS = {
 def dispatch(cfg: RunConfig, subcommand: str, threads: int = 1) -> int:
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return COMMANDS[subcommand](cfg, out_dir, threads)
+    return COMMANDS[subcommand](cfg, _RunDir(out_dir), threads)
 
 
 # flag -> the config key it sets; every experiment key has a flag of its name

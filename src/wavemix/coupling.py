@@ -18,7 +18,6 @@ import numpy as np
 
 from wavemix import stats
 from wavemix.nlw import (
-    GrowthMonitor,
     NoiseModel,
     Nonlinearity,
     SimConfig,
@@ -38,8 +37,8 @@ class GirsanovRecord:
     """Drift of the noise-path transformation taking law(v) to law(u').
 
     ``drift`` holds noise-coordinate snapshots a_j(t) = (f(u)-f(v), e_j) /
-    (sqrt(eps) b_j) at step midpoints, zeroed past the combined stopping time,
-    and ``novikov_energy`` is the running time-quadrature of |a|^2.
+    (sqrt(eps) b_j) at step midpoints, and ``novikov_energy`` is the running
+    time-quadrature of |a|^2.
     ``log_lr`` is the exact log-likelihood ratio between the shifted and plain
     discrete noise laws, and ``h_energy`` is the exact discrete energy of that
     measure change mapped to unweighted mode coordinates.  At this splitting a
@@ -54,7 +53,6 @@ class GirsanovRecord:
     novikov_energy: np.ndarray
     h_energy: np.ndarray
     log_lr: np.ndarray
-    tau_tilde: float
     n_feedback: int
 
     @property
@@ -85,7 +83,6 @@ class CoupledPair:
     girsanov: GirsanovRecord
     block_times: np.ndarray
     agreement: np.ndarray
-    taus: dict[str, float]
     cfg: SimConfig
     nl: Nonlinearity
     noise: NoiseModel
@@ -108,7 +105,6 @@ class CoupledBatch:
     novikov_energy: np.ndarray  # (n_traj,) at the horizon
     h_energy: np.ndarray
     log_lr: np.ndarray
-    tau_tilde: np.ndarray
     n_feedback: int
     distance: float
 
@@ -127,15 +123,13 @@ class _CoupledRun:
     novikov_energy: np.ndarray
     h_energy: np.ndarray
     log_lr: np.ndarray
-    tau_tilde: np.ndarray       # (n_traj,)
     states: np.ndarray | None   # (n_traj, n_rec, 3, 2, M) when kept
     block_max: np.ndarray       # (n_traj, n_blocks) max |xi_v - xi_u'|_H per block
     dist0_sq: float
 
 
 def _run_coupled(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
-                 z: PhaseState, zprime: PhaseState, n_feedback: int,
-                 monitor: GrowthMonitor | None, n_traj: int,
+                 z: PhaseState, zprime: PhaseState, n_feedback: int, n_traj: int,
                  keep_states: bool, seed_offset: int = 0) -> _CoupledRun:
     basis = cfg.basis
     m = basis.mode_count
@@ -149,7 +143,6 @@ def _run_coupled(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
     lam = basis.eigenvalues
     alpha = cfg.alpha
     dt = cfg.dt
-    energy_fn = make_energy_fn(basis, nl, alpha)
 
     n_steps = cfg.n_steps
     rec = stats.record_steps(n_steps, cfg.stride)
@@ -170,7 +163,6 @@ def _run_coupled(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
     nov_run = np.empty((n_traj, nr))
     hen_run = np.empty((n_traj, nr))
     llr_run = np.empty((n_traj, nr))
-    taus = np.full((n_traj, 3), math.inf)
     states_out = np.empty((n_traj, nr, 3, 2, m)) if keep_states else None
     n_blocks = max(int(math.floor(cfg.horizon)), 1)
     block_max = np.zeros((n_traj, n_blocks))
@@ -187,11 +179,6 @@ def _run_coupled(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
         llr = np.zeros(nb)
         last_drift = np.zeros((nb, n_feedback))
         d_n = np.zeros((nb, n_feedback))  # this step's feedback P_N[f(u) - f(v)]
-        int_part = np.zeros((nb, 3))  # alpha * int_0^t |E| ds per system
-        absE_prev = np.abs(energy_fn(states))
-        F0 = absE_prev.copy()
-        tau = np.full((nb, 3), math.inf)
-        active = np.ones(nb, bool)  # drift active while t <= tau_tilde
 
         def record(i, states):
             dvu = states[:, 2] - states[:, 0]
@@ -210,7 +197,6 @@ def _run_coupled(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
             nonlocal d_n
             fcoef = basis.analyze(nl.f(basis.synthesize(states[:, :, 0, :])))
             d_n = fcoef[:, 0, :n_feedback] - fcoef[:, 2, :n_feedback]
-            d_n = d_n * active[:, None]
             acc = -fcoef + h
             acc[:, 2, :n_feedback] -= d_n
             return acc
@@ -232,64 +218,44 @@ def _run_coupled(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
             last_drift = a_noise
 
         def on_step(step, states):
-            nonlocal absE_prev, int_part, active
-            t_now = (step - 1) * dt
-            t_next = t_now + dt
-            absE = np.abs(energy_fn(states))
-            int_part += 0.5 * dt * alpha * (absE_prev + absE)
-            absE_prev = absE
-            if monitor is not None:
-                growth = int_part + absE
-                crossed = growth >= (F0 + (monitor.L + monitor.M_rate) * t_next
-                                     + monitor.r)
-                newly = crossed & np.isinf(tau)
-                tau[newly] = t_next
-                active = np.min(tau, axis=1) > t_next
-
             # agreement bookkeeping on unit blocks: track |xi_v - xi_u'|_H
             dvup = np.sqrt(phase_norm_sq_arr(states[:, 2] - states[:, 1], lam, alpha))
-            b_idx = min(int(t_now), n_blocks - 1)
+            b_idx = min(int((step - 1) * dt), n_blocks - 1)
             np.maximum(block_max[lo:hi, b_idx], dvup, out=block_max[lo:hi, b_idx])
             if step in rec:
                 record(rec[step], states)
 
         record(0, states)
         _strang_drive(states, ops, rngs, kick, n_steps, on_step,
-                      girsanov if n_feedback else None, chunk_steps=128, offset=lo)
-        taus[lo:hi] = tau
+                      girsanov if n_feedback else None, offset=lo)
 
     return _CoupledRun(t_rec, diff_vu, lowmode, drift_snap, nov_run, hen_run,
-                       llr_run, np.min(taus, axis=1), states_out, block_max,
-                       dist0_sq)
+                       llr_run, states_out, block_max, dist0_sq)
 
 
 def couple_fp(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel, z: PhaseState,
-              zprime: PhaseState, n_feedback: int,
-              monitor: GrowthMonitor | None = None) -> CoupledPair:
+              zprime: PhaseState, n_feedback: int) -> CoupledPair:
     """Simulate the coupled triple (u, u', v) on one shared noise realization."""
-    r = _run_coupled(cfg, nl, noise, z, zprime, n_feedback, monitor, 1,
-                     keep_states=True)
-    tau = float(r.tau_tilde[0])
+    r = _run_coupled(cfg, nl, noise, z, zprime, n_feedback, 1, keep_states=True)
     agreement = r.block_max[0] <= _AGREE_ATOL * max(math.sqrt(r.dist0_sq), 1.0)
     rec = GirsanovRecord(r.t, r.drift[0], r.novikov_energy[0], r.h_energy[0],
-                         r.log_lr[0], tau, n_feedback)
+                         r.log_lr[0], n_feedback)
     states = r.states[0]
     return CoupledPair(
         r.t, states[:, 0], states[:, 1], states[:, 2], n_feedback,
         r.diff_vu[0], r.lowmode_sq[0], rec,
         np.arange(1, r.block_max.shape[1] + 1, dtype=float),
-        agreement, {"tau_tilde": tau}, cfg, nl, noise, z, zprime)
+        agreement, cfg, nl, noise, z, zprime)
 
 
 def couple_fp_batch(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
                     z: PhaseState, zprime: PhaseState, n_feedback: int,
-                    monitor: GrowthMonitor | None = None,
                     n_traj: int = 100, seed_offset: int = 0) -> CoupledBatch:
-    r = _run_coupled(cfg, nl, noise, z, zprime, n_feedback, monitor, n_traj,
+    r = _run_coupled(cfg, nl, noise, z, zprime, n_feedback, n_traj,
                      keep_states=False, seed_offset=seed_offset)
     return CoupledBatch(r.t, r.diff_vu, r.lowmode_sq, r.novikov_energy[:, -1],
-                        r.h_energy[:, -1], r.log_lr[:, -1], r.tau_tilde,
-                        n_feedback, math.sqrt(r.dist0_sq))
+                        r.h_energy[:, -1], r.log_lr[:, -1], n_feedback,
+                        math.sqrt(r.dist0_sq))
 
 
 def fp_intermediate(drive: Trajectory, zprime: PhaseState,
@@ -354,22 +320,6 @@ def fp_contraction_test(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
                              lowmode_margin, n_star, alpha)
 
 
-def girsanov_drift(drive: Trajectory, v_or_zprime, n_feedback: int,
-                   monitor: GrowthMonitor | None = None) -> GirsanovRecord:
-    """Girsanov record of the coupled pair, truncated at tau_u ^ tau_u' ^ tau_v.
-
-    ``v_or_zprime`` is either the intermediate trajectory produced on the same
-    noise (its initial state is used) or the initial state z' itself.
-    """
-    if isinstance(v_or_zprime, Trajectory):
-        zprime = v_or_zprime.state_at(0)
-    else:
-        zprime = v_or_zprime
-    pair = couple_fp(drive.cfg, drive.nl, drive.noise, drive.y0, zprime,
-                     n_feedback, monitor=monitor)
-    return pair.girsanov
-
-
 @dataclass
 class TVBound:
     value: float
@@ -377,8 +327,7 @@ class TVBound:
     tail_warning: bool
 
 
-def tv_bound(records: Sequence[GirsanovRecord] | CoupledBatch, b: np.ndarray,
-             n_feedback: int) -> TVBound:
+def tv_bound(batch: CoupledBatch, b: np.ndarray, n_feedback: int) -> TVBound:
     """Total-variation bound from the exponential moment of the drift energy.
 
     Evaluates 0.5 ((E exp[6 max_{j<=N} b_j^-1 int |a|^2 dt])^{1/2} - 1)^{1/2}
@@ -388,11 +337,7 @@ def tv_bound(records: Sequence[GirsanovRecord] | CoupledBatch, b: np.ndarray,
     if n_feedback < 1:
         return TVBound(0.0, 1.0, False)
     bmax = float(np.max(1.0 / np.asarray(b[:n_feedback], float)))
-    if isinstance(records, CoupledBatch):
-        h_energy = records.h_energy
-    else:
-        h_energy = np.array([r.h_energy[-1] for r in records])
-    weights = np.exp(6.0 * bmax * h_energy)
+    weights = np.exp(6.0 * bmax * batch.h_energy)
     moment = float(weights.mean())
     tail = stats.tail_dominated(weights)
     val = 0.5 * math.sqrt(max(math.sqrt(moment) - 1.0, 0.0))
@@ -407,13 +352,9 @@ class TVEstimate:
     degenerate: bool
 
 
-def tv_estimate_likelihood(records: Sequence[GirsanovRecord] | CoupledBatch) -> TVEstimate:
+def tv_estimate_likelihood(batch: CoupledBatch) -> TVEstimate:
     """TV between law(v) and law(u') as half the mean |1 - likelihood ratio|."""
-    if isinstance(records, CoupledBatch):
-        log_lr = records.log_lr
-    else:
-        log_lr = np.array([r.log_lr[-1] for r in records])
-    lam = np.exp(log_lr)
+    lam = np.exp(batch.log_lr)
     vals = 0.5 * np.abs(1.0 - lam)
     est, se = stats.mean_se(vals)
     ess = float(lam.sum() ** 2 / np.sum(lam ** 2)) if np.any(lam > 0) else 0.0
@@ -469,8 +410,7 @@ class GirsanovTVExperiment:
 def girsanov_tv_experiment(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
                            z: PhaseState, direction: np.ndarray,
                            distances: Sequence[float], n_feedback: int,
-                           n_traj: int = 200,
-                           monitor: GrowthMonitor | None = None) -> GirsanovTVExperiment:
+                           n_traj: int = 200) -> GirsanovTVExperiment:
     """TV estimate versus bound across a ladder of initial separations.
 
     ``direction`` is a unit-|.|_H phase-space direction (2, M); z' = z + d*dir.
@@ -480,7 +420,7 @@ def girsanov_tv_experiment(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
     for k, d in enumerate(distances):
         zp = PhaseState.from_coeffs(cfg.basis, *(z.as_array() + d * direction),
                                     cfg.alpha)
-        batch = couple_fp_batch(cfg, nl, noise, z, zp, n_feedback, monitor,
+        batch = couple_fp_batch(cfg, nl, noise, z, zp, n_feedback,
                                 n_traj=n_traj, seed_offset=1000 * k)
         ests.append(tv_estimate_likelihood(batch))
         bnds.append(tv_bound(batch, b_eff, n_feedback))
@@ -499,7 +439,8 @@ class MaximalCoupling:
 
     On the overlap (probability 1 - TV) the pair agrees; otherwise X and Y are
     drawn independently from the normalized residuals, whose supports are
-    disjoint, so disagreement is certain there.
+    disjoint, so disagreement is certain there.  Randomness comes only from
+    ``sample``'s rng.
     """
 
     def __init__(self, p, q):
@@ -536,11 +477,6 @@ class MaximalCoupling:
             x[~same] = rng.choice(k, size=n_diff, p=self._rp)
             y[~same] = rng.choice(k, size=n_diff, p=self._rq)
         return x, y
-
-
-def maximal_coupling_discrete(p, q) -> MaximalCoupling:
-    """Maximal coupling of p and q; randomness comes only from ``sample``'s rng."""
-    return MaximalCoupling(p, q)
 
 
 # --------------------------------------------------------------------------

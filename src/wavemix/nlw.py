@@ -15,8 +15,8 @@ of paths.  The driver owns the chunked noise buffer and the per-chunk
 finiteness check; a caller supplies the kick, the sync steps after which it
 reads the state (every step unless it says otherwise) and two hooks: ``mid``,
 which sees the second half-step's noise increment (the Girsanov bookkeeping),
-and ``on_step``, called after every sync step (integrands, monitors,
-recording on the grid of ``stats.record_steps``).  Between two sync steps the
+and ``on_step``, called after every sync step (integrands, the coupled
+agreement check, recording on the grid of ``stats.record_steps``).  Between two sync steps the
 closing half-step of one step and the opening half-step of the next run as
 one exact full step, which leaves the law of the state at every sync step
 unchanged.
@@ -548,7 +548,7 @@ _NOISE_BLOCK_BYTES = 4 << 20
 def _strang_drive(states: np.ndarray, ops: LinearOps, rngs, kick: Callable,
                   n_steps: int, on_step: Callable | None = None,
                   mid: Callable | None = None, *, sync=None,
-                  chunk_steps: int = _CHUNK_STEPS, offset: int = 0) -> np.ndarray:
+                  offset: int = 0) -> np.ndarray:
     """Advance a block of states ``n_steps`` Strang steps and return it.
 
     ``states`` has shape (n_paths, ..., 2, M); path ``i`` draws its noise from
@@ -572,6 +572,7 @@ def _strang_drive(states: np.ndarray, ops: LinearOps, rngs, kick: Callable,
     dt = ops.dt
     lift = (slice(None),) + (None,) * (states.ndim - 3)  # one increment per path
     normals = None
+    chunk_steps = _CHUNK_STEPS
     if rngs is not None:
         n_paths, m = len(states), ops.P_half.shape[0]
         step_bytes = 8 * n_paths * 2 * 2 * m  # one step's float64 normals, at most

@@ -244,6 +244,21 @@ def test_repeat_run_identical_artifact_hash(tmp_path):
     assert outs[0]["config_hash"] == outs[1]["config_hash"]
 
 
+def test_earlier_run_files_stay_out_of_the_verdict(tmp_path):
+    # a second subcommand into the same --out hashes only what it wrote
+    fw = ["fw-graph", "--model", "cubic", "--seed", "3"]
+    assert main(["pressure", "--model", "chain2", "--out", str(tmp_path / "shared"),
+                 "--betas=-1,1"]) == EXIT_PASS
+    verdicts = []
+    for name in ("shared", "fresh"):
+        assert main(fw + ["--out", str(tmp_path / name)]) == EXIT_PASS
+        verdicts.append(json.loads((tmp_path / name / "verdict.json").read_text()))
+    shared, fresh = verdicts
+    assert fresh["artifacts"] == ["manifest.ini", "network.json"]
+    assert shared["artifacts"] == fresh["artifacts"]
+    assert shared["artifact_hash"] == fresh["artifact_hash"]
+
+
 def test_simulate_nlw_writes_trajectory(tmp_path):
     out = tmp_path / "sim"
     code = main(["simulate", "--out", str(out), "--seed", "2",
@@ -450,4 +465,28 @@ def test_every_schema_key_and_public_function_is_used():
               if not any(m == mod and name == fn.name
                          and not fn.lineno <= line <= fn.end_lineno
                          for m, name, line in used)]
+    assert unused == []
+
+
+def test_module_level_imports_are_used():
+    # names in __all__ or on a "# noqa" line are re-exports, read elsewhere
+    unused = []
+    for path in sorted((ROOT / "src" / "wavemix").glob("*.py")):
+        text = path.read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "__all__" for t in node.targets):
+                read |= set(ast.literal_eval(node.value))
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    or getattr(node, "module", None) == "__future__":
+                continue
+            for a in node.names:
+                name = a.asname or a.name.split(".")[0]
+                if name not in read and "# noqa" not in lines[a.lineno - 1]:
+                    unused.append(f"{path.stem}: {name}")
     assert unused == []

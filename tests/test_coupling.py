@@ -1,16 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from wavemix.coupling import (
+    MaximalCoupling,
     couple_fp,
     couple_fp_batch,
     fp_contraction_test,
     fp_intermediate,
-    girsanov_drift,
     girsanov_tv_experiment,
-    maximal_coupling_discrete,
     mixing_rate,
     tv_bound,
     tv_estimate_likelihood,
@@ -149,16 +149,32 @@ def test_girsanov_zero_cases(basis, noise):
     cfg = make_cfg(basis, horizon=1.0)
     nl = Nonlinearity.klein_gordon(1.0)
     z = smooth_state(basis, 0.4, 10, cfg.alpha)
-    drive = simulate(cfg, nl, noise, z)
     # u == v: zero drift, zero energy
-    rec = girsanov_drift(drive, z, n_feedback=4)
+    rec = couple_fp(cfg, nl, noise, z, z, n_feedback=4).girsanov
     assert rec.total_novikov == 0.0
     assert np.all(rec.drift == 0)
     # N = 0: zero drift regardless of the trajectories
     zp = smooth_state(basis, 0.4, 11, cfg.alpha)
-    rec0 = girsanov_drift(drive, zp, n_feedback=0)
+    rec0 = couple_fp(cfg, nl, noise, z, zp, n_feedback=0).girsanov
     assert rec0.total_novikov == 0.0
     assert rec0.log_lr[-1] == 0.0
+
+
+def test_batch_path_zero_matches_single_run(basis, noise):
+    # path 0 of a batch draws from the same stream as the single coupled run
+    cfg = make_cfg(basis, horizon=1.0)
+    nl = Nonlinearity.klein_gordon(1.0)
+    z = smooth_state(basis, 0.4, 19, cfg.alpha)
+    zp = smooth_state(basis, 0.4, 20, cfg.alpha)
+    pair = couple_fp(cfg, nl, noise, z, zp, n_feedback=4)
+    batch = couple_fp_batch(cfg, nl, noise, z, zp, n_feedback=4, n_traj=3)
+    rec = pair.girsanov
+    assert rec.log_lr[-1] != 0.0
+    # einsum reduction order changes with the batch size
+    assert batch.log_lr[0] == pytest.approx(rec.log_lr[-1], rel=1e-12)
+    assert batch.h_energy[0] == pytest.approx(rec.h_energy[-1], rel=1e-12)
+    assert batch.novikov_energy[0] == pytest.approx(rec.total_novikov, rel=1e-12)
+    np.testing.assert_array_equal(batch.diff_vu[0], pair.diff_vu)
 
 
 def test_likelihood_ratio_is_unit_mean(basis, noise):
@@ -177,17 +193,13 @@ def test_tv_bound_monotone_and_zero(basis, noise):
     cfg = make_cfg(basis, horizon=1.0)
     nl = Nonlinearity.klein_gordon(1.0)
     z = smooth_state(basis, 0.3, 13, cfg.alpha)
-    drive = simulate(cfg, nl, noise, z)
-    rec = girsanov_drift(drive, z, n_feedback=4)
+    batch = couple_fp_batch(cfg, nl, noise, z, z, n_feedback=4, n_traj=1)
     b_eff = np.sqrt(cfg.eps) * noise.coeffs
-    assert tv_bound([rec], b_eff, 4).value == 0.0
-    # monotonicity in the Novikov energy: synthetic records
-    import copy
-    r_small = copy.deepcopy(rec)
-    r_small.h_energy = rec.h_energy + 1e-3
-    r_big = copy.deepcopy(rec)
-    r_big.h_energy = rec.h_energy + 4e-3
-    assert tv_bound([r_big], b_eff, 4).value >= tv_bound([r_small], b_eff, 4).value
+    assert tv_bound(batch, b_eff, 4).value == 0.0
+    # monotonicity in the Novikov energy: synthetic batches
+    small = dataclasses.replace(batch, h_energy=batch.h_energy + 1e-3)
+    big = dataclasses.replace(batch, h_energy=batch.h_energy + 4e-3)
+    assert tv_bound(big, b_eff, 4).value >= tv_bound(small, b_eff, 4).value
 
 
 def test_tv_estimate_in_unit_interval_and_zero_at_equal_points(basis, noise):
@@ -240,17 +252,17 @@ def test_nonfinite_coupled_state_raises(basis, noise):
 
 def test_maximal_coupling_exact_cases():
     rng = np.random.default_rng(0)
-    eq = maximal_coupling_discrete([0.3, 0.7], [0.3, 0.7])
+    eq = MaximalCoupling([0.3, 0.7], [0.3, 0.7])
     x, y = eq.sample(rng, 500)
     assert np.all(x == y)
     assert eq.tv == 0.0
 
-    disjoint = maximal_coupling_discrete([1.0, 0.0], [0.0, 1.0])
+    disjoint = MaximalCoupling([1.0, 0.0], [0.0, 1.0])
     x, y = disjoint.sample(rng, 500)
     assert np.all(x != y)
     assert disjoint.tv == 1.0
 
-    mid = maximal_coupling_discrete([0.5, 0.5], [0.75, 0.25])
+    mid = MaximalCoupling([0.5, 0.5], [0.75, 0.25])
     assert mid.tv == pytest.approx(0.25)
 
 
@@ -258,7 +270,7 @@ def test_maximal_coupling_statistics():
     rng = np.random.default_rng(1)
     p = np.array([0.5, 0.3, 0.2])
     q = np.array([0.2, 0.2, 0.6])
-    mc = maximal_coupling_discrete(p, q)
+    mc = MaximalCoupling(p, q)
     n = 40000
     x, y = mc.sample(rng, n)
     # disagreement frequency estimates TV at the CLT rate
@@ -311,10 +323,8 @@ def test_tv_estimate_reindexing_invariance(basis, noise):
     zp = PhaseState.from_coeffs(basis, *(z.as_array() + 0.05 * d), cfg.alpha)
     batch = couple_fp_batch(cfg, nl, noise, z, zp, n_feedback=4, n_traj=64)
     base = tv_estimate_likelihood(batch)
-    records = [type("R", (), {"log_lr": np.array([v])})() for v in batch.log_lr]
-    rng = np.random.default_rng(0)
-    rng.shuffle(records)
-    shuffled = tv_estimate_likelihood(records)
+    perm = np.random.default_rng(0).permutation(batch.log_lr.size)
+    shuffled = tv_estimate_likelihood(dataclasses.replace(batch, log_lr=batch.log_lr[perm]))
     assert shuffled.value == pytest.approx(base.value, rel=1e-12)
 
 
