@@ -411,21 +411,14 @@ def _cmd_simulate(cfg: RunConfig, out: _RunDir, threads: int) -> int:
 
 def _cmd_energy_audit(cfg: RunConfig, out: _RunDir, threads: int) -> int:
     basis, nl, noise, sim = _wave(cfg)
-    y0 = _start(cfg, sim, 1)
-    if cfg["noise"]["eps"] == 0:
-        audit = nlw.energy_audit(nlw.simulate(sim, nl, noise, y0))
-    else:
-        n_traj = cfg["experiment"]["n_traj"]
-        res = nlw.run_flow(sim, nl, noise, y0, n_traj=n_traj,
-                           probes={"energy": nlw.make_energy_fn(basis, nl, sim.alpha)},
-                           integrands={"normH2": lambda s: phase_norm_sq_arr(
-                               s, basis.eigenvalues, sim.alpha)},
-                           threads=threads)
-        trajs = [nlw.Trajectory(res.t, np.zeros((res.t.size, 2, basis.mode_count)),
-                                res.probes["energy"][i], sim, nl, noise, y0,
-                                {"normH2": res.integrals["normH2"][i]})
-                 for i in range(res.probes["energy"].shape[0])]
-        audit = nlw.energy_audit(trajs)
+    # without noise every path is the same: one path is the pathwise audit
+    res = nlw.run_flow(sim, nl, noise, _start(cfg, sim, 1),
+                       n_traj=1 if cfg["noise"]["eps"] == 0 else cfg["experiment"]["n_traj"],
+                       probes={"energy": nlw.make_energy_fn(basis, nl, sim.alpha)},
+                       integrands={"normH2": lambda s: phase_norm_sq_arr(
+                           s, basis.eigenvalues, sim.alpha)},
+                       threads=threads)
+    audit = nlw.energy_audit(res.t, res.probes["energy"], res.integrals["normH2"], sim.alpha)
     out.write_csv("energy.csv", ["t", "E"],
                   [[audit.t[i], audit.series[i]] for i in range(audit.t.size)])
     slope_ok = audit.decay is not None and (cfg["noise"]["eps"] > 0
@@ -779,7 +772,7 @@ def _cmd_selftest(cfg: RunConfig, out: _RunDir, threads: int) -> int:
         abs(cubic.potential(1.0) - 5.0 / 12.0) < 1e-12
         and abs(cubic.potential(3.0) + 9.0 / 4.0) < 1e-12)
     results["cubic_rate"] = bool(
-        abs(rates.gradient_rate_oracle(cubic.potential, 0.0) - 4.5) < 1e-6)
+        abs(rates.gradient_rate_oracle(cubic, 0.0) - 4.5) < 1e-6)
     results["zero_action"] = rates.action_value(
         np.linspace(0, 1, 11), np.zeros(11)) == 0.0
 

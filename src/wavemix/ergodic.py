@@ -234,11 +234,17 @@ class FiniteChain:
         self.n = n
 
     def is_irreducible(self) -> bool:
-        from scipy.sparse.csgraph import connected_components
-        support = (self.G > 0).astype(int)
-        np.fill_diagonal(support, 1)
-        ncomp, _ = connected_components(support, directed=True, connection="strong")
-        return ncomp == 1
+        """Breadth-first searches from state 0 along the generator's support
+        and against it: strongly connected when both reach every state."""
+        support = self.G > 0
+        for adj in (support, support.T):
+            seen = frontier = np.arange(self.n) == 0
+            while frontier.any():
+                frontier = adj[frontier].any(axis=0) & ~seen
+                seen = seen | frontier
+            if not seen.all():
+                return False
+        return True
 
     def stationary(self) -> np.ndarray:
         w, vl = np.linalg.eig(self.G.T)

@@ -726,19 +726,15 @@ class EnergyAudit:
         return -self.decay.slope if self.decay is not None else math.nan
 
 
-def energy_audit(traj: Trajectory | Sequence[Trajectory], nl: Nonlinearity | None = None,
-                 alpha: float | None = None) -> EnergyAudit:
-    """Audit pathwise (single trajectory) or in the mean (list of trajectories)."""
-    if isinstance(traj, Trajectory):
-        t = traj.t
-        series = traj.energy
-        alpha = traj.cfg.alpha if alpha is None else alpha
-        int_norm = traj.integrals.get("normH2")
-    else:
-        t = traj[0].t
-        series = np.mean([tr.energy for tr in traj], axis=0)
-        alpha = traj[0].cfg.alpha if alpha is None else alpha
-        int_norm = np.mean([tr.integrals["normH2"] for tr in traj], axis=0)
+def energy_audit(t: np.ndarray, series: np.ndarray, int_norm: np.ndarray,
+                 alpha: float) -> EnergyAudit:
+    """Audit an energy series on the grid ``t`` against E(0) e^{-alpha t} + C.
+
+    ``series`` and ``int_norm``, the running integral of |y|_H^2, hold one
+    path (a pathwise audit) or a leading path axis, averaged over first.
+    """
+    if series.ndim > 1:
+        series, int_norm = np.mean(series, axis=0), np.mean(int_norm, axis=0)
 
     envelope = series[0] * np.exp(-alpha * t)
     c_fit = float(max(np.max(series - envelope), 0.0))
@@ -750,7 +746,7 @@ def energy_audit(traj: Trajectory | Sequence[Trajectory], nl: Nonlinearity | Non
     except ValueError:
         pass
     k_fit = 0.0
-    if int_norm is not None and t.size > 1:
+    if t.size > 1:
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = (series + 0.5 * alpha * int_norm - series[0]) / t
         k_fit = float(np.max(ratios[1:]))

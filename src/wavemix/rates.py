@@ -16,17 +16,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from wavemix import stats
 from wavemix.newton import minimize
-from wavemix.nlw import _NOISE_BLOCK_BYTES, BlowupError, NoiseModel, Nonlinearity, \
-    SimConfig, _strang_drive, linear_ops
+from wavemix.nlw import NoiseModel, Nonlinearity, SimConfig, _strang_drive, linear_ops
 from wavemix.spectral import PhaseState, SpectralBasis, phase_norm_sq_arr
-from wavemix.toys import GradientSDE, gradient_sde_exact_density, simulate_toy, \
-    autocorrelation_time
+from wavemix.toys import GradientSDE, _em_drive, autocorrelation_time, \
+    gradient_sde_exact_density, simulate_toy
 
 
 # --------------------------------------------------------------------------
@@ -205,19 +204,16 @@ def find_equilibria(basis: SpectralBasis, nl: Nonlinearity, gamma: float,
 # Gradient-case oracles
 
 
-def gradient_rate_oracle(potential: Callable, u, search_range=(-10.0, 10.0),
-                         n_starts: int = 16) -> float:
-    """Rate value 2 (A(u) - inf A) with the infimum located by multistart."""
-    from scipy import optimize
-    lo, hi = search_range
-    starts = np.linspace(lo, hi, n_starts)
-    best = math.inf
-    for s in starts:
-        res = optimize.minimize(lambda x: float(potential(x[0])), np.array([s]),
-                                method="Nelder-Mead",
-                                options={"xatol": 1e-10, "fatol": 1e-12})
-        best = min(best, float(res.fun))
-    return 2.0 * (float(potential(u)) - best)
+def gradient_rate_oracle(model: GradientSDE, u: float) -> float:
+    """Rate value 2 (A(u) - min A) of a gradient toy.  The polynomial A is
+    bounded below when constant or of even degree with a positive lead; its
+    minimum then lies at a real root of its derivative, the drift."""
+    b = np.trim_zeros(np.asarray(model.drift_coeffs, float), "b")
+    if b.size % 2 == 1 or (b.size and b[-1] < 0):
+        raise ValueError("the potential is not bounded below")
+    # a constant A has no root to evaluate; A(u) is then its minimum
+    low = np.min(model.potential(model.equilibria()[0]), initial=model.potential(u))
+    return 2.0 * float(model.potential(u) - low)
 
 
 def toy_quasipotential_oracle(model: GradientSDE, a: float, b: float) -> float:
@@ -771,8 +767,8 @@ class BoundaryChainConfig:
     The theory fixes only the ordering; at finite noise the prefactors shift
     the measured exponents, so the defaults come from a sweep of
     ``boundary_chain`` over a ladder of radii at the desk scale eps ~ 0.1.
-    ``max_transitions`` is checked between noise blocks, so a run may end a
-    block past it.
+    ``max_transitions`` is checked between noise chunks, so a run may end a
+    chunk past it.
     """
 
     rho1p: float = 0.15
@@ -807,13 +803,12 @@ def boundary_chain(model: GradientSDE, bc: BoundaryChainConfig, eps: float,
     The chain lives on the inner shells around the stable equilibria: each
     step exits the outer rho0-neighborhood and records which rho1-shell the
     path hits next.  eps log P-hat is compared to the avoid-others
-    quasipotentials between the nodes.  Replica ``r`` draws from stream
-    ``SeedSequence(entropy=seed, spawn_key=(r,))`` in chunks of at most
-    20 000 steps, fewer when the chunk's noise block would exceed
-    ``_NOISE_BLOCK_BYTES`` (the cap ``simulate_toy`` shares); the block holds
-    the path once integrated, so the chain needs no second copy.  A nonfinite
-    state raises ``BlowupError`` naming its earliest step and, within it, the
-    lowest replica.
+    quasipotentials between the nodes.  Each replica is its own noise lane:
+    replica ``r`` draws from stream ``SeedSequence(entropy=seed,
+    spawn_key=(r,))``.  ``toys._em_drive`` runs the steps and hands each
+    chunk of paths to the first-passage scan, so the chain keeps no second
+    copy of them; a nonfinite state raises ``BlowupError`` naming its
+    earliest step and, within it, the lowest replica.
     """
     pts, stable = model.equilibria()
     nodes = pts[stable]
@@ -836,35 +831,14 @@ def boundary_chain(model: GradientSDE, bc: BoundaryChainConfig, eps: float,
         for r in range(n_replicas)]
     # replicas start spread over the nodes so every source row fills evenly
     resident = np.arange(n_replicas) % n
-    u = nodes[resident].astype(float)
     waiting_exit = np.ones(n_replicas, bool)
-    n_steps = int(horizon_per_replica / dt)
-    chunk = max(min(20000, n_steps, _NOISE_BLOCK_BYTES // (8 * max(n_replicas, 1))), 1)
-    root_eps_dt = math.sqrt(eps * dt)
-    # one (replica, step) block: a replica's noise row, overwritten step by
-    # step with its path once the step has used it
-    block = np.empty((n_replicas, chunk))
-    done = 0
-    while done < n_steps and counts.sum() < bc.max_transitions:
-        k = min(chunk, n_steps - done)
-        path = block[:, :k]
-        for rng, row in zip(rngs, path):
-            rng.standard_normal(out=row)
-        path *= root_eps_dt
-        for s in range(k):
-            col = path[:, s]
-            np.add(u - model.drift(u) * dt, col, out=col)
-            u = col
-        bad = ~np.isfinite(path)
-        if bad.any():
-            step = int(bad.any(axis=0).argmax())
-            replica = int(bad[:, step].argmax())
-            raise BlowupError(f"nonfinite toy state at t={(done + step + 1) * dt:.4g} "
-                              f"(replica {replica}); decrease dt")
-        u = u.copy()  # the next chunk's draws overwrite the block
-        _first_passages(path.T, nodes, bc.rho0, bc.rho1, resident,
-                        waiting_exit, counts)
-        done += k
+
+    def on_chunk(done, path):
+        _first_passages(path, nodes, bc.rho0, bc.rho1, resident, waiting_exit, counts)
+        return counts.sum() >= bc.max_transitions
+
+    _em_drive(model, nodes[resident].astype(float), eps, dt,
+              int(horizon_per_replica / dt), rngs, on_chunk)
 
     totals = counts.sum(axis=1, keepdims=True)
     with np.errstate(invalid="ignore", divide="ignore"):

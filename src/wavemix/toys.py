@@ -14,8 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wavemix.nlw import _NOISE_BLOCK_BYTES, BlowupError
+from wavemix.nlw import BlowupError
 from wavemix.stats import record_steps
+
+# Noise bytes per toy chunk; nlw's larger cap serves the 2D wave kick's
+# temporaries (glibc's mmap threshold), which the toys never build.
+_NOISE_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -216,13 +220,11 @@ def simulate_toy(model, eps: float | None, dt: float, horizon: float, seed: int,
 
     Returns (times, paths, integrals) where paths has shape (n_traj, n_rec)
     and integrals is the running trapezoid integral of ``integrand(u)`` when
-    one is supplied.  The noise is drawn from the stream
-    ``SeedSequence(entropy=seed, spawn_key=stream)``, so callers that run
-    several estimates from one seed give each its own ``stream``.  A
-    nonfinite path raises ``BlowupError`` at the end of the chunk it appears
-    in: 4096 steps, fewer when the chunk's noise block would exceed
-    ``_NOISE_BLOCK_BYTES`` (the cap ``rates.boundary_chain`` shares).  One
-    block is allocated, refilled and scaled in place for every chunk.
+    one is supplied.  The noise is one lane of width ``n_traj``, drawn
+    step-major from the stream ``SeedSequence(entropy=seed, spawn_key=stream)``,
+    so callers that run several estimates from one seed give each its own
+    ``stream``.  ``_em_drive`` runs the steps; a nonfinite path raises
+    ``BlowupError`` naming its earliest step and the lowest such path.
     """
     if eps is None:
         if not isinstance(model, OrnsteinUhlenbeck):
@@ -234,43 +236,71 @@ def simulate_toy(model, eps: float | None, dt: float, horizon: float, seed: int,
 
     rng = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=seed, spawn_key=stream)))
-    if u0 is None:
-        u = np.zeros(n_traj)
-    else:
-        u = np.broadcast_to(np.asarray(u0, float), (n_traj,)).copy()
+    u = np.broadcast_to(np.asarray(0.0 if u0 is None else u0, float), (n_traj,)).copy()
     out = np.empty((n_traj, len(rec)))
     out[:, 0] = u
     acc = np.zeros(n_traj)
     prev = integrand(u) if integrand is not None else None
-    out_int = np.empty((n_traj, len(rec))) if integrand is not None else None
-    if out_int is not None:
-        out_int[:, 0] = 0.0
-    root_eps_dt = math.sqrt(eps * dt)
-    chunk = max(min(4096, n_steps, _NOISE_BLOCK_BYTES // (8 * max(n_traj, 1))), 1)
-    block = np.empty((chunk, n_traj))
-    step = 0
-    while step < n_steps:
-        k = min(chunk, n_steps - step)
-        xi = block[:k]
-        rng.standard_normal(out=xi)
-        xi *= root_eps_dt
-        for s in range(k):
-            u = u - model.drift(u) * dt + xi[s]
+    out_int = np.zeros((n_traj, len(rec))) if integrand is not None else None
+
+    def on_chunk(done, path):
+        nonlocal acc, prev
+        for step, u in enumerate(path, done + 1):
             if integrand is not None:
                 cur = integrand(u)
                 acc += 0.5 * dt * (prev + cur)
                 prev = cur
-            idx = rec.get(step + s + 1)
-            if idx is not None:
-                out[:, idx] = u
-                if out_int is not None:
-                    out_int[:, idx] = acc
-        step += k
-        if not np.isfinite(u).all():
-            bad = np.flatnonzero(~np.isfinite(u))[:4]
-            raise BlowupError(f"nonfinite toy state near t={step * dt:.4g} "
-                              f"(paths {bad}); decrease dt")
+            if step in rec:
+                out[:, rec[step]] = u
+                if integrand is not None:
+                    out_int[:, rec[step]] = acc
+        if integrand is not None:
+            prev = np.array(prev)  # it may view the block the next chunk overwrites
+
+    _em_drive(model, u, eps, dt, n_steps, [rng], on_chunk)
     return t, out, out_int
+
+
+def _em_drive(model, u, eps, dt, n_steps, rngs, on_chunk):
+    """Euler-Maruyama steps of du = -b(u) dt + sqrt(eps) dW, in noise chunks.
+
+    The paths ``u`` form ``len(rngs)`` lanes, one of every path or one per
+    path; lane ``l`` draws its noise step-major from ``rngs[l]``.  A chunk's
+    noise, at most ``_NOISE_BLOCK_BYTES``, fills one block, is scaled once and
+    is overwritten step by step with the states; the drift runs once per step
+    on all paths.  A nonfinite state raises ``BlowupError`` naming its
+    earliest step and, within it, the lowest path.  Otherwise ``on_chunk(done,
+    path)`` gets the steps done before the chunk and its (steps, paths)
+    states, valid until the next draw; a true return ends the run.
+    """
+    n_paths = u.size
+    if n_paths == 0:  # nothing to draw, step or hand on
+        return
+    chunk = max(min(n_steps, _NOISE_BLOCK_BYTES // (8 * n_paths)), 1)
+    block = np.empty((len(rngs), chunk, n_paths // len(rngs)))
+    root_eps_dt = math.sqrt(eps * dt)
+    done = 0
+    while done < n_steps:
+        k = min(chunk, n_steps - done)
+        lanes = block[:, :k]
+        for rng, lane in zip(rngs, lanes):
+            rng.standard_normal(out=lane)
+        lanes *= root_eps_dt
+        # (steps, paths): a view of the block when one lane or unit-width lanes
+        path = lanes.transpose(1, 0, 2).reshape(k, n_paths)
+        for row in path:
+            np.add(u - model.drift(u) * dt, row, out=row)
+            u = row
+        # the Euler step keeps a nonfinite state nonfinite: the last row decides
+        if not np.isfinite(u).all():
+            bad = ~np.isfinite(path)
+            step = int(bad.any(axis=1).argmax())
+            raise BlowupError(f"nonfinite toy state at t={(done + step + 1) * dt:.4g} "
+                              f"(path {int(bad[step].argmax())}); decrease dt")
+        u = u.copy()  # the next chunk's draws overwrite the block
+        if on_chunk(done, path):
+            return
+        done += k
 
 
 def autocorrelation_time(path: np.ndarray, dt: float, max_lag: int = 2000) -> float:

@@ -163,7 +163,11 @@ def test_import_leaves_heavy_libraries_unloaded(tmp_path):
                  # the toy quasipotential solves by banded Newton without SciPy
                  ("quasipotential", "--set", "model.kind=cubic"),
                  ("fw-graph", "--set", "model.kind=cubic",
-                  "--set", "experiment.use_solver=true")):
+                  "--set", "experiment.use_solver=true"),
+                 # chain irreducibility by breadth-first search, the rate
+                 # oracle at the drift's roots
+                 ("pressure", "--set", "model.kind=chain2"),
+                 ("selftest",)):
         assert run(*argv)[1] == "[]", argv
     # the wave solver still finds scipy.optimize when a run first needs it
     exit_code, loaded = run("quasipotential", "--set", "model.modes=4")

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wavemix.ergodic import (
     FiniteChain,
@@ -166,6 +167,18 @@ def test_reducible_chain_rejected():
     chain = FiniteChain(G, np.zeros(2))
     with pytest.raises(ValueError):
         fk_eigen_exact(chain)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.integers(1, 8), density=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_irreducibility_matches_scipy_strong_components(n, density, seed):
+    from scipy.sparse.csgraph import connected_components
+    rng = np.random.default_rng(seed)
+    rates = np.where(rng.random((n, n)) < density, rng.uniform(0.1, 2.0, (n, n)), 0.0)
+    np.fill_diagonal(rates, 0.0)
+    G = rates - np.diag(rates.sum(axis=1))
+    ncomp, _ = connected_components(G > 0, directed=True, connection="strong")
+    assert FiniteChain(G, np.zeros(n)).is_irreducible() == (ncomp == 1)
 
 
 def test_invalid_generator_rejected():

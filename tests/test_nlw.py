@@ -358,7 +358,7 @@ def test_energy_audit_free_wave(basis16, noise16):
     nl = Nonlinearity.zero()
     y = smooth_state(basis16, alpha=cfg.alpha)
     traj = simulate(cfg, nl, noise16, y)
-    audit = energy_audit(traj)
+    audit = energy_audit(traj.t, traj.energy, traj.integrals["normH2"], cfg.alpha)
     # noiseless free wave: fitted decay rate at least alpha within 10%
     assert audit.decay_rate >= 0.9 * cfg.alpha
     assert audit.c_fit <= 1e-8 * traj.energy[0] + 1e-12

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import wavemix.rates as rates_module
-from wavemix import newton
+from wavemix import newton, toys
 from wavemix.nlw import BlowupError, NoiseModel, Nonlinearity
 from wavemix.rates import (
     BoundaryChainConfig,
@@ -80,10 +80,20 @@ def test_action_grid_refinement_invariance():
 
 def test_gradient_rate_oracle_cubic():
     cubic = builtin_cubic()
-    assert gradient_rate_oracle(cubic.potential, 3.0) == pytest.approx(0.0, abs=1e-9)
-    assert gradient_rate_oracle(cubic.potential, 0.0) == pytest.approx(4.5, rel=1e-9)
-    assert gradient_rate_oracle(cubic.potential, 1.0) == pytest.approx(
+    assert gradient_rate_oracle(cubic, 3.0) == pytest.approx(0.0, abs=1e-9)
+    assert gradient_rate_oracle(cubic, 0.0) == pytest.approx(4.5, rel=1e-9)
+    assert gradient_rate_oracle(cubic, 1.0) == pytest.approx(
         2 * (5.0 / 12.0 + 9.0 / 4.0), rel=1e-9)
+
+
+def test_gradient_rate_oracle_needs_bounded_potential():
+    # A = -u^2/2 and A = u^3/3 + u have no minimum; a zero drift is flat
+    for coeffs in [(0.0, -1.0), (1.0, 0.0, 1.0), (0.0, 1.0, 0.0, -2.0, 0.0)]:
+        with pytest.raises(ValueError, match="not bounded below"):
+            gradient_rate_oracle(GradientSDE(coeffs), 0.0)
+    assert gradient_rate_oracle(GradientSDE((0.0, 0.0)), 1.5) == 0.0
+    # the OU potential u^2/2 with a trailing zero coefficient
+    assert gradient_rate_oracle(GradientSDE((0.0, 1.0, 0.0)), 2.0) == pytest.approx(4.0)
 
 
 def test_toy_quasipotential_oracle_values():
@@ -336,7 +346,7 @@ def test_fw_rate_cubic():
     q0 = fw_rate(net, node=0)
     assert q0.value == pytest.approx(4.5, rel=1e-6)
     # cross-oracle: the gradient formula gives the same value
-    assert gradient_rate_oracle(cubic.potential, 0.0) == pytest.approx(q0.value, rel=1e-6)
+    assert gradient_rate_oracle(cubic, 0.0) == pytest.approx(q0.value, rel=1e-6)
 
 
 def test_fw_rate_arbitrary_point():
@@ -346,7 +356,7 @@ def test_fw_rate_arbitrary_point():
     stable_pts = [p for p, s in zip(net.points, net.stable) if s]
     v_vec = [toy_quasipotential_oracle(cubic, p, u) for p in stable_pts]
     q = fw_rate(net, v_to_point=v_vec)
-    assert q.value == pytest.approx(gradient_rate_oracle(cubic.potential, u), rel=1e-6)
+    assert q.value == pytest.approx(gradient_rate_oracle(cubic, u), rel=1e-6)
     assert q.value >= 0
 
 
@@ -358,7 +368,7 @@ def test_fw_rate_random_points_match_gradient_oracle():
     for u in rng.uniform(-0.5, 3.5, 20):
         v_vec = [toy_quasipotential_oracle(cubic, p, u) for p in stable_pts]
         q = fw_rate(net, v_to_point=v_vec)
-        assert q.value == pytest.approx(gradient_rate_oracle(cubic.potential, u),
+        assert q.value == pytest.approx(gradient_rate_oracle(cubic, u),
                                         rel=0.05, abs=1e-6)
 
 
@@ -564,7 +574,7 @@ def test_boundary_chain_golden_counts_three_wells():
 def test_boundary_chain_blowup_raises():
     # explicit Euler at dt = 0.5 is unstable for the cubic drift; the report
     # names the earliest nonfinite step and, within it, the lowest replica
-    for seed, where in [(0, r"t=10 \(replica 0\)"), (1, r"t=5 \(replica 2\)")]:
+    for seed, where in [(0, r"t=10 \(path 0\);"), (1, r"t=5 \(path 2\);")]:
         with np.errstate(all="ignore"), \
                 pytest.raises(BlowupError, match="nonfinite toy state at " + where):
             boundary_chain(builtin_doublewell(), BoundaryChainConfig(), eps=1.0,
@@ -587,7 +597,7 @@ def test_boundary_chain_noise_block_cap_keeps_counts_bitwise(monkeypatch):
         chunks.append(path.shape[0])
         mid_transition.append(not waiting_exit.all())
 
-    monkeypatch.setattr(rates_module, "_NOISE_BLOCK_BYTES", 8 * 4 * 777)
+    monkeypatch.setattr(toys, "_NOISE_BLOCK_BYTES", 8 * 4 * 777)
     monkeypatch.setattr(rates_module, "_first_passages", recorded)
     capped = run()
     assert chunks == [777] * 12 + [10000 - 12 * 777]
@@ -595,6 +605,68 @@ def test_boundary_chain_noise_block_cap_keeps_counts_bitwise(monkeypatch):
     assert full.counts.sum() > 0
     np.testing.assert_array_equal(capped.counts, full.counts)
     np.testing.assert_array_equal(capped.probabilities, full.probabilities)
+
+
+def _chain_counts_before_driver(model, bc, eps, seed, n_replicas, horizon_per_replica, dt):
+    """The counts of ``boundary_chain`` as it was before the shared driver,
+    verbatim: (replica, step) blocks of at most 20 000 steps under a 4 MiB cap."""
+    pts, stable = model.equilibria()
+    nodes = pts[stable]
+    n = nodes.size
+    counts = np.zeros((n, n), int)
+    rngs = [np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(entropy=seed, spawn_key=(r,))))
+        for r in range(n_replicas)]
+    # replicas start spread over the nodes so every source row fills evenly
+    resident = np.arange(n_replicas) % n
+    u = nodes[resident].astype(float)
+    waiting_exit = np.ones(n_replicas, bool)
+    n_steps = int(horizon_per_replica / dt)
+    chunk = max(min(20000, n_steps, (4 << 20) // (8 * max(n_replicas, 1))), 1)
+    root_eps_dt = math.sqrt(eps * dt)
+    # one (replica, step) block: a replica's noise row, overwritten step by
+    # step with its path once the step has used it
+    block = np.empty((n_replicas, chunk))
+    done = 0
+    while done < n_steps and counts.sum() < bc.max_transitions:
+        k = min(chunk, n_steps - done)
+        path = block[:, :k]
+        for rng, row in zip(rngs, path):
+            rng.standard_normal(out=row)
+        path *= root_eps_dt
+        for s in range(k):
+            col = path[:, s]
+            np.add(u - model.drift(u) * dt, col, out=col)
+            u = col
+        bad = ~np.isfinite(path)
+        if bad.any():
+            step = int(bad.any(axis=0).argmax())
+            replica = int(bad[:, step].argmax())
+            raise BlowupError(f"nonfinite toy state at t={(done + step + 1) * dt:.4g} "
+                              f"(replica {replica}); decrease dt")
+        u = u.copy()  # the next chunk's draws overwrite the block
+        _first_passages(path.T, nodes, bc.rho0, bc.rho1, resident,
+                        waiting_exit, counts)
+        done += k
+    return counts
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(three_wells=st.booleans(), n_replicas=st.integers(0, 5),
+       n_steps=st.integers(1, 1500), cap_steps=st.integers(1, 400),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_boundary_chain_matches_loop_before_driver_bitwise(three_wells, n_replicas, n_steps,
+                                                           cap_steps, seed):
+    model = (GradientSDE((0.0, 24.0, -50.0, 35.0, -10.0, 1.0)) if three_wells
+             else builtin_doublewell())
+    bc, eps, dt = BoundaryChainConfig(), 1.5, 0.01
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(toys, "_NOISE_BLOCK_BYTES", 8 * n_replicas * cap_steps)
+        rep = boundary_chain(model, bc, eps, seed=seed, n_replicas=n_replicas,
+                             horizon_per_replica=n_steps * dt + dt / 2, dt=dt)
+    want = _chain_counts_before_driver(model, bc, eps, seed, n_replicas,
+                                       n_steps * dt + dt / 2, dt)
+    np.testing.assert_array_equal(rep.counts, want)
 
 
 def _scan_reference(path, nodes, rho0, rho1, resident, waiting_exit, counts):

@@ -7,6 +7,8 @@ from scipy.special import erf
 
 from wavemix import toys
 from wavemix.nlw import BlowupError
+from wavemix.rates import BoundaryChainConfig, boundary_chain
+from wavemix.stats import record_steps
 from wavemix.toys import (
     GradientSDE,
     OrnsteinUhlenbeck,
@@ -121,23 +123,42 @@ def test_toy_deterministic_at_equilibrium():
     assert np.max(np.abs(paths - 3.0)) < 1e-9
 
 
-def test_nan_start_stops_in_first_chunk():
+def _count_drift(monkeypatch, cls=GradientSDE):
+    """Record the size of every ``cls.drift`` call; returns the record."""
+    sizes, drift = [], cls.drift
+
+    def counted(self, u):
+        sizes.append(np.size(u))
+        return drift(self, u)
+
+    monkeypatch.setattr(cls, "drift", counted)
+    return sizes
+
+
+def test_nan_start_stops_in_first_chunk(monkeypatch):
     calls = []
 
     def integrand(u):
         calls.append(1)
         return u
 
-    with pytest.raises(BlowupError, match=r"nonfinite toy state near t=4\.096 \(paths \[1\]\)"):
-        simulate_toy(builtin_cubic(), 0.1, dt=1e-3, horizon=12.288, seed=0,
+    model = builtin_cubic()
+    monkeypatch.setattr(toys, "_NOISE_BLOCK_BYTES", 8 * 3 * 4096)  # 4096-step chunks
+    drift_sizes = _count_drift(monkeypatch)
+    with pytest.raises(BlowupError, match=r"nonfinite toy state at t=0\.001 \(path 1\);"):
+        simulate_toy(model, 0.1, dt=1e-3, horizon=12.288, seed=0,
                      n_traj=3, u0=np.array([0.0, np.nan, 0.0]), integrand=integrand)
-    # the start value plus one evaluation per step of the first 4096-step chunk
-    assert len(calls) == 1 + 4096
+    # the first 4096-step chunk ran on all paths; its check stopped the run
+    # before its records, so the integrand saw the start value only
+    assert drift_sizes == [3] * 4096
+    assert len(calls) == 1
 
 
 def test_noise_block_cap_keeps_paths_bitwise(monkeypatch):
+    model = builtin_cubic()
+
     def run(u0):
-        return simulate_toy(builtin_cubic(), 0.1, dt=1e-3, horizon=1.0, seed=4,
+        return simulate_toy(model, 0.1, dt=1e-3, horizon=1.0, seed=4,
                             n_traj=5, u0=u0, record_stride=7, integrand=np.square)
 
     full = run(0.5)
@@ -146,8 +167,10 @@ def test_noise_block_cap_keeps_paths_bitwise(monkeypatch):
     for a, b in zip(full, capped):
         assert np.array_equal(a, b)
     # the cap really shortened the chunk: a bad start stops after 100 steps
-    with pytest.raises(BlowupError, match=r"near t=0\.1 "):
+    drift_sizes = _count_drift(monkeypatch)
+    with pytest.raises(BlowupError, match=r"at t=0\.001 \(path 2\);"):
         run(np.array([0.0, 0.0, np.nan, 0.0, 0.0]))
+    assert drift_sizes == [5] * 100
 
 
 def test_block_scaled_noise_matches_per_step_scaling(monkeypatch):
@@ -177,6 +200,97 @@ def test_block_scaled_noise_matches_per_step_scaling(monkeypatch):
     assert np.array_equal(t, np.array(list(range(0, n_steps, stride)) + [n_steps]) * dt)
     assert np.array_equal(paths, np.array(want_paths).T)
     assert np.array_equal(ints, np.array(want_ints).T)
+
+
+def test_drift_runs_once_per_step_on_all_paths(monkeypatch):
+    # perfbench counts toy path-steps through the drift, so every engine calls
+    # it once per step on all paths; 64-step chunks leave a last one of 58
+    cubic, dw, ou = builtin_cubic(), builtin_doublewell(), OrnsteinUhlenbeck()
+    monkeypatch.setattr(toys, "_NOISE_BLOCK_BYTES", 8 * 5 * 64)
+    gradient_sizes = _count_drift(monkeypatch, GradientSDE)
+    ou_sizes = _count_drift(monkeypatch, OrnsteinUhlenbeck)
+    simulate_toy(cubic, 0.1, dt=1e-3, horizon=0.25, seed=0, n_traj=5, integrand=np.square)
+    assert gradient_sizes == [5] * 250
+    simulate_toy(ou, None, dt=1e-3, horizon=0.25, seed=0, n_traj=5, record_stride=9)
+    assert ou_sizes == [5] * 250
+    gradient_sizes.clear()
+    boundary_chain(dw, BoundaryChainConfig(), eps=1.0, seed=0, n_replicas=5,
+                   horizon_per_replica=0.25)
+    assert gradient_sizes == [5] * 250
+
+
+def _simulate_toy_before_driver(model, eps, dt, horizon, seed, n_traj=1, u0=None,
+                                record_stride=1, integrand=None, stream=()):
+    """``simulate_toy`` as it was before the shared driver, verbatim: one
+    step-major (chunk, n_traj) block of at most 4096 steps under a 4 MiB cap."""
+    if eps is None:
+        if not isinstance(model, OrnsteinUhlenbeck):
+            raise ValueError("eps is required for gradient toys")
+        eps = model.eps
+    n_steps = max(int(round(horizon / dt)), 1)
+    rec = record_steps(n_steps, record_stride)
+    t = np.array(list(rec)) * dt
+
+    rng = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(entropy=seed, spawn_key=stream)))
+    if u0 is None:
+        u = np.zeros(n_traj)
+    else:
+        u = np.broadcast_to(np.asarray(u0, float), (n_traj,)).copy()
+    out = np.empty((n_traj, len(rec)))
+    out[:, 0] = u
+    acc = np.zeros(n_traj)
+    prev = integrand(u) if integrand is not None else None
+    out_int = np.empty((n_traj, len(rec))) if integrand is not None else None
+    if out_int is not None:
+        out_int[:, 0] = 0.0
+    root_eps_dt = math.sqrt(eps * dt)
+    chunk = max(min(4096, n_steps, (4 << 20) // (8 * max(n_traj, 1))), 1)
+    block = np.empty((chunk, n_traj))
+    step = 0
+    while step < n_steps:
+        k = min(chunk, n_steps - step)
+        xi = block[:k]
+        rng.standard_normal(out=xi)
+        xi *= root_eps_dt
+        for s in range(k):
+            u = u - model.drift(u) * dt + xi[s]
+            if integrand is not None:
+                cur = integrand(u)
+                acc += 0.5 * dt * (prev + cur)
+                prev = cur
+            idx = rec.get(step + s + 1)
+            if idx is not None:
+                out[:, idx] = u
+                if out_int is not None:
+                    out_int[:, idx] = acc
+        step += k
+        if not np.isfinite(u).all():
+            bad = np.flatnonzero(~np.isfinite(u))[:4]
+            raise BlowupError(f"nonfinite toy state near t={step * dt:.4g} "
+                              f"(paths {bad}); decrease dt")
+    return t, out, out_int
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(ou=st.booleans(), n_traj=st.integers(0, 6), n_steps=st.integers(1, 300),
+       stride=st.integers(1, 40), cap_steps=st.integers(1, 64),
+       integrand=st.sampled_from([None, np.square, lambda u: u]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_simulate_toy_matches_loop_before_driver_bitwise(ou, n_traj, n_steps, stride,
+                                                         cap_steps, integrand, seed):
+    # the identity integrand returns a view of the noise block the next chunk
+    # overwrites, so the trapezoid must not read it back
+    model, eps = (OrnsteinUhlenbeck(1.5, 0.8), None) if ou else (builtin_cubic(), 0.4)
+    args = (model, eps, 0.01, n_steps * 0.01, seed)
+    kwargs = dict(n_traj=n_traj, u0=np.linspace(-0.5, 3.5, n_traj), record_stride=stride,
+                  integrand=integrand, stream=(seed % 3,))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(toys, "_NOISE_BLOCK_BYTES", 8 * n_traj * cap_steps)
+        got = simulate_toy(*args, **kwargs)
+    want = _simulate_toy_before_driver(*args, **kwargs)
+    for a, b in zip(got, want):
+        assert (a is None and b is None) or np.array_equal(a, b)
 
 
 def test_ou_stationary_variance():
