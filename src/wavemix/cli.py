@@ -198,10 +198,11 @@ def _assign(values: dict, section: str, key: str, raw: str) -> None:
 def _validate(cfg: RunConfig):
     if cfg["model"]["kind"] not in ("nlw", "cubic", "doublewell", "ou", "chain2"):
         raise ConfigError(f"unknown model kind {cfg['model']['kind']!r}")
-    if cfg["integrator"]["stride"] < 1:
-        raise ConfigError(f"integrator.stride={cfg['integrator']['stride']} must be >= 1")
-    if cfg["integrator"]["horizon"] <= 0:
-        raise ConfigError(f"integrator.horizon={cfg['integrator']['horizon']} must be > 0")
+    for target in ("integrator.stride", "integrator.horizon", "integrator.toy_dt",
+                   "experiment.n_traj", "experiment.replicas"):
+        section, key = target.split(".")
+        if cfg[section][key] <= 0:
+            raise ConfigError(f"{target}={cfg[section][key]} must be > 0")
     if cfg["experiment"]["chain_variant"] not in ("i-graph", "chain"):
         raise ConfigError(f"unknown experiment.chain_variant "
                           f"{cfg['experiment']['chain_variant']!r}")
@@ -430,11 +431,19 @@ def _cmd_energy_audit(cfg: RunConfig, out: _RunDir, threads: int) -> int:
                    {"min_decay_rate": 0.9 * sim.alpha})
 
 
+def _feedback_modes(cfg: RunConfig, basis: SpectralBasis) -> int:
+    """``experiment.n_feedback`` of a command that reads it: a count in [0, M]."""
+    n = cfg["experiment"]["n_feedback"]
+    if not 0 <= n <= basis.mode_count:
+        raise ConfigError(f"experiment.n_feedback={n} outside [0, {basis.mode_count}]")
+    return n
+
+
 def _coupled_series(cfg: RunConfig, out: _RunDir, name: str, wave, z: PhaseState,
                     zp: PhaseState) -> None:
     """Run one coupled triple from (z, z') and write its four-column series."""
     basis, nl, noise, sim = wave
-    pair = cpl.couple_fp(sim, nl, noise, z, zp, cfg["experiment"]["n_feedback"])
+    pair = cpl.couple_fp(sim, nl, noise, z, zp, _feedback_modes(cfg, basis))
     d0_sq = max(float(phase_norm_sq_arr(z.as_array() - zp.as_array(),
                                         basis.eigenvalues, sim.alpha)), 1e-300)
     out.write_csv(name, ["t", "diff_normH", "lowmode_ratio", "novikov_energy"],
@@ -448,8 +457,7 @@ def _cmd_couple_fp(cfg: RunConfig, out: _RunDir, threads: int) -> int:
     z, zp = _start(cfg, sim, 1), _start(cfg, sim, 2)
     _coupled_series(cfg, out, "couple_fp.csv", wave, z, zp)
     rep = cpl.fp_contraction_test(
-        sim, nl, noise, z, zp,
-        n_grid=(2, 4, cfg["experiment"]["n_feedback"], basis.mode_count))
+        sim, nl, noise, z, zp, n_grid=(2, 4, _feedback_modes(cfg, basis), basis.mode_count))
     ok = rep.lowmode_ok and rep.n_star is not None
     return _finish(cfg, out, "pass" if ok else "fail",
                    {"rates": {str(k): v for k, v in rep.rates.items()},
@@ -465,7 +473,7 @@ def _cmd_girsanov_tv(cfg: RunConfig, out: _RunDir, threads: int) -> int:
     d[1, 0] = -sim.alpha / math.sqrt(basis.eigenvalues[0])
     exp = cpl.girsanov_tv_experiment(sim, nl, noise, z, d,
                                      cfg["experiment"]["distances"],
-                                     cfg["experiment"]["n_feedback"],
+                                     _feedback_modes(cfg, basis),
                                      n_traj=cfg["experiment"]["n_traj"])
     rows = [[exp.distances[i], exp.tv_estimates[i].value, exp.tv_estimates[i].stderr,
              exp.bounds[i].value, exp.novikov_median[i]]

@@ -195,7 +195,7 @@ def _run_coupled(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
         def kick(states):
             # -f + h for u, u'; v adds -P_N[f(u) - f(v)]
             nonlocal d_n
-            fcoef = basis.analyze(nl.f(basis.synthesize(states[:, :, 0, :])))
+            fcoef = basis.project(nl.f, states[:, :, 0, :])
             d_n = fcoef[:, 0, :n_feedback] - fcoef[:, 2, :n_feedback]
             acc = -fcoef + h
             acc[:, 2, :n_feedback] -= d_n

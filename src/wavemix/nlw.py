@@ -523,7 +523,7 @@ def make_energy_fn(basis: SpectralBasis, nl: Nonlinearity, alpha: float) -> Call
     lam = basis.eigenvalues
 
     def fn(states: np.ndarray) -> np.ndarray:
-        pot = basis.quadrature(nl.F(basis.synthesize(states[..., 0, :])))
+        pot = basis.integrate(nl.F, states[..., 0, :])
         return phase_norm_sq_arr(states, lam, alpha) + 2.0 * pot
     return fn
 
@@ -532,17 +532,14 @@ def make_kick_fn(basis: SpectralBasis, nl: Nonlinearity, h_coeffs: np.ndarray) -
     """Velocity increment coefficients of -f(u)+h, evaluated pseudo-spectrally."""
 
     def fn(pos_coeffs: np.ndarray) -> np.ndarray:
-        return -basis.analyze(nl.f(basis.synthesize(pos_coeffs))) + h_coeffs
+        return -basis.project(nl.f, pos_coeffs) + h_coeffs
     return fn
 
 
 _CHUNK_STEPS = 256
-# Bytes a chunk's noise block may take: a large batch gets fewer steps per
-# chunk.  Every stream still draws its values in the same order.  The block is
-# also large enough to lift glibc's dynamic mmap and trim thresholds above the
-# 2D kick's temporaries (about 1.7 MB at 64 paths and 144 modes): with a 1 MiB
-# cap those were mapped and unmapped on every step.
-_NOISE_BLOCK_BYTES = 4 << 20
+# Bytes of a chunk's noise block, here and in the toys: a large batch gets fewer
+# steps per chunk, drawn in the same order.  Nothing else depends on this cap.
+_NOISE_BLOCK_BYTES = 1 << 20
 
 
 def _strang_drive(states: np.ndarray, ops: LinearOps, rngs, kick: Callable,

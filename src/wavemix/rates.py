@@ -148,7 +148,7 @@ def find_equilibria(basis: SpectralBasis, nl: Nonlinearity, gamma: float,
     h = np.zeros(m) if h_coeffs is None else np.asarray(h_coeffs, float)
 
     def residual(c):
-        return lam * c + basis.analyze(nl.f(basis.synthesize(c))) - h
+        return lam * c + basis.project(nl.f, c) - h
 
     def stiffness(c):
         # Galerkin linearization diag(lam) + E^T diag(w f'(u)) E at u = E c
@@ -422,7 +422,7 @@ def _nlw_controls(X, lam, gamma, nl, basis, h, dt):
     u_mid = X[1:-1]
     d2 = (X[2:] - 2 * X[1:-1] + X[:-2]) / dt ** 2
     d1 = (X[2:] - X[:-2]) / (2 * dt)
-    fcoef = basis.analyze(nl.f(basis.synthesize(u_mid)))
+    fcoef = basis.project(nl.f, u_mid)
     return d2 + gamma * d1 + lam * u_mid + fcoef - h
 
 
@@ -485,7 +485,7 @@ def stabilization_control(basis: SpectralBasis, nl: Nonlinearity, gamma: float,
         dt = 0.5 / math.sqrt(lam[-1])
     cfg = SimConfig(basis=basis, gamma=gamma, dt=dt, horizon=horizon, seed=0,
                     eps=0.0, alpha=alpha)
-    f_hat = basis.analyze(nl.f(basis.synthesize(u_hat)))
+    f_hat = basis.project(nl.f, u_hat)
     target = np.stack([u_hat, np.zeros(m)])
     n_steps = cfg.n_steps
     t = np.arange(n_steps + 1) * dt
@@ -493,7 +493,7 @@ def stabilization_control(basis: SpectralBasis, nl: Nonlinearity, gamma: float,
     controls = []
 
     def kick(state):
-        fv = basis.analyze(nl.f(basis.synthesize(state[:, 0, :])))
+        fv = basis.project(nl.f, state[:, 0, :])
         phi = np.zeros(m)
         phi[:n_feedback] = (fv[0] - f_hat)[:n_feedback]
         controls.append(phi)

@@ -17,6 +17,8 @@ import numpy as np
 # A factor 4 keeps products up to degree 7 of retained modes alias-free under
 # the trapezoid rule in the sine basis.
 GRID_FACTOR = 4
+# Bytes of grid values in one leading-axis block of the 2D pseudo-spectral map.
+_GRID_BLOCK_BYTES = 256 << 10
 
 
 class BasisMismatchError(ValueError):
@@ -179,6 +181,28 @@ class SpectralBasis:
         """Integral over the domain of grid values (batched on the left)."""
         return values @ self.weights
 
+    def project(self, g, coeffs: np.ndarray) -> np.ndarray:
+        """``analyze(g(synthesize(coeffs)))`` for a pointwise map ``g``."""
+        return self._by_path_block(lambda c: self.analyze(g(self.synthesize(c))),
+                                   coeffs, self.mode_count)
+
+    def integrate(self, G, coeffs: np.ndarray) -> np.ndarray:
+        """``quadrature(G(synthesize(coeffs)))`` for a pointwise map ``G``."""
+        return self.quadrature(self._by_path_block(lambda c: G(self.synthesize(c)),
+                                                   coeffs, self.weights.size))
+
+    def _by_path_block(self, fn, coeffs: np.ndarray, width: int) -> np.ndarray:
+        """``fn(coeffs)``; 2D runs it on leading-axis blocks, which keeps every bit.
+        1D runs whole: blocking its gemm, or a quadrature gemv, would change bits."""
+        lead = np.shape(coeffs)[:-1]
+        rows = max(_GRID_BLOCK_BYTES // (8 * self.weights.size * int(np.prod(lead[1:]))), 1)
+        if self.dim == 1 or not lead or lead[0] <= rows:
+            return fn(coeffs)
+        out = np.empty(lead + (width,))
+        for i in range(0, lead[0], rows):
+            out[i:i + rows] = fn(coeffs[i:i + rows])
+        return out
+
 
 def eigenpairs(basis: SpectralBasis) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and sampled eigenfunctions of the Dirichlet Laplacian."""
@@ -215,9 +239,6 @@ class Field:
         c = np.zeros(basis.mode_count)
         c[mode - 1] = amplitude
         return Field(basis, c, sobolev_exponent)
-
-    def values(self) -> np.ndarray:
-        return self.basis.synthesize(self.coeffs)
 
     def __add__(self, other: "Field") -> "Field":
         _check_same_basis(self.basis, other.basis)
@@ -325,12 +346,10 @@ def evaluate_nonlinearity(f: Field, nl) -> Field:
     pointwise, and the result projected back onto the retained modes.
     """
     func = nl.f if hasattr(nl, "f") else nl
-    vals = func(f.values())
-    return Field(f.basis, f.basis.analyze(vals), f.sobolev_exponent)
+    return Field(f.basis, f.basis.project(func, f.coeffs), f.sobolev_exponent)
 
 
 def energy(y: PhaseState, nl) -> float:
     """Energy functional |y|_H^2 + 2 * integral of F(u1), with F(0) = 0."""
     primitive = nl.F if hasattr(nl, "F") else nl
-    pot = y.basis.quadrature(primitive(y.u1.values()))
-    return float(phase_norm(y) ** 2 + 2.0 * pot)
+    return float(phase_norm(y) ** 2 + 2.0 * y.basis.integrate(primitive, y.u1.coeffs))

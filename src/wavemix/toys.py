@@ -14,12 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wavemix.nlw import BlowupError
+from wavemix.nlw import _NOISE_BLOCK_BYTES, BlowupError
 from wavemix.stats import record_steps
-
-# Noise bytes per toy chunk; nlw's larger cap serves the 2D wave kick's
-# temporaries (glibc's mmap threshold), which the toys never build.
-_NOISE_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)

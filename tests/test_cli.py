@@ -90,6 +90,20 @@ def test_bad_integrator_rejected(command, override, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, override", [
+    (["pressure", "--model", "ou"], "experiment.n_traj=0"),
+    (["pressure", "--model", "ou"], "integrator.toy_dt=0"),
+    (["boundary-chain", "--model", "doublewell"], "experiment.replicas=0"),
+    (["girsanov-tv"], "experiment.n_feedback=-1"),
+    (["couple-fp"], "experiment.n_feedback=33"),  # M = 32
+])
+def test_bad_counts_and_steps_rejected(command, override, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(command + ["--set", override, "--out", str(out)]) == EXIT_CONFIG
+    assert override.split("=")[0] in capsys.readouterr().err
+    assert not (out / "verdict.json").exists()
+
+
 def test_percent_values_never_crash(tmp_path):
     # not a graph variant: rejected before any run instead of failing inside it
     with pytest.raises(ConfigError, match="chain_variant"):

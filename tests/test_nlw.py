@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -729,6 +730,27 @@ def test_noise_block_cap_keeps_paths_bitwise(basis16, noise16, monkeypatch):
     finals.append(run_flow(cfg, nl, noise16, y0, n_traj=n_traj).final_states)
     assert len(chunks) == math.ceil(cfg.n_steps / 3) and sum(chunks) == n_inc
     assert np.array_equal(finals[0], finals[1])
+
+
+def test_2d_kick_and_energy_bound_grid_temporaries():
+    # 64 paths on (0, pi)^2 at M = 144: the grids are built path block by path
+    # block; the energy keeps one (paths, nodes) array for its one quadrature
+    basis = SpectralBasis((PI, PI), 144)
+    nl = Nonlinearity.klein_gordon(1.0)
+    kick = nlw.make_kick_fn(basis, nl, np.zeros(basis.mode_count))
+    energy_fn = make_energy_fn(basis, nl, 0.1)
+    states = 0.1 * np.random.default_rng(3).standard_normal((64, 2, basis.mode_count))
+    grid_bytes = 8 * 64 * basis.weights.size
+    for call, limit in ((lambda: kick(states[:, 0, :]), 1 << 20),
+                        (lambda: energy_fn(states), grid_bytes + (1 << 20))):
+        call()  # the basis builds its tables on first use
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit
 
 
 def test_noiseless_simulate_draws_no_normals(basis16, noise16, monkeypatch):

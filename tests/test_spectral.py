@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wavemix import spectral
 from wavemix.nlw import Nonlinearity
 from wavemix.spectral import (
     BasisMismatchError,
@@ -71,6 +72,29 @@ def test_1d_transforms_stay_dense(basis_pi, lead):
     v = rng.standard_normal(lead + (w.size,))
     assert np.array_equal(basis_pi.synthesize(c), c @ E.T)
     assert np.array_equal(basis_pi.analyze(v), (v * w) @ E)
+
+
+_MAP_BASES = (SpectralBasis((PI,), 32), SpectralBasis((PI, PI), 144),
+              SpectralBasis((1.0, 5.0), 200))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(basis=st.sampled_from(_MAP_BASES), paths=st.integers(1, 24),
+       systems=st.sampled_from([(), (3,)]), block=st.integers(1, 4),
+       nl=st.sampled_from([Nonlinearity.klein_gordon(1.5, 0.3), Nonlinearity.sine_gordon()]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_blocked_map_matches_unblocked_bitwise(basis, paths, systems, block, nl, seed):
+    # a budget of a few paths, and a strided view as the kicks pass it
+    lead = (paths,) + systems
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(lead + (2, basis.mode_count))[..., 0, :]
+    budget = 8 * basis.weights.size * int(np.prod(systems)) * block + 8
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_GRID_BLOCK_BYTES", budget)
+        got_f, got_F = basis.project(nl.f, c), basis.integrate(nl.F, c)
+    assert np.array_equal(got_f, basis.analyze(nl.f(basis.synthesize(c))))
+    assert np.array_equal(got_F, basis.quadrature(nl.F(basis.synthesize(c))))
+    assert got_f.shape == lead + (basis.mode_count,) and got_F.shape == lead
 
 
 def test_1d_synthesize_folds_strided_batch(basis_pi):
