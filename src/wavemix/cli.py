@@ -431,17 +431,18 @@ def _cmd_energy_audit(cfg: RunConfig, out: _RunDir, threads: int) -> int:
                    {"min_decay_rate": 0.9 * sim.alpha})
 
 
-def _feedback_modes(cfg: RunConfig, basis: SpectralBasis) -> int:
-    """``experiment.n_feedback`` of a command that reads it: a count in [0, M]."""
+def _feedback_modes(cfg: RunConfig, basis: SpectralBasis, least: int = 0) -> int:
+    """``experiment.n_feedback`` of a command that reads it: a count in [least, M]."""
     n = cfg["experiment"]["n_feedback"]
-    if not 0 <= n <= basis.mode_count:
-        raise ConfigError(f"experiment.n_feedback={n} outside [0, {basis.mode_count}]")
+    if not least <= n <= basis.mode_count:
+        raise ConfigError(
+            f"experiment.n_feedback={n} outside [{least}, {basis.mode_count}]")
     return n
 
 
 def _coupled_series(cfg: RunConfig, out: _RunDir, name: str, wave, z: PhaseState,
                     zp: PhaseState) -> None:
-    """Run one coupled triple from (z, z') and write its four-column series."""
+    """Run one coupled pair from (z, z') and write its four-column series."""
     basis, nl, noise, sim = wave
     pair = cpl.couple_fp(sim, nl, noise, z, zp, _feedback_modes(cfg, basis))
     d0_sq = max(float(phase_norm_sq_arr(z.as_array() - zp.as_array(),
@@ -467,13 +468,14 @@ def _cmd_couple_fp(cfg: RunConfig, out: _RunDir, threads: int) -> int:
 
 def _cmd_girsanov_tv(cfg: RunConfig, out: _RunDir, threads: int) -> int:
     wave = basis, nl, noise, sim = _wave(cfg)
+    # without feedback v is u' and every likelihood ratio is 1: nothing to fit
+    n_feedback = _feedback_modes(cfg, basis, least=1)
     z = _start(cfg, sim, 1, scale=0.3)
     d = np.zeros((2, basis.mode_count))
     d[0, 0] = 1.0 / math.sqrt(basis.eigenvalues[0])
     d[1, 0] = -sim.alpha / math.sqrt(basis.eigenvalues[0])
     exp = cpl.girsanov_tv_experiment(sim, nl, noise, z, d,
-                                     cfg["experiment"]["distances"],
-                                     _feedback_modes(cfg, basis),
+                                     cfg["experiment"]["distances"], n_feedback,
                                      n_traj=cfg["experiment"]["n_traj"])
     rows = [[exp.distances[i], exp.tv_estimates[i].value, exp.tv_estimates[i].stderr,
              exp.bounds[i].value, exp.novikov_median[i]]

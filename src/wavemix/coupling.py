@@ -1,11 +1,12 @@
 """Intermediate-process coupling, Girsanov likelihood ratios, and mixing rates.
 
-The coupled object simulates three flows on one noise realization: the drive
-u from z, the plain comparison u' from z', and the intermediate v from z'
-whose equation carries the low-mode feedback P_N[f(u) - f(v)].  Feeding the
-feedback through the exact linear half-step expresses v as the plain flow
-driven by a shifted noise, which makes the likelihood ratio between the two
-discrete path laws an exact finite-dimensional Gaussian density ratio.
+The coupled object simulates two flows on one noise realization: the drive u
+from z and the intermediate v from z', whose equation carries the low-mode
+feedback P_N[f(u) - f(v)].  Feeding the feedback through the exact linear
+half-step expresses v as the plain flow from z' driven by a shifted noise, so
+the likelihood ratio between law(v) and the law of the plain flow u' from z'
+is an exact finite-dimensional Gaussian density ratio; u' itself is never
+simulated.
 """
 
 from __future__ import annotations
@@ -21,11 +22,9 @@ from wavemix.nlw import (
     NoiseModel,
     Nonlinearity,
     SimConfig,
-    Trajectory,
     _strang_drive,
     apply_modewise,  # noqa: F401  (re-exported; perfbench checks this binding)
     linear_ops,
-    make_energy_fn,
     trajectory_streams,
 )
 from wavemix.observables import Observable, default_observables
@@ -34,11 +33,11 @@ from wavemix.spectral import PhaseState, phase_norm, phase_norm_sq_arr
 
 @dataclass
 class GirsanovRecord:
-    """Drift of the noise-path transformation taking law(v) to law(u').
+    """Measure change taking law(v) to law(u'), u' the plain flow from z'.
 
-    ``drift`` holds noise-coordinate snapshots a_j(t) = (f(u)-f(v), e_j) /
-    (sqrt(eps) b_j) at step midpoints, and ``novikov_energy`` is the running
-    time-quadrature of |a|^2.
+    ``novikov_energy`` is the running time-quadrature of |a|^2, with the
+    noise-coordinate drift a_j = (f(u)-f(v), e_j) / (sqrt(eps) b_j) at step
+    midpoints.
     ``log_lr`` is the exact log-likelihood ratio between the shifted and plain
     discrete noise laws, and ``h_energy`` is the exact discrete energy of that
     measure change mapped to unweighted mode coordinates.  At this splitting a
@@ -49,7 +48,6 @@ class GirsanovRecord:
     """
 
     t: np.ndarray
-    drift: np.ndarray
     novikov_energy: np.ndarray
     h_energy: np.ndarray
     log_lr: np.ndarray
@@ -66,33 +64,15 @@ class GirsanovRecord:
 
 @dataclass
 class CoupledPair:
-    """Recorded triple (u, u', v) with agreement flags per unit time block.
-
-    Agreement of a block means v and u' stayed numerically indistinguishable
-    (within ``agree_atol`` in |.|_H) on it; with noise reuse this happens
-    exactly when the accumulated feedback vanishes.
-    """
+    """Recorded pair (u, v) on one noise realization, with its Girsanov record."""
 
     t: np.ndarray
     states_u: np.ndarray
-    states_uprime: np.ndarray
     states_v: np.ndarray
     n_feedback: int
     diff_vu: np.ndarray        # |xi_v - xi_u|_H at record times
     lowmode_sq: np.ndarray     # |P_N(xi_v - xi_u)|_H^2 at record times
     girsanov: GirsanovRecord
-    block_times: np.ndarray
-    agreement: np.ndarray
-    cfg: SimConfig
-    nl: Nonlinearity
-    noise: NoiseModel
-    z: PhaseState
-    zprime: PhaseState
-
-    def trajectory_v(self) -> Trajectory:
-        efn = make_energy_fn(self.cfg.basis, self.nl, self.cfg.alpha)
-        return Trajectory(self.t, self.states_v, efn(self.states_v), self.cfg,
-                          self.nl, self.noise, self.zprime)
 
 
 @dataclass
@@ -109,9 +89,6 @@ class CoupledBatch:
     distance: float
 
 
-_AGREE_ATOL = 1e-12
-
-
 @dataclass
 class _CoupledRun:
     """Per-path series of ``_run_coupled``; the running ones are (n_traj, n_rec)."""
@@ -119,12 +96,10 @@ class _CoupledRun:
     t: np.ndarray
     diff_vu: np.ndarray
     lowmode_sq: np.ndarray
-    drift: np.ndarray           # (n_traj, n_rec, n_feedback)
     novikov_energy: np.ndarray
     h_energy: np.ndarray
     log_lr: np.ndarray
-    states: np.ndarray | None   # (n_traj, n_rec, 3, 2, M) when kept
-    block_max: np.ndarray       # (n_traj, n_blocks) max |xi_v - xi_u'|_H per block
+    states: np.ndarray | None   # (n_traj, n_rec, 2, 2, M) when kept
     dist0_sq: float
 
 
@@ -154,18 +129,15 @@ def _run_coupled(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
         if n_feedback else np.zeros((0, 2, 2))
     P_half_fb = ops.P_half[:n_feedback]
 
-    z0 = np.stack([z.as_array(), zprime.as_array(), zprime.as_array()])  # u, u', v
+    z0 = np.stack([z.as_array(), zprime.as_array()])  # u, v
     dist0_sq = phase_norm_sq_arr(z.as_array() - zprime.as_array(), lam, alpha)
 
     diff_vu = np.empty((n_traj, nr))
     lowmode = np.empty((n_traj, nr))
-    drift_snap = np.empty((n_traj, nr, n_feedback))
     nov_run = np.empty((n_traj, nr))
     hen_run = np.empty((n_traj, nr))
     llr_run = np.empty((n_traj, nr))
-    states_out = np.empty((n_traj, nr, 3, 2, m)) if keep_states else None
-    n_blocks = max(int(math.floor(cfg.horizon)), 1)
-    block_max = np.zeros((n_traj, n_blocks))
+    states_out = np.empty((n_traj, nr, 2, 2, m)) if keep_states else None
 
     block_size = max(min(128, n_traj), 1)
 
@@ -177,15 +149,13 @@ def _run_coupled(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
         nov = np.zeros(nb)
         hen = np.zeros(nb)
         llr = np.zeros(nb)
-        last_drift = np.zeros((nb, n_feedback))
         d_n = np.zeros((nb, n_feedback))  # this step's feedback P_N[f(u) - f(v)]
 
         def record(i, states):
-            dvu = states[:, 2] - states[:, 0]
+            dvu = states[:, 1] - states[:, 0]
             diff_vu[lo:hi, i] = np.sqrt(phase_norm_sq_arr(dvu, lam, alpha))
             low = dvu[:, :, :n_feedback]
             lowmode[lo:hi, i] = phase_norm_sq_arr(low, lam[:n_feedback], alpha)
-            drift_snap[lo:hi, i] = last_drift
             nov_run[lo:hi, i] = nov
             hen_run[lo:hi, i] = hen
             llr_run[lo:hi, i] = llr
@@ -193,17 +163,17 @@ def _run_coupled(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
                 states_out[lo:hi, i] = states
 
         def kick(states):
-            # -f + h for u, u'; v adds -P_N[f(u) - f(v)]
+            # -f + h for u; v adds -P_N[f(u) - f(v)]
             nonlocal d_n
             fcoef = basis.project(nl.f, states[:, :, 0, :])
-            d_n = fcoef[:, 0, :n_feedback] - fcoef[:, 2, :n_feedback]
+            d_n = fcoef[:, 0, :n_feedback] - fcoef[:, 1, :n_feedback]
             acc = -fcoef + h
-            acc[:, 2, :n_feedback] -= d_n
+            acc[:, 1, :n_feedback] -= d_n
             return acc
 
         def girsanov(w2):
             # the feedback kick shifts the second half-step convolution
-            nonlocal llr, nov, hen, last_drift
+            nonlocal llr, nov, hen
             mv = np.empty((nb, 2, n_feedback))
             mv[:, 0] = -dt * P_half_fb[:, 0, 1] * d_n
             mv[:, 1] = -dt * P_half_fb[:, 1, 1] * d_n
@@ -211,17 +181,11 @@ def _run_coupled(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
             quad_mm = np.einsum("naj,jab,nbj->nj", mv, inv_cov, mv)
             quad_mw = np.einsum("naj,jab,nbj->n", mv, inv_cov, w2f)
             llr += -quad_mw - 0.5 * quad_mm.sum(axis=1)
-            a_noise = d_n / b_eff[:n_feedback]
-            nov += dt * np.sum(a_noise ** 2, axis=1)
+            nov += dt * np.sum((d_n / b_eff[:n_feedback]) ** 2, axis=1)
             # exact discrete shift energy, mapped back to mode frame
             hen += quad_mm @ (b_eff[:n_feedback] ** 2)
-            last_drift = a_noise
 
         def on_step(step, states):
-            # agreement bookkeeping on unit blocks: track |xi_v - xi_u'|_H
-            dvup = np.sqrt(phase_norm_sq_arr(states[:, 2] - states[:, 1], lam, alpha))
-            b_idx = min(int((step - 1) * dt), n_blocks - 1)
-            np.maximum(block_max[lo:hi, b_idx], dvup, out=block_max[lo:hi, b_idx])
             if step in rec:
                 record(rec[step], states)
 
@@ -229,23 +193,19 @@ def _run_coupled(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
         _strang_drive(states, ops, rngs, kick, n_steps, on_step,
                       girsanov if n_feedback else None, offset=lo)
 
-    return _CoupledRun(t_rec, diff_vu, lowmode, drift_snap, nov_run, hen_run,
-                       llr_run, states_out, block_max, dist0_sq)
+    return _CoupledRun(t_rec, diff_vu, lowmode, nov_run, hen_run, llr_run,
+                       states_out, dist0_sq)
 
 
 def couple_fp(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel, z: PhaseState,
               zprime: PhaseState, n_feedback: int) -> CoupledPair:
-    """Simulate the coupled triple (u, u', v) on one shared noise realization."""
+    """Simulate the coupled pair (u, v) on one shared noise realization."""
     r = _run_coupled(cfg, nl, noise, z, zprime, n_feedback, 1, keep_states=True)
-    agreement = r.block_max[0] <= _AGREE_ATOL * max(math.sqrt(r.dist0_sq), 1.0)
-    rec = GirsanovRecord(r.t, r.drift[0], r.novikov_energy[0], r.h_energy[0],
-                         r.log_lr[0], n_feedback)
+    rec = GirsanovRecord(r.t, r.novikov_energy[0], r.h_energy[0], r.log_lr[0],
+                         n_feedback)
     states = r.states[0]
-    return CoupledPair(
-        r.t, states[:, 0], states[:, 1], states[:, 2], n_feedback,
-        r.diff_vu[0], r.lowmode_sq[0], rec,
-        np.arange(1, r.block_max.shape[1] + 1, dtype=float),
-        agreement, cfg, nl, noise, z, zprime)
+    return CoupledPair(r.t, states[:, 0], states[:, 1], n_feedback,
+                       r.diff_vu[0], r.lowmode_sq[0], rec)
 
 
 def couple_fp_batch(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
@@ -256,23 +216,6 @@ def couple_fp_batch(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
     return CoupledBatch(r.t, r.diff_vu, r.lowmode_sq, r.novikov_energy[:, -1],
                         r.h_energy[:, -1], r.log_lr[:, -1], n_feedback,
                         math.sqrt(r.dist0_sq))
-
-
-def fp_intermediate(drive: Trajectory, zprime: PhaseState,
-                    n_feedback: int) -> Trajectory:
-    """Replay the drive's noise through the feedback equation started at z'.
-
-    The drive must be a plain ``simulate`` product; its (seed, config) pins the
-    noise stream, so the returned v-trajectory shares it exactly.
-    """
-    pair = couple_fp(drive.cfg, drive.nl, drive.noise, drive.y0, zprime, n_feedback)
-    if pair.t.shape != drive.t.shape or not np.allclose(pair.t, drive.t):
-        raise ValueError("drive trajectory grid does not match its config")
-    # same stream, same scheme; only batched BLAS reduction order may differ
-    scale = max(float(np.abs(drive.states).max()), 1.0)
-    if not np.allclose(pair.states_u, drive.states, rtol=0, atol=1e-11 * scale):
-        raise ValueError("drive trajectory is not a plain run of its config")
-    return pair.trajectory_v()
 
 
 @dataclass
@@ -424,7 +367,7 @@ def girsanov_tv_experiment(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
                                 n_traj=n_traj, seed_offset=1000 * k)
         ests.append(tv_estimate_likelihood(batch))
         bnds.append(tv_bound(batch, b_eff, n_feedback))
-        med.append(float(np.median(batch.novikov_energy)))
+        med.append(stats.median(batch.novikov_energy))
     med = np.array(med)
     fit = stats.line_fit(np.log(np.asarray(distances, float)), np.log(med))
     return GirsanovTVExperiment(np.asarray(distances, float), ests, bnds, med, fit)
@@ -534,7 +477,7 @@ def mixing_rate(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
     delta = np.max(gaps, axis=0)
     # the gap statistic is a max over observables, so its noise level is the
     # worst per-observable standard error
-    floor = 2.0 * float(np.median(np.max(floors, axis=0)))
+    floor = 2.0 * stats.median(np.max(floors, axis=0))
     mask = delta > floor
     mask[0] = delta[0] > 0
     fit = None

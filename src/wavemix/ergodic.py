@@ -539,6 +539,6 @@ def weight_drift_check(t: np.ndarray, weights: np.ndarray, m: int,
     mean_w = np.asarray(weights, float).mean(axis=0)
     envelope = 2.0 * mean_w[0] * np.exp(-alpha * m * t)
     c_fit = float(max(np.max(mean_w - envelope), 0.0))
-    plateau = float(np.median(mean_w[t > t[-1] / 2]))
+    plateau = stats.median(mean_w[t > t[-1] / 2])
     passed = np.isfinite(plateau) and c_fit < math.inf
     return WeightDriftReport(t, mean_w, c_fit, plateau, passed)

@@ -9,17 +9,16 @@ Trajectories are deterministic functions of (seed, config); ensembles split
 the master seed into per-trajectory counter-based streams.
 
 Every stepper of the package -- ``run_flow``, ``step_stochastic``,
-``regularity_split``, the coupled triple in ``coupling`` and the noiseless
+``regularity_split``, the coupled pair in ``coupling`` and the noiseless
 stabilization in ``rates`` -- runs the one driver ``_strang_drive`` on a block
 of paths.  The driver owns the chunked noise buffer and the per-chunk
 finiteness check; a caller supplies the kick, the sync steps after which it
 reads the state (every step unless it says otherwise) and two hooks: ``mid``,
 which sees the second half-step's noise increment (the Girsanov bookkeeping),
-and ``on_step``, called after every sync step (integrands, the coupled
-agreement check, recording on the grid of ``stats.record_steps``).  Between two sync steps the
-closing half-step of one step and the opening half-step of the next run as
-one exact full step, which leaves the law of the state at every sync step
-unchanged.
+and ``on_step``, called after every sync step (integrands, recording on the
+grid of ``stats.record_steps``).  Between two sync steps the closing half-step
+of one step and the opening half-step of the next run as one exact full step,
+which leaves the law of the state at every sync step unchanged.
 """
 
 from __future__ import annotations

@@ -80,6 +80,18 @@ def jackknife_log_mean(values) -> tuple[float, float]:
     return est, se
 
 
+def median(values) -> float:
+    """Median of a sample, equal to ``np.median`` bit for bit; NaN if any value is.
+
+    ``np.median`` imports ``numpy.ma`` on its first call, for its NaN check.
+    """
+    s = np.sort(np.asarray(values, float), axis=None)
+    if s.size and np.isnan(s[-1]):
+        return float(s[-1])
+    mid = s[(s.size - 1) // 2:s.size // 2 + 1]
+    return float(mid.sum() / mid.size)  # the sum and division of np.mean
+
+
 def tail_dominated(values, threshold: float = 0.1) -> bool:
     """True when one summand carries more than ``threshold`` of the total."""
     v = np.asarray(values, float)

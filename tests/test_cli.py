@@ -95,6 +95,8 @@ def test_bad_integrator_rejected(command, override, tmp_path, capsys):
     (["pressure", "--model", "ou"], "integrator.toy_dt=0"),
     (["boundary-chain", "--model", "doublewell"], "experiment.replicas=0"),
     (["girsanov-tv"], "experiment.n_feedback=-1"),
+    # no feedback leaves no measure change to fit a scaling exponent to
+    (["girsanov-tv"], "experiment.n_feedback=0"),
     (["couple-fp"], "experiment.n_feedback=33"),  # M = 32
 ])
 def test_bad_counts_and_steps_rejected(command, override, tmp_path, capsys):
@@ -141,8 +143,8 @@ def test_consecutive_calls_do_not_share_arguments(monkeypatch):
     assert second.values == parse_config().values and t2 == 1
 
 
-_HEAVY = ("networkx", "scipy", "scipy.linalg", "scipy.optimize", "scipy.sparse",
-          "scipy.stats")
+_HEAVY = ("networkx", "numpy.ma", "scipy", "scipy.linalg", "scipy.optimize",
+          "scipy.sparse", "scipy.stats")
 
 
 def test_import_leaves_heavy_libraries_unloaded(tmp_path):

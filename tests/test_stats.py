@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wavemix import stats
 
@@ -24,3 +25,24 @@ def test_record_steps_keeps_stride_and_last_step():
     assert stats.record_steps(10, 4) == {0: 0, 4: 1, 8: 2, 10: 3}
     assert stats.record_steps(3, 1) == {0: 0, 1: 1, 2: 2, 3: 3}
     assert stats.record_steps(1, 5) == {0: 0, 1: 1}
+
+
+_values = st.one_of(st.floats(allow_nan=False, width=64), st.just(math.nan),
+                    st.sampled_from([0.0, -0.0, 1.0, -1.0]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(_values, min_size=1, max_size=200))
+def test_median_matches_numpy_bitwise(values):
+    a = np.array(values)
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = np.float64(np.median(a))
+    got = stats.median(a)
+    assert isinstance(got, float)
+    assert np.float64(got).view(np.uint64) == want.view(np.uint64)
+
+
+def test_median_leaves_its_input_unsorted():
+    a = np.array([3.0, 1.0, 2.0, 0.0])
+    assert stats.median(a) == 1.5
+    assert a.tolist() == [3.0, 1.0, 2.0, 0.0]
