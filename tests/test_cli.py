@@ -95,9 +95,9 @@ def test_bad_integrator_rejected(command, override, tmp_path, capsys):
     (["pressure", "--model", "ou"], "integrator.toy_dt=0"),
     (["boundary-chain", "--model", "doublewell"], "experiment.replicas=0"),
     (["girsanov-tv"], "experiment.n_feedback=-1"),
+    (["couple-fp"], "experiment.n_feedback=33"),  # M = 32
     # no feedback leaves no measure change to fit a scaling exponent to
     (["girsanov-tv"], "experiment.n_feedback=0"),
-    (["couple-fp"], "experiment.n_feedback=33"),  # M = 32
 ])
 def test_bad_counts_and_steps_rejected(command, override, tmp_path, capsys):
     out = tmp_path / "run"
