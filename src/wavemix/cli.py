@@ -203,9 +203,25 @@ def _validate(cfg: RunConfig):
         section, key = target.split(".")
         if cfg[section][key] <= 0:
             raise ConfigError(f"{target}={cfg[section][key]} must be > 0")
-    if cfg["experiment"]["chain_variant"] not in ("i-graph", "chain"):
-        raise ConfigError(f"unknown experiment.chain_variant "
-                          f"{cfg['experiment']['chain_variant']!r}")
+    x = cfg["experiment"]
+    if x["chain_variant"] not in ("i-graph", "chain"):
+        raise ConfigError(f"unknown experiment.chain_variant {x['chain_variant']!r}")
+    lo_hi, radii, sets = x["interval"], x["radii"], x["sets"]
+    radii_ok = len(radii) == 5
+    try:
+        rates.BoundaryChainConfig(*radii[:5])
+    except ValueError:
+        radii_ok = False
+    for key, ok, rule in (
+            ("interval", len(lo_hi) == 2 and lo_hi[0] < lo_hi[1], "two values lo < hi"),
+            ("radii", radii_ok, "five values 0 < rho1' < rho0' < rho1 < rho0 < rho*"),
+            ("eps_list", len(x["eps_list"]) >= 1, "at least one value"),
+            ("distances", len(x["distances"]) >= 2, "at least two values"),
+            ("horizons", len(x["horizons"]) != 1, "empty or at least two values"),
+            ("sets", len(sets) >= 2 and len(sets) % 2 == 0, "lo/hi pairs, at least one"),
+            ("betas", len(x["betas"]) >= 1, "at least one value")):
+        if not ok:
+            raise ConfigError(f"experiment.{key}={x[key]} must be {rule}")
     if cfg["model"]["kind"] == "nlw":
         _wave(cfg)
 
@@ -577,7 +593,7 @@ def _cmd_pressure(cfg: RunConfig, out: _RunDir, threads: int) -> int:
 
 def _cmd_ldp1(cfg: RunConfig, out: _RunDir, threads: int) -> int:
     kind = cfg["model"]["kind"]
-    interval = tuple(cfg["experiment"]["interval"][:2])
+    interval = tuple(cfg["experiment"]["interval"])
     horizons = cfg["experiment"]["horizons"] or [8.0, 16.0, 32.0]
     n_traj = cfg["experiment"]["n_traj"]
     if kind == "ou":
@@ -694,8 +710,6 @@ def _cmd_fw_graph(cfg: RunConfig, out: _RunDir, threads: int) -> int:
 def _cmd_stationary_smallnoise(cfg: RunConfig, out: _RunDir, threads: int) -> int:
     model = _build_toy(cfg)
     flat = cfg["experiment"]["sets"]
-    if len(flat) % 2:
-        raise ConfigError("experiment.sets must list lo/hi pairs")
     sets = [(flat[i], flat[i + 1]) for i in range(0, len(flat), 2)]
     mode = "mc" if cfg["experiment"]["mc"] else "exact"
     rep = rates.smallnoise_stationary_probe(model, cfg["experiment"]["eps_list"],
@@ -728,8 +742,7 @@ def _cmd_stationary_smallnoise(cfg: RunConfig, out: _RunDir, threads: int) -> in
 
 def _cmd_boundary_chain(cfg: RunConfig, out: _RunDir, threads: int) -> int:
     model = _build_toy(cfg)
-    r = cfg["experiment"]["radii"]
-    bc = rates.BoundaryChainConfig(*r[:5]) if len(r) >= 5 else rates.BoundaryChainConfig()
+    bc = rates.BoundaryChainConfig(*cfg["experiment"]["radii"])
     eps = cfg["experiment"]["eps_list"][0]
     rep = rates.boundary_chain(model, bc, eps, seed=cfg.seed,
                                n_replicas=cfg["experiment"]["replicas"],

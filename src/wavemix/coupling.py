@@ -306,42 +306,6 @@ def tv_estimate_likelihood(batch: CoupledBatch) -> TVEstimate:
 
 
 @dataclass
-class TVShapeCheck:
-    """Fit-then-verify of the separation-shape bound on the TV distance.
-
-    The claim has the form TV(d) <= C* d^a + C* [exp(C_N d^a e^S) - 1]^{1/2}
-    with S the summed energies of the two starting points and a < 2.  The
-    constants are fitted on the largest separations and the inequality is
-    verified on the held-out smaller ones within three standard errors.
-    """
-
-    a: float
-    c_star: float
-    c_n: float
-    distances: np.ndarray
-    rhs: np.ndarray
-    verified: bool
-
-
-def tv_shape_check(distances, estimates: Sequence[TVEstimate],
-                   energy_sum: float, n_fit: int = 2) -> TVShapeCheck:
-    d = np.asarray(distances, float)
-    order = np.argsort(d)[::-1]
-    d = d[order]
-    tv = np.array([estimates[i].value for i in order])
-    se = np.array([estimates[i].stderr for i in order])
-    fit = stats.line_fit(np.log(d[:n_fit]), np.log(np.maximum(tv[:n_fit], 1e-300)))
-    a = min(float(fit.slope), 1.99)
-    c_star = float(np.max(tv[:n_fit] / d[:n_fit] ** a))
-    # second term calibrated to equal the first at the largest separation
-    es = math.exp(energy_sum)
-    c_n = math.log(2.0) / (d[0] ** a * es)
-    rhs = c_star * d ** a + c_star * np.sqrt(np.exp(c_n * d ** a * es) - 1.0)
-    verified = bool(np.all(tv[n_fit:] <= rhs[n_fit:] + 3 * se[n_fit:]))
-    return TVShapeCheck(a, c_star, c_n, d, rhs, verified)
-
-
-@dataclass
 class GirsanovTVExperiment:
     distances: np.ndarray
     tv_estimates: list[TVEstimate]

@@ -469,76 +469,3 @@ def ldp_level1_check(horizons: Sequence[float], averages_by_horizon: Sequence[np
     rel = abs(emp - target) / denom
     return Ldp1Report(interval, horizons, logp, hits, emp, target, rel, False,
                       rel <= tol)
-
-
-# --------------------------------------------------------------------------
-# Exponential tightness and Lyapunov weights
-
-
-@dataclass
-class TightnessReport:
-    t: np.ndarray
-    log_moment: np.ndarray
-    fit: stats.LineFit | None
-    slope: float
-    passed: bool
-    tail_warning: bool
-
-
-def exponential_tightness_probe(t: np.ndarray, integrals: np.ndarray,
-                                r2_floor: float = 0.95) -> TightnessReport:
-    """Affine-in-t growth of log E exp(int |y|^kappa_{H^s} ds).
-
-    ``integrals`` holds the running integral per trajectory (first axis).
-    """
-    w = np.exp(np.asarray(integrals, float))
-    logm = np.log(w.mean(axis=0))
-    tail = stats.tail_dominated(w[:, -1])
-    mask = t > 0
-    if mask.sum() < 3:
-        return TightnessReport(t, logm, None, math.nan, False, tail)
-    fit = stats.line_fit(t[mask], logm[mask])
-    passed = fit.r2 > r2_floor and np.isfinite(fit.slope)
-    return TightnessReport(t, logm, fit, fit.slope, passed, tail)
-
-
-@dataclass
-class WeightReport:
-    w: float
-    w_m: float
-    w_tilde: float
-
-
-def lyapunov_weights(state_norm_hs_sq: float, energy: float, m: int,
-                     kappa: float, kappa_cap: float | None = None) -> WeightReport:
-    """The weight family w = 1 + |y|_{H^s}^2 + E^4 and its m-th powers.
-
-    w_m = 1 + |y|^{2m} + E^{4m}; w~_m adds exp(kappa E).  ``kappa_cap`` (the
-    configured bound B/(2 alpha)) is enforced when provided.
-    """
-    if kappa_cap is not None and kappa > kappa_cap * (1 + 1e-12):
-        raise ValueError(f"kappa={kappa} exceeds the configured cap {kappa_cap}")
-    w = 1.0 + state_norm_hs_sq + energy ** 4
-    w_m = 1.0 + state_norm_hs_sq ** m + energy ** (4 * m)
-    w_t = w_m + math.exp(kappa * energy)
-    return WeightReport(w, w_m, w_t)
-
-
-@dataclass
-class WeightDriftReport:
-    t: np.ndarray
-    mean_weight: np.ndarray
-    c_fit: float
-    plateau: float
-    passed: bool
-
-
-def weight_drift_check(t: np.ndarray, weights: np.ndarray, m: int,
-                       alpha: float) -> WeightDriftReport:
-    """Fitted-shape check of E w~_m(y_t) <= 2 e^{-alpha m t} w~_m(y_0) + C_m."""
-    mean_w = np.asarray(weights, float).mean(axis=0)
-    envelope = 2.0 * mean_w[0] * np.exp(-alpha * m * t)
-    c_fit = float(max(np.max(mean_w - envelope), 0.0))
-    plateau = stats.median(mean_w[t > t[-1] / 2])
-    passed = np.isfinite(plateau) and c_fit < math.inf
-    return WeightDriftReport(t, mean_w, c_fit, plateau, passed)

@@ -8,16 +8,15 @@ the full step, and a second exact linear half-step closes the update.
 Trajectories are deterministic functions of (seed, config); ensembles split
 the master seed into per-trajectory counter-based streams.
 
-Every stepper of the package -- ``run_flow``, ``step_stochastic``,
-``regularity_split``, the coupled pair in ``coupling`` and the noiseless
-stabilization in ``rates`` -- runs the one driver ``_strang_drive`` on a block
-of paths.  The driver owns the chunked noise buffer and the per-chunk
-finiteness check; a caller supplies the kick, the sync steps after which it
-reads the state (every step unless it says otherwise) and two hooks: ``mid``,
-which sees the second half-step's noise increment (the Girsanov bookkeeping),
-and ``on_step``, called after every sync step (integrands, recording on the
-grid of ``stats.record_steps``).  Between two sync steps the closing half-step
-of one step and the opening half-step of the next run as one exact full step,
+Both steppers of the package -- ``run_flow`` and the coupled pair in
+``coupling`` -- run the one driver ``_strang_drive`` on a block of paths.  The
+driver owns the chunked noise buffer and the per-chunk finiteness check; a
+caller supplies the kick, the sync steps after which it reads the state
+(every step unless it says otherwise) and two hooks: ``mid``, which sees the
+second half-step's noise increment (the Girsanov bookkeeping), and
+``on_step``, called after every sync step (integrands, recording on the grid
+of ``stats.record_steps``).  Between two sync steps the closing half-step of
+one step and the opening half-step of the next run as one exact full step,
 which leaves the law of the state at every sync step unchanged.
 """
 
@@ -486,15 +485,13 @@ class FlowResult:
 
 @dataclass
 class Trajectory:
-    """Single sampled trajectory with enough metadata to replay its noise."""
+    """One recorded path of ``simulate``: states and energies on the grid ``t``,
+    with the running integrals it accumulated."""
 
     t: np.ndarray
     states: np.ndarray                 # (n_rec, 2, M)
     energy: np.ndarray
     cfg: SimConfig
-    nl: Nonlinearity
-    noise: NoiseModel
-    y0: PhaseState
     integrals: dict[str, np.ndarray] = field(default_factory=dict)
 
     @property
@@ -504,10 +501,6 @@ class Trajectory:
     @property
     def alpha(self) -> float:
         return self.cfg.alpha
-
-    def state_at(self, k: int) -> PhaseState:
-        return PhaseState.from_coeffs(self.basis, self.states[k, 0], self.states[k, 1],
-                                      self.cfg.alpha)
 
     def norm_h(self) -> np.ndarray:
         return np.sqrt(phase_norm_sq_arr(self.states, self.basis.eigenvalues,
@@ -690,17 +683,8 @@ def simulate(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
                    probes={"energy": energy_fn},
                    integrands={"normH2": lambda s: phase_norm_sq_arr(s, lam, cfg.alpha)},
                    return_states=True)
-    return Trajectory(res.t, res.states[0], res.probes["energy"][0], cfg, nl, noise,
-                      y0, integrals={k: v[0] for k, v in res.integrals.items()})
-
-
-def step_stochastic(y: PhaseState, cfg: SimConfig, nl: Nonlinearity,
-                    noise: NoiseModel, rng: np.random.Generator) -> PhaseState:
-    """One Strang step; the two half-step convolutions are drawn from ``rng``."""
-    kick = make_kick_fn(cfg.basis, nl, cfg.h_coeffs())
-    s = _strang_drive(y.as_array()[None], linear_ops(cfg, noise), [rng],
-                      lambda st: kick(st[:, 0, :]), 1)
-    return PhaseState.from_coeffs(cfg.basis, s[0, 0], s[0, 1], cfg.alpha)
+    return Trajectory(res.t, res.states[0], res.probes["energy"][0], cfg,
+                      integrals={k: v[0] for k, v in res.integrals.items()})
 
 
 # --------------------------------------------------------------------------
@@ -747,163 +731,3 @@ def energy_audit(t: np.ndarray, series: np.ndarray, int_norm: np.ndarray,
             ratios = (series + 0.5 * alpha * int_norm - series[0]) / t
         k_fit = float(np.max(ratios[1:]))
     return EnergyAudit(t, series, c_fit, decay, k_fit)
-
-
-@dataclass
-class RegularitySplit:
-    """u = v + z with v the linear flow on the same noise and z = u - v."""
-
-    t: np.ndarray
-    traj_u: np.ndarray        # (n_rec, 2, M)
-    traj_v: np.ndarray
-    v_norm_h: np.ndarray
-    z_norm_hs: np.ndarray
-    s: float
-
-
-def regularity_split(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
-                     y0: PhaseState, s: float | None = None) -> RegularitySplit:
-    """Replay one noise path through the nonlinear and the linear equations."""
-    if s is None:
-        s = 0.5 * (1.0 - nl.rho / 2.0)
-    h = cfg.h_coeffs()
-    kick_u = make_kick_fn(cfg.basis, nl, h)
-    rec = stats.record_steps(cfg.n_steps, cfg.stride)
-    lam = cfg.basis.eigenvalues
-
-    def kick(st: np.ndarray) -> np.ndarray:
-        out = np.empty(st.shape[:-2] + st.shape[-1:])
-        out[:, 0] = kick_u(st[:, 0, 0, :])
-        out[:, 1] = h
-        return out
-
-    def on_step(step: int, st: np.ndarray):
-        if step in rec:
-            out_u[rec[step]], out_v[rec[step]] = st[0]
-
-    # one path carrying two systems: u (nonlinear) and v (linear)
-    states = np.broadcast_to(y0.as_array(), (1, 2) + y0.as_array().shape).copy()
-    out_u = np.empty((len(rec), 2, cfg.basis.mode_count))
-    out_v = np.empty_like(out_u)
-    on_step(0, states)
-    _strang_drive(states, linear_ops(cfg, noise), trajectory_streams(cfg.seed, 1),
-                  kick, cfg.n_steps, on_step)
-    t = np.array(list(rec)) * cfg.dt
-    z = out_u - out_v
-    return RegularitySplit(
-        t, out_u, out_v,
-        np.sqrt(phase_norm_sq_arr(out_v, lam, cfg.alpha)),
-        np.sqrt(sobolev_phase_norm_sq_arr(z, lam, cfg.alpha, s)), s)
-
-
-@dataclass
-class ExpMomentReport:
-    t: np.ndarray
-    estimate: np.ndarray
-    stderr: np.ndarray
-    kappa: float
-    c_fit: float
-    bounded: bool
-    tail_warning: bool
-
-
-def exp_moment_probe(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
-                     y0: PhaseState, kappa: float, n_traj: int = 200,
-                     threads: int = 1) -> ExpMomentReport:
-    """Monte Carlo estimate of E exp(kappa * E(y(t))) on the recording grid."""
-    alpha = cfg.alpha
-    b_eff = cfg.eps * noise.B
-    if b_eff > 0 and kappa > alpha / (2.0 * b_eff) * (1 + 1e-9):
-        raise ValueError(f"kappa={kappa} violates the smallness rule "
-                         f"kappa <= alpha/(2 eps B) = {alpha / (2 * b_eff):.4g}")
-    energy_fn = make_energy_fn(cfg.basis, nl, cfg.alpha)
-    res = run_flow(cfg, nl, noise, y0, n_traj=n_traj,
-                   probes={"energy": energy_fn}, threads=threads)
-    weights = np.exp(kappa * res.probes["energy"])
-    est, se = stats.mean_se(weights, axis=0)
-    tail = any(stats.tail_dominated(weights[:, i]) for i in range(weights.shape[1]))
-    envelope = est[0] * np.exp(-alpha * res.t)
-    c_fit = float(max(np.max(est - envelope), 0.0))
-    half = est[res.t > res.t[-1] / 2]
-    bounded = bool(half.max() <= est.max() + 3 * se.max())
-    return ExpMomentReport(res.t, est, se, kappa, c_fit, bounded, tail)
-
-
-@dataclass(frozen=True)
-class GrowthMonitor:
-    """Thresholds of the growth functional F(t) = |E| + alpha int |E| ds.
-
-    The stopping time triggers at the first sampled t with
-    F(t) >= F(0) + (L + M) t + r.
-    """
-
-    L: float
-    M_rate: float
-    r: float
-    alpha: float
-
-    @staticmethod
-    def from_constants(alpha: float, beta: float, k_fit: float,
-                       c_diss: float) -> "GrowthMonitor":
-        L = k_fit + 4.0 * alpha * c_diss
-        return GrowthMonitor(L=L, M_rate=2.0 / beta, r=5.0 / beta + 4.0 * c_diss,
-                             alpha=alpha)
-
-
-def supermartingale_beta(alpha: float, eps: float, noise: NoiseModel) -> float:
-    """Tail exponent beta = alpha / (8 sup_j (eps b_j^2))."""
-    s = eps * noise.sup_b2
-    return math.inf if s == 0 else alpha / (8.0 * s)
-
-
-def growth_functional(t: np.ndarray, energy: np.ndarray, alpha: float) -> np.ndarray:
-    """F(t) = |E(t)| + alpha * int_0^t |E(s)| ds along the last axis."""
-    absE = np.abs(energy)
-    return absE + alpha * stats.running_trapezoid(t, absE)
-
-
-def stopping_time(t: np.ndarray, growth: np.ndarray, L: float, M_rate: float,
-                  r: float) -> float:
-    """First grid crossing of the growth threshold; inf when never crossed."""
-    thresh = growth[..., :1] + (L + M_rate) * t + r
-    hits = np.nonzero(growth >= thresh)[0]
-    return float(t[hits[0]]) if hits.size else math.inf
-
-
-@dataclass
-class GrowthReport:
-    t: np.ndarray
-    taus: np.ndarray
-    r_grid: np.ndarray
-    exceedance: np.ndarray
-    beta: float
-    tail_fit: stats.LineFit | None
-
-
-def growth_monitor(trajs_energy: np.ndarray, t: np.ndarray, monitor: GrowthMonitor,
-                   beta: float, r_grid: np.ndarray | None = None) -> GrowthReport:
-    """Exceedance statistics of the growth functional over an ensemble.
-
-    ``trajs_energy`` has shape (n_traj, n_rec).  The exceedance frequency of
-    sup_t (F(t) - L t) >= F(0) + r is tabulated on ``r_grid`` and its log is
-    fitted against r; the slope estimates the supermartingale tail exponent.
-    """
-    F = growth_functional(t, trajs_energy, monitor.alpha)
-    taus = np.array([stopping_time(t, F[i], monitor.L, monitor.M_rate, monitor.r)
-                     for i in range(F.shape[0])])
-    peaks = np.max(F - monitor.L * t - F[:, :1], axis=1)
-    if r_grid is None:
-        pos = peaks[peaks > 0]
-        if pos.size >= 20:
-            lo, hi = np.quantile(pos, [0.05, 0.95])
-        else:
-            lo, hi = 1e-3, 1.0
-        if hi <= lo:
-            hi = lo * 2 + 1e-6
-        r_grid = np.linspace(lo, hi, 12)
-    freq = np.array([(peaks >= r).mean() for r in r_grid])
-    fit = None
-    mask = freq * F.shape[0] >= 5
-    if mask.sum() >= 3:
-        fit = stats.line_fit(r_grid[mask], np.log(freq[mask]))
-    return GrowthReport(t, taus, r_grid, freq, beta, fit)

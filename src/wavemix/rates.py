@@ -22,8 +22,8 @@ import numpy as np
 
 from wavemix import stats
 from wavemix.newton import minimize
-from wavemix.nlw import NoiseModel, Nonlinearity, SimConfig, _strang_drive, linear_ops
-from wavemix.spectral import PhaseState, SpectralBasis, phase_norm_sq_arr
+from wavemix.nlw import NoiseModel, Nonlinearity
+from wavemix.spectral import PhaseState, SpectralBasis
 from wavemix.toys import GradientSDE, _em_drive, autocorrelation_time, \
     gradient_sde_exact_density, simulate_toy
 
@@ -44,11 +44,6 @@ class ControlPath:
     t: np.ndarray
     phis: np.ndarray
     action: float
-
-    @staticmethod
-    def build(t, phis, noise: NoiseModel | None = None) -> "ControlPath":
-        return ControlPath(np.asarray(t, float), np.asarray(phis, float),
-                           action_value(t, phis, noise))
 
 
 def action_value(t, phis, noise: NoiseModel | None = None) -> float:
@@ -82,7 +77,6 @@ class EquilibriumNetwork:
     points: list
     stable: np.ndarray
     V: np.ndarray
-    basis: SpectralBasis | None = None
 
     def __post_init__(self):
         n = len(self.points)
@@ -97,7 +91,7 @@ class EquilibriumNetwork:
         idx = np.flatnonzero(self.stable)
         return EquilibriumNetwork(
             self.kind, [self.points[i] for i in idx], self.stable[idx],
-            self.V[np.ix_(idx, idx)], self.basis)
+            self.V[np.ix_(idx, idx)])
 
     def to_json_dict(self) -> dict:
         def enc(x):
@@ -130,74 +124,6 @@ def toy_equilibrium_network(model: GradientSDE) -> EquilibriumNetwork:
             if i != j:
                 V[i, j] = toy_quasipotential_oracle(model, pts[i], pts[j])
     return EquilibriumNetwork(model.name, list(pts), stable, V)
-
-
-def find_equilibria(basis: SpectralBasis, nl: Nonlinearity, gamma: float,
-                    h_coeffs: np.ndarray | None = None, n_starts: int = 12,
-                    seed: int = 0, newton_tol: float = 1e-10,
-                    dedup_tol: float = 1e-6) -> EquilibriumNetwork:
-    """Newton multistart for -Lap u + f(u) = h in spectral coordinates.
-
-    Stability is read from the spectrum of the linearized damped wave flow
-    around each root; non-converged starts are dropped, never fabricated.
-    """
-    lam = basis.eigenvalues
-    m = basis.mode_count
-    E = basis.eigenfunctions
-    w = basis.weights
-    h = np.zeros(m) if h_coeffs is None else np.asarray(h_coeffs, float)
-
-    def residual(c):
-        return lam * c + basis.project(nl.f, c) - h
-
-    def stiffness(c):
-        # Galerkin linearization diag(lam) + E^T diag(w f'(u)) E at u = E c
-        fp = nl.fprime(c @ E.T)
-        return np.diag(lam) + E.T @ (E * (w * fp)[:, None])
-
-    rng = np.random.default_rng(seed)
-    roots = []
-    starts = [np.zeros(m)]
-    decay = 1.0 / np.arange(1, m + 1) ** 2
-    for _ in range(n_starts - 1):
-        starts.append(rng.standard_normal(m) * decay * rng.uniform(0.3, 3.0))
-    for c0 in starts:
-        c = c0.copy()
-        ok = False
-        for _ in range(80):
-            r = residual(c)
-            if np.linalg.norm(r) < newton_tol:
-                ok = True
-                break
-            try:
-                step = np.linalg.solve(stiffness(c), r)
-            except np.linalg.LinAlgError:
-                break
-            if not np.isfinite(step).all():
-                break
-            # damped Newton keeps wild starts from exploding
-            limit = 5.0
-            norm = np.linalg.norm(step)
-            if norm > limit:
-                step *= limit / norm
-            c = c - step
-        if not ok or not np.isfinite(c).all():
-            continue
-        if all(np.sqrt(np.sum(lam * (c - r0) ** 2)) > dedup_tol for r0 in roots):
-            roots.append(c)
-
-    order = np.argsort([np.sum(lam * r ** 2) for r in roots])
-    roots = [roots[i] for i in order]
-    stable = []
-    for c in roots:
-        lin = np.zeros((2 * m, 2 * m))
-        lin[:m, m:] = np.eye(m)
-        lin[m:, :m] = -stiffness(c)
-        lin[m:, m:] = -gamma * np.eye(m)
-        stable.append(bool(np.max(np.linalg.eigvals(lin).real) < 1e-9))
-    n = len(roots)
-    return EquilibriumNetwork("nlw", roots, np.array(stable, bool),
-                              np.zeros((n, n)), basis=basis)
 
 
 # --------------------------------------------------------------------------
@@ -451,66 +377,6 @@ def _nlw_action_and_grad(x, p1, v1, p2, v2, lam, gamma, alpha, inv_b2, nl, basis
     grad[-1] += pen * (2 * lam * dp + 2 * g * (alpha + 1.0 / dt))
     grad[-2] += pen * (-2 * g / dt)
     return J, grad[2:].ravel()
-
-
-# --------------------------------------------------------------------------
-# Stabilization by low-mode feedback
-
-
-@dataclass
-class StabilizationReport:
-    t: np.ndarray
-    distance_sq: np.ndarray
-    control: ControlPath
-    action: float
-    decay_ok: bool
-
-
-def stabilization_control(basis: SpectralBasis, nl: Nonlinearity, gamma: float,
-                          noise: NoiseModel, v0: PhaseState, u_hat: np.ndarray,
-                          n_feedback: int, horizon: float = 12.0,
-                          dt: float | None = None,
-                          h_coeffs: np.ndarray | None = None) -> StabilizationReport:
-    """Drive v toward the equilibrium [u_hat, 0] with the low-mode feedback.
-
-    The realized control phi = P_N[f(v) - f(u_hat)] is recorded along the way;
-    the report checks the pathwise decay |y(t) - u_hat|^2 <= e^{-alpha t} |v0 -
-    u_hat|^2 and carries the control's action in the noise-weighted norm.
-    """
-    m = basis.mode_count
-    lam = basis.eigenvalues
-    h = np.zeros(m) if h_coeffs is None else np.asarray(h_coeffs, float)
-    alpha = v0.alpha
-    if dt is None:
-        dt = 0.5 / math.sqrt(lam[-1])
-    cfg = SimConfig(basis=basis, gamma=gamma, dt=dt, horizon=horizon, seed=0,
-                    eps=0.0, alpha=alpha)
-    f_hat = basis.project(nl.f, u_hat)
-    target = np.stack([u_hat, np.zeros(m)])
-    n_steps = cfg.n_steps
-    t = np.arange(n_steps + 1) * dt
-    dist = np.empty(n_steps + 1)
-    controls = []
-
-    def kick(state):
-        fv = basis.project(nl.f, state[:, 0, :])
-        phi = np.zeros(m)
-        phi[:n_feedback] = (fv[0] - f_hat)[:n_feedback]
-        controls.append(phi)
-        return -fv[0] + h + phi
-
-    def on_step(step, state):
-        dist[step] = phase_norm_sq_arr(state[0] - target, lam, alpha)
-
-    state = v0.as_array()[None].copy()
-    on_step(0, state)
-    _strang_drive(state, linear_ops(cfg, noise), None, kick, n_steps, on_step)
-    controls = np.array(controls)
-    t_mid = (np.arange(n_steps) + 0.5) * dt
-    path = ControlPath.build(t_mid, controls, noise)
-    bound = dist[0] * np.exp(-alpha * t)
-    decay_ok = bool(np.all(dist <= bound * (1 + 1e-6) + 1e-14))
-    return StabilizationReport(t, dist, path, path.action, decay_ok)
 
 
 # --------------------------------------------------------------------------

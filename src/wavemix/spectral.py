@@ -334,10 +334,6 @@ def project_low(f: Field, n: int) -> Field:
     return replace(f, coeffs=c)
 
 
-def project_state_low(y: PhaseState, n: int) -> PhaseState:
-    return PhaseState(project_low(y.u1, n), project_low(y.u2, n), y.alpha)
-
-
 def evaluate_nonlinearity(f: Field, nl) -> Field:
     """Pseudo-spectral evaluation of a pointwise nonlinearity.
 

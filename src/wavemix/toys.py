@@ -315,44 +315,3 @@ def autocorrelation_time(path: np.ndarray, dt: float, max_lag: int = 2000) -> fl
             break
         tau += c
     return 2.0 * tau * dt
-
-
-@dataclass
-class DetailedBalanceReport:
-    bins: np.ndarray
-    log_ratio: np.ndarray
-    expected: np.ndarray
-    stderr: np.ndarray
-    ok: bool
-
-
-def detailed_balance_check(model, eps: float, path: np.ndarray,
-                           n_bins: int = 8) -> DetailedBalanceReport:
-    """Coarse-bin transition asymmetry against exp(-2 dA / eps).
-
-    In stationarity, the conditional jump frequencies between adjacent bins
-    satisfy P(i->j)/P(j->i) ~ pi_j/pi_i.
-    """
-    lo, hi = np.quantile(path, [0.01, 0.99])
-    edges = np.linspace(lo, hi, n_bins + 1)
-    idx = np.digitize(path, edges) - 1
-    centers = 0.5 * (edges[1:] + edges[:-1])
-    logr, expect, errs, bins = [], [], [], []
-    for i in range(n_bins - 1):
-        j = i + 1
-        up = np.sum((idx[:-1] == i) & (idx[1:] == j))
-        dn = np.sum((idx[:-1] == j) & (idx[1:] == i))
-        ni = np.sum(idx == i)
-        nj = np.sum(idx == j)
-        if min(up, dn, ni, nj) < 25:
-            continue
-        val = math.log((up / ni) / (dn / nj))
-        se = math.sqrt(1.0 / up + 1.0 / dn)
-        target = -2.0 * (model.potential(centers[j]) - model.potential(centers[i])) / eps
-        bins.append(centers[i])
-        logr.append(val)
-        expect.append(target)
-        errs.append(se)
-    bins, logr, expect, errs = map(np.array, (bins, logr, expect, errs))
-    ok = bool(np.all(np.abs(logr - expect) <= 3 * errs + 0.05)) if bins.size else False
-    return DetailedBalanceReport(bins, logr, expect, errs, ok)

@@ -106,6 +106,24 @@ def test_bad_counts_and_steps_rejected(command, override, tmp_path, capsys):
     assert not (out / "verdict.json").exists()
 
 
+@pytest.mark.parametrize("command, override", [
+    (["ldp1", "--model", "ou"], "experiment.interval=0.5"),
+    (["ldp1", "--model", "ou"], "experiment.interval=0.6,0.4"),
+    (["boundary-chain", "--model", "doublewell"], "experiment.radii=0.1,0.2"),
+    (["boundary-chain", "--model", "doublewell"], "experiment.radii=0.2,0.15,0.3,0.45,0.6"),
+    (["boundary-chain", "--model", "doublewell"], "experiment.eps_list="),
+    (["girsanov-tv"], "experiment.distances=0.04"),
+    (["ldp1", "--model", "chain2"], "experiment.horizons=8"),
+    (["stationary-smallnoise", "--model", "cubic"], "experiment.sets="),
+    (["pressure", "--model", "ou"], "experiment.betas="),
+])
+def test_bad_list_values_rejected(command, override, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(command + ["--set", override, "--out", str(out)]) == EXIT_CONFIG
+    assert override.split("=")[0] in capsys.readouterr().err
+    assert not (out / "verdict.json").exists()
+
+
 def test_percent_values_never_crash(tmp_path):
     # not a graph variant: rejected before any run instead of failing inside it
     with pytest.raises(ConfigError, match="chain_variant"):
@@ -486,6 +504,35 @@ def test_every_schema_key_and_public_function_is_used():
                          and not fn.lineno <= line <= fn.end_lineno
                          for m, name, line in used)]
     assert unused == []
+
+
+def _loaded_names(tree: ast.AST) -> set[tuple[str, int]]:
+    """(name, line) of every name a tree loads, bare or as a module attribute."""
+    return {(n.id if isinstance(n, ast.Name) else n.attr, n.lineno)
+            for n in ast.walk(tree) if isinstance(n, (ast.Name, ast.Attribute))
+            and isinstance(n.ctx, ast.Load)}
+
+
+def test_public_definitions_have_a_caller():
+    # a public definition is reached from the package itself, is exported, or
+    # is checked by an acceptance gate; anything else has no user path
+    import wavemix
+    src = {p: ast.parse(p.read_text()) for p in (ROOT / "src" / "wavemix").glob("*.py")}
+    loads = {p: _loaded_names(tree) for p, tree in src.items()}
+    gated = {name for name, _ in
+             _loaded_names(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()))}
+    uncalled = []
+    for p, tree in sorted(src.items()):
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    or node.name.startswith("_"):
+                continue
+            outside = any(name == node.name and not (
+                q == p and node.lineno <= line <= node.end_lineno)
+                for q, names in loads.items() for name, line in names)
+            if not (outside or node.name in wavemix.__all__ or node.name in gated):
+                uncalled.append(f"{p.stem}.{node.name}")
+    assert uncalled == []
 
 
 def test_module_level_imports_are_used():

@@ -366,29 +366,6 @@ def test_tv_estimate_reindexing_invariance(basis, noise):
     assert shuffled.value == pytest.approx(base.value, rel=1e-12)
 
 
-def test_tv_shape_fit_then_verify(basis, noise):
-    # separation-shape claim: constants fitted on the two largest distances,
-    # inequality verified on the held-out smaller ones
-    from wavemix.coupling import tv_shape_check
-    from wavemix.spectral import energy as energy_of
-    cfg = make_cfg(basis, horizon=1.0, stride=8, seed=37)
-    nl = Nonlinearity.klein_gordon(1.0)
-    z = smooth_state(basis, 0.3, 40, cfg.alpha)
-    d = unit_direction(basis, cfg.alpha)
-    distances = (0.08, 0.04, 0.02, 0.01)
-    ests = []
-    e_sum = 0.0
-    for k, dist in enumerate(distances):
-        zp = PhaseState.from_coeffs(basis, *(z.as_array() + dist * d), cfg.alpha)
-        batch = couple_fp_batch(cfg, nl, noise, z, zp, n_feedback=8,
-                                n_traj=250, seed_offset=500 * k)
-        ests.append(tv_estimate_likelihood(batch))
-        e_sum = abs(energy_of(z, nl)) + abs(energy_of(zp, nl))
-    check = tv_shape_check(distances, ests, e_sum)
-    assert check.a < 2.0
-    assert check.verified
-
-
 def test_tv_estimate_refinement_invariance(basis, noise):
     # halving dt leaves the likelihood-ratio TV estimate inside joint error bars
     nl = Nonlinearity.klein_gordon(1.0)

@@ -9,16 +9,13 @@ from wavemix.ergodic import (
     PressureCurve,
     chain_pressure_curve,
     clt_check,
-    exponential_tightness_probe,
     feynman_kac_estimate,
     fk_eigen_exact,
     ldp_level1_check,
     legendre,
-    lyapunov_weights,
     occupation_measure,
     slln_check,
     two_state_chain,
-    weight_drift_check,
 )
 from wavemix.toys import OrnsteinUhlenbeck, simulate_toy
 
@@ -291,88 +288,6 @@ def test_ldp1_undersampling_guard(ou):
     assert rep.inconclusive
 
 
-# ------------------------------------------------------------ tightness, weights
-
-
-def test_tightness_decaying_run():
-    t = np.linspace(0, 20, 201)
-    # noiseless decaying trajectory: integral saturates, slope ~ 0
-    integrals = np.minimum(t, 3.0)[None, :].repeat(4, axis=0)
-    rep = exponential_tightness_probe(t, integrals)
-    assert rep.fit is not None
-
-
-def test_lyapunov_weights_values():
-    rep = lyapunov_weights(0.0, 0.0, m=1, kappa=0.1)
-    assert rep.w == 1.0
-    assert rep.w_m == 1.0
-    assert rep.w_tilde == 2.0
-    rep2 = lyapunov_weights(0.5, 2.0, m=1, kappa=0.0)
-    assert rep2.w == rep2.w_m
-    with pytest.raises(ValueError):
-        lyapunov_weights(0.0, 0.0, m=1, kappa=1.0, kappa_cap=0.5)
-
-
-def test_weight_drift_shape():
-    t = np.linspace(0, 10, 101)
-    w = 2.0 + np.exp(-0.5 * t)[None, :].repeat(8, axis=0)
-    rep = weight_drift_check(t, w, m=1, alpha=0.25)
-    assert rep.passed
-    assert np.isfinite(rep.plateau)
-
-
-# ------------------------------------------------------------ NLW-driven probes
-
-
-def _driven_ensemble(n_traj=120, horizon=20.0, s=0.4, kappa=0.5, seed=51):
-    from wavemix.nlw import NoiseModel, Nonlinearity, SimConfig, run_flow, \
-        make_energy_fn
-    from wavemix.spectral import PhaseState, SpectralBasis, \
-        sobolev_phase_norm_sq_arr
-    basis = SpectralBasis((np.pi,), 16)
-    noise = NoiseModel.power_law(basis, amplitude=0.25, q=2.0)
-    cfg = SimConfig(basis=basis, gamma=1.0,
-                    dt=0.5 / np.sqrt(basis.eigenvalues[-1]), horizon=horizon,
-                    seed=seed, eps=1.0, stride=16)
-    nl = Nonlinearity.klein_gordon(1.0)
-    lam = basis.eigenvalues
-    energy_fn = make_energy_fn(basis, nl, cfg.alpha)
-
-    def hs_kappa(states):
-        return sobolev_phase_norm_sq_arr(states, lam, cfg.alpha, s) ** (kappa / 2)
-
-    def hs_sq(states):
-        return sobolev_phase_norm_sq_arr(states, lam, cfg.alpha, s)
-
-    res = run_flow(cfg, nl, noise, PhaseState.zero(basis, cfg.alpha),
-                   n_traj=n_traj, probes={"energy": energy_fn, "hs_sq": hs_sq},
-                   integrands={"tight": hs_kappa})
-    return cfg, noise, res
-
-
-def test_exponential_tightness_driven_run():
-    # driven desk run, kappa = 0.5, s = 0.4: affine fit of the log moment
-    cfg, noise, res = _driven_ensemble()
-    rep = exponential_tightness_probe(res.t, res.integrals["tight"])
-    assert rep.passed
-    assert rep.fit.r2 > 0.95
-    assert np.isfinite(rep.slope)
-
-
-def test_lyapunov_weight_drift_driven_run():
-    cfg, noise, res = _driven_ensemble()
-    kappa_cap = noise.B / (2 * cfg.alpha)
-    kappa = 0.5 * kappa_cap
-    w = 1.0 + res.probes["hs_sq"] + res.probes["energy"] ** 4 \
-        + np.exp(kappa * res.probes["energy"])
-    rep = weight_drift_check(res.t, w, m=1, alpha=cfg.alpha)
-    assert rep.passed
-    assert np.isfinite(rep.plateau)
-    # ensemble mean decays toward its plateau rather than growing
-    tail = rep.mean_weight[res.t > res.t[-1] / 2]
-    assert tail.max() <= rep.mean_weight.max() + 1e-9
-
-
 def test_fk_initial_condition_uniformity(ou):
     # pressure estimates from a configured set of starting points agree
     horizon = 25.0
@@ -447,42 +362,3 @@ def test_occupation_engine_two_code_paths():
     rec = occupation_measure(res.t, {"psi": res.probes["psi"]})
     engine_avg = res.integrals["psi_int"][0, -1] / res.t[-1]
     assert rec.averages["psi"][0, -1] == pytest.approx(engine_avg, abs=1e-10)
-
-
-def test_tightness_kappa_limits():
-    # kappa -> 0 makes the integrand identically one, so the log moment is
-    # exactly affine with unit slope; a decaying noiseless run saturates and
-    # the tail slope vanishes
-    from wavemix.nlw import NoiseModel, Nonlinearity, SimConfig, run_flow
-    from wavemix.spectral import PhaseState, SpectralBasis, \
-        sobolev_phase_norm_sq_arr
-    basis = SpectralBasis((np.pi,), 12)
-    noise = NoiseModel.power_law(basis, amplitude=0.25, q=2.0)
-    nl = Nonlinearity.klein_gordon(1.0)
-    rng = np.random.default_rng(3)
-    decay = 1.0 / np.arange(1, 13) ** 2
-
-    def run(eps, kappa, horizon):
-        cfg = SimConfig(basis=basis, gamma=1.0,
-                        dt=0.5 / np.sqrt(basis.eigenvalues[-1]),
-                        horizon=horizon, seed=19, eps=eps, stride=8)
-        y0 = PhaseState.from_coeffs(basis, 0.8 * rng.standard_normal(12) * decay,
-                                    0.8 * rng.standard_normal(12) * decay,
-                                    cfg.alpha)
-        lam = basis.eigenvalues
-
-        def integrand(s):
-            return sobolev_phase_norm_sq_arr(s, lam, cfg.alpha, 0.4) ** (kappa / 2)
-        res = run_flow(cfg, nl, noise, y0, n_traj=8, integrands={"x": integrand})
-        return res.t, res.integrals["x"]
-
-    t, ints = run(eps=1.0, kappa=1e-6, horizon=10.0)
-    rep = exponential_tightness_probe(t, ints)
-    assert rep.slope == pytest.approx(1.0, abs=1e-3)
-
-    t, ints = run(eps=0.0, kappa=0.5, horizon=30.0)
-    tail = t > 15.0
-    logm = np.log(np.exp(ints).mean(axis=0))
-    from wavemix.stats import line_fit
-    fit = line_fit(t[tail], logm[tail])
-    assert abs(fit.slope) < 0.02

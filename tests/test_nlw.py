@@ -8,7 +8,6 @@ from hypothesis.extra import numpy as hnp
 
 from wavemix import nlw, stats
 from wavemix.nlw import (
-    GrowthMonitor,
     NoiseModel,
     Nonlinearity,
     SimConfig,
@@ -16,20 +15,13 @@ from wavemix.nlw import (
     check_dissipativity,
     draw_normals,
     energy_audit,
-    exp_moment_probe,
-    growth_functional,
-    growth_monitor,
     linear_ops,
-    regularity_split,
     simulate,
-    step_stochastic,
-    stopping_time,
-    supermartingale_beta,
     run_flow,
     make_energy_fn,
     trajectory_streams,
 )
-from wavemix.spectral import Field, PhaseState, SpectralBasis, phase_norm
+from wavemix.spectral import PhaseState, SpectralBasis
 
 PI = np.pi
 
@@ -158,15 +150,15 @@ def test_dissipativity_violation_reported():
 
 
 def test_linear_step_matches_closed_form(basis16, noise16):
-    cfg = make_cfg(basis16, eps=0.0)
+    dt = 0.5 / np.sqrt(basis16.eigenvalues[-1])
+    cfg = make_cfg(basis16, eps=0.0, dt=dt, horizon=dt, stride=1)
     nl = Nonlinearity.zero()
-    rng = np.random.default_rng(0)
     y = smooth_state(basis16, alpha=cfg.alpha)
-    stepped = step_stochastic(y, cfg, nl, noise16, rng)
+    stepped = simulate(cfg, nl, noise16, y).states[-1]
     for j in (0, 5, 15):
         lam = basis16.eigenvalues[j]
         exact = damped_oscillator_exact(lam, cfg.gamma, cfg.dt) @ y.as_array()[:, j]
-        np.testing.assert_allclose(stepped.as_array()[:, j], exact, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(stepped[:, j], exact, rtol=1e-12, atol=1e-15)
 
 
 def test_linear_thousand_steps_exact(basis16, noise16):
@@ -383,85 +375,6 @@ def test_driven_mean_energy_bounded(basis16, noise16):
     assert mean_E[len(mean_E) // 2:].max() <= mean_E.max() * 1.5 + 1.0
 
 
-def test_regularity_split(basis16, noise16):
-    cfg = make_cfg(basis16, horizon=10.0, stride=8, seed=9)
-    nl = Nonlinearity.klein_gordon(1.0)
-    y = smooth_state(basis16, alpha=cfg.alpha)
-    split = regularity_split(cfg, nl, noise16, y, s=0.4)
-    # z starts at zero and stays H^s-bounded
-    assert split.z_norm_hs[0] == 0
-    assert np.isfinite(split.z_norm_hs).all()
-
-    # f = 0 implies z identically zero
-    split0 = regularity_split(cfg, Nonlinearity.zero(), noise16, y, s=0.4)
-    assert np.max(split0.z_norm_hs) < 1e-12
-
-    # noiseless, h = 0: |v(t)|_H^2 <= |y0|_H^2 e^{-alpha t} pathwise
-    cfg0 = make_cfg(basis16, eps=0.0, horizon=10.0, stride=8)
-    sp = regularity_split(cfg0, nl, noise16, y, s=0.4)
-    bound = phase_norm(y) ** 2 * np.exp(-cfg0.alpha * sp.t)
-    assert np.all(sp.v_norm_h ** 2 <= bound * (1 + 1e-8))
-
-
-def test_exp_moment_probe(basis16, noise16):
-    cfg = make_cfg(basis16, horizon=10.0, stride=16, seed=13)
-    nl = Nonlinearity.klein_gordon(1.0)
-    y0 = PhaseState.zero(basis16, cfg.alpha)
-    kappa_max = cfg.alpha / (2 * cfg.eps * noise16.B)
-    rep = exp_moment_probe(cfg, nl, noise16, y0, kappa=0.5 * kappa_max, n_traj=100)
-    assert rep.bounded
-    assert np.all(rep.estimate >= 1.0 - 1e-9)
-
-    # kappa = 0 gives exactly 1
-    rep0 = exp_moment_probe(cfg, nl, noise16, y0, kappa=0.0, n_traj=4)
-    np.testing.assert_allclose(rep0.estimate, 1.0, atol=1e-14)
-
-    with pytest.raises(ValueError):
-        exp_moment_probe(cfg, nl, noise16, y0, kappa=10 * kappa_max, n_traj=2)
-
-
-def test_noiseless_exp_moment_equals_path_value(basis16, noise16):
-    cfg = make_cfg(basis16, eps=0.0, horizon=2.0, stride=8)
-    nl = Nonlinearity.klein_gordon(1.0)
-    y = smooth_state(basis16, alpha=cfg.alpha)
-    kappa = 0.3
-    rep = exp_moment_probe(cfg, nl, noise16, y, kappa=kappa, n_traj=3)
-    traj = simulate(cfg, nl, noise16, y)
-    np.testing.assert_allclose(rep.estimate, np.exp(kappa * traj.energy), rtol=1e-12)
-
-
-def test_growth_monitor_noiseless_never_triggers(basis16, noise16):
-    cfg = make_cfg(basis16, eps=0.0, horizon=5.0, stride=4)
-    nl = Nonlinearity.klein_gordon(1.0)
-    traj = simulate(cfg, nl, noise16, smooth_state(basis16, alpha=cfg.alpha))
-    F = growth_functional(traj.t, traj.energy, cfg.alpha)
-    tau = stopping_time(traj.t, F, L=1.0, M_rate=1.0, r=5.0)
-    assert tau == math.inf
-
-
-def test_growth_monitor_tail(basis16, noise16):
-    cfg = make_cfg(basis16, horizon=20.0, stride=8, seed=21)
-    nl = Nonlinearity.klein_gordon(1.0)
-    lam = basis16.eigenvalues
-    energy_fn = make_energy_fn(basis16, nl, cfg.alpha)
-    from wavemix.spectral import phase_norm_sq_arr
-    res = run_flow(cfg, nl, noise16, PhaseState.zero(basis16, cfg.alpha),
-                   n_traj=400, probes={"energy": energy_fn},
-                   integrands={"normH2": lambda s: phase_norm_sq_arr(s, lam, cfg.alpha)})
-    # L from the audited drift constant of the ensemble mean, per the default rule
-    mean_E = res.probes["energy"].mean(axis=0)
-    mean_I = res.integrals["normH2"].mean(axis=0)
-    k_fit = np.max((mean_E + 0.5 * cfg.alpha * mean_I - mean_E[0])[1:] / res.t[1:])
-    beta = supermartingale_beta(cfg.alpha, cfg.eps, noise16)
-    mon = GrowthMonitor.from_constants(cfg.alpha, beta, k_fit=k_fit, c_diss=0.0)
-    rep = growth_monitor(res.probes["energy"], res.t, mon, beta)
-    assert rep.tail_fit is not None
-    assert rep.tail_fit.slope < 0
-    assert rep.tail_fit.r2 > 0.9
-    # doubling r never increases the exceedance count
-    assert np.all(np.diff(rep.exceedance) <= 1e-12)
-
-
 def test_streams_are_independent_of_batching(basis16, noise16):
     cfg = make_cfg(basis16, horizon=0.5, stride=2, seed=42)
     nl = Nonlinearity.klein_gordon(1.0)
@@ -487,20 +400,6 @@ def test_2d_rectangle_smoke():
     traj = simulate(cfg, nl, noise, y0)
     assert np.isfinite(traj.states).all()
     assert np.isfinite(traj.energy).all()
-
-
-def test_regularity_split_stable_under_refinement(basis16, noise16):
-    # sup_t |xi_z|_{H^s} is stable when dt is halved (same time horizon)
-    nl = Nonlinearity.klein_gordon(1.0)
-    y = smooth_state(basis16)
-    sups = []
-    for refine in (1, 2):
-        cfg = make_cfg(basis16, dt=0.5 / np.sqrt(basis16.eigenvalues[-1]) / refine,
-                       horizon=8.0, stride=8 * refine, seed=9)
-        sp = regularity_split(cfg, nl, noise16, y, s=0.4)
-        sups.append(np.max(sp.z_norm_hs))
-    assert np.isfinite(sups).all()
-    assert sups[1] == pytest.approx(sups[0], rel=0.2)
 
 
 # ------------------------------------------------------------ per-mode kernel
@@ -671,31 +570,7 @@ def test_noiseless_merged_steps_match_per_step_run(basis16, noise16):
     assert not np.array_equal(merged.states[0], per_step.states)
 
 
-def test_regularity_split_drive_is_simulate_bitwise(basis16, noise16):
-    # u of the split and a plain simulate run one scheme on one stream
-    cfg = make_cfg(basis16, horizon=5.0, stride=4, seed=9)
-    nl = Nonlinearity.klein_gordon(1.0)
-    y = smooth_state(basis16, alpha=cfg.alpha)
-    split = regularity_split(cfg, nl, noise16, y, s=0.4)
-    traj = simulate(cfg, nl, noise16, y)
-    assert np.array_equal(split.t, traj.t)
-    assert np.array_equal(split.traj_u, traj.states)
-
-
-def test_step_stochastic_iterates_simulate_bitwise(basis16, noise16):
-    cfg = make_cfg(basis16, horizon=1.0, stride=1, seed=9)
-    nl = Nonlinearity.klein_gordon(1.0)
-    y = smooth_state(basis16, alpha=cfg.alpha)
-    traj = simulate(cfg, nl, noise16, y)
-    rng = trajectory_streams(cfg.seed, 1)[0]
-    stepped = [y.as_array()]
-    for _ in range(cfg.n_steps):
-        y = step_stochastic(y, cfg, nl, noise16, rng)
-        stepped.append(y.as_array())
-    assert np.array_equal(np.stack(stepped), traj.states)
-
-
-def test_regularity_split_nonfinite_start_raises_at_first_chunk(basis16, noise16):
+def test_run_flow_nonfinite_start_raises_at_first_chunk(basis16, noise16):
     cfg = make_cfg(basis16, horizon=10.0, seed=9)
     assert cfg.n_steps > 256
     y = smooth_state(basis16, alpha=cfg.alpha)
@@ -705,7 +580,7 @@ def test_regularity_split_nonfinite_start_raises_at_first_chunk(basis16, noise16
     # the driver checks every 256-step chunk, so the run stops at t = 256 dt
     with np.errstate(invalid="ignore"), \
             pytest.raises(nlw.BlowupError, match=r"nonfinite state near t=8 "):
-        regularity_split(cfg, Nonlinearity.klein_gordon(1.0), noise16, bad)
+        run_flow(cfg, Nonlinearity.klein_gordon(1.0), noise16, bad)
 
 
 def test_noise_block_cap_keeps_paths_bitwise(basis16, noise16, monkeypatch):

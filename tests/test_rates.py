@@ -9,26 +9,23 @@ from wavemix import newton, toys
 from wavemix.nlw import BlowupError, NoiseModel, Nonlinearity
 from wavemix.rates import (
     BoundaryChainConfig,
-    ControlPath,
     EquilibriumNetwork,
     _first_passages,
     _toy_action_and_grad,
     _toy_hessian,
     action_value,
     boundary_chain,
-    find_equilibria,
     fw_rate,
     gradient_rate_oracle,
     nlw_quasipotential,
     smallnoise_stationary_probe,
-    stabilization_control,
     toy_equilibrium_network,
     toy_quasipotential,
     toy_quasipotential_oracle,
     w_graph_bruteforce,
     w_graph_weights,
 )
-from wavemix.spectral import Field, PhaseState, SpectralBasis, phase_norm
+from wavemix.spectral import Field, PhaseState, SpectralBasis
 from wavemix.toys import GradientSDE, builtin_cubic, builtin_doublewell
 
 PI = np.pi
@@ -252,35 +249,6 @@ def test_toy_network():
     assert net.V[2, 0] == pytest.approx(16.0 / 3.0, rel=1e-6)
 
 
-def test_find_equilibria_klein_gordon_small_lambda():
-    # lam < lambda_1: -Lap u + f(u) = 0 is strictly monotone, only the origin
-    basis = SpectralBasis((PI,), 12)
-    nl = Nonlinearity.klein_gordon(1.0, lam=0.5)
-    net = find_equilibria(basis, nl, gamma=1.0, seed=1)
-    assert len(net.points) == 1
-    assert np.max(np.abs(net.points[0])) < 1e-8
-    assert net.stable[0]
-
-
-def test_find_equilibria_sine_gordon_contains_origin():
-    basis = SpectralBasis((PI,), 12)
-    nl = Nonlinearity.sine_gordon()
-    net = find_equilibria(basis, nl, gamma=1.0, seed=2)
-    dists = [np.max(np.abs(p)) for p in net.points]
-    assert min(dists) < 1e-8
-
-
-def test_find_equilibria_supercritical_pitchfork():
-    # lam > lambda_1 destabilizes the origin and creates a symmetric pair
-    basis = SpectralBasis((PI,), 12)
-    nl = Nonlinearity.klein_gordon(1.0, lam=2.0)
-    net = find_equilibria(basis, nl, gamma=1.0, n_starts=24, seed=3)
-    assert len(net.points) >= 3
-    origin = min(range(len(net.points)), key=lambda i: np.max(np.abs(net.points[i])))
-    assert not net.stable[origin]
-    assert sum(net.stable) >= 2
-
-
 # ------------------------------------------------------------ W-graphs, rate
 
 
@@ -428,42 +396,6 @@ def test_nlw_quasipotential_nonlinear_runs(nlw_setup):
                              horizons=(4.0,))
     assert res.endpoint_error <= 0.1
     assert np.isfinite(res.value)
-
-
-# ------------------------------------------------------------ stabilization
-
-
-def test_stabilization_zero_control_at_equilibrium(nlw_setup):
-    basis, nl, noise = nlw_setup
-    alpha = 0.25
-    u_hat = np.zeros(basis.mode_count)
-    v0 = PhaseState.zero(basis, alpha)
-    rep = stabilization_control(basis, nl, 1.0, noise, v0, u_hat, n_feedback=4,
-                                horizon=4.0)
-    assert rep.action == pytest.approx(0.0, abs=1e-14)
-    assert rep.decay_ok
-
-
-def test_stabilization_decay_and_quadratic_action(nlw_setup):
-    # f'(0) must not vanish for the generic quadratic action scaling, so use
-    # the Klein-Gordon family with a subcritical linear part
-    basis, _, noise = nlw_setup
-    nl = Nonlinearity.klein_gordon(1.0, lam=0.5)
-    alpha = 0.25
-    u_hat = np.zeros(basis.mode_count)
-    actions = []
-    sizes = (0.1, 0.05, 0.025, 0.0125)
-    for s in sizes:
-        v0 = PhaseState(Field.from_mode(basis, 1, s / np.sqrt(basis.eigenvalues[0]), 1.0),
-                        Field.from_mode(basis, 1, -alpha * s / np.sqrt(basis.eigenvalues[0])),
-                        alpha)
-        rep = stabilization_control(basis, nl, 1.0, noise, v0, u_hat,
-                                    n_feedback=basis.mode_count, horizon=16.0)
-        assert rep.decay_ok
-        actions.append(rep.action)
-    from wavemix.stats import line_fit
-    fit = line_fit(np.log(sizes), np.log(actions))
-    assert fit.slope == pytest.approx(2.0, abs=0.2)
 
 
 # ------------------------------------------------------------ small noise

@@ -14,7 +14,6 @@ from wavemix.toys import (
     OrnsteinUhlenbeck,
     builtin_cubic,
     builtin_doublewell,
-    detailed_balance_check,
     gradient_sde_exact_density,
     simulate_toy,
 )
@@ -324,14 +323,3 @@ def test_gradient_histogram_matches_density():
     chi2 = np.sum((counts / n - probs) ** 2 / probs) * n_eff
     from scipy.stats import chi2 as chi2_dist
     assert chi2 < chi2_dist.ppf(0.99, keep.sum() - 1)
-
-
-def test_detailed_balance():
-    dw = builtin_doublewell()
-    eps = 0.4
-    t, paths, _ = simulate_toy(dw, eps, dt=1e-3, horizon=300.0, seed=3,
-                               n_traj=12, record_stride=10)
-    series = np.concatenate([p[t > 25] for p in paths])
-    rep = detailed_balance_check(dw, eps, series)
-    assert rep.bins.size >= 3
-    assert rep.ok
