@@ -57,72 +57,89 @@ def _bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-# (type, default) per key; unknown keys in a config file are hard errors.
+def _increasing(v: list[float]) -> bool:
+    return all(a < b for a, b in zip(v, v[1:]))
+
+
+_POSITIVE = (lambda v: v > 0, "> 0")
+
+# (type, default, rule) per key, where a rule is None or (test, words): a value
+# that fails the test is a config error.  Unknown keys in a file are errors.
 SCHEMA: dict[str, dict[str, tuple]] = {
     "model": {
-        "kind": (str, "nlw"),
-        "length": (float, math.pi),
-        "length2": (float, 0.0),
-        "modes": (int, 32),
-        "gamma": (float, 1.0),
-        "nonlinearity": (str, "klein_gordon"),
-        "rho": (float, 1.0),
-        "lam": (float, 0.0),
-        "nu": (float, 0.01),
-        "alpha": (float, 0.0),
-        "h_amplitude": (float, 0.0),
-        "theta": (float, 1.0),
-        "sigma": (float, 1.0),
-        "toy_eps": (float, 0.25),
+        "kind": (str, "nlw", (lambda v: v in ("nlw", "cubic", "doublewell", "ou", "chain2"),
+                              "one of nlw, cubic, doublewell, ou, chain2")),
+        "length": (float, math.pi, None),
+        "length2": (float, 0.0, None),
+        "modes": (int, 32, None),
+        "gamma": (float, 1.0, None),
+        "nonlinearity": (str, "klein_gordon", None),
+        "rho": (float, 1.0, None),
+        "lam": (float, 0.0, None),
+        "nu": (float, 0.01, None),
+        "alpha": (float, 0.0, None),
+        "h_amplitude": (float, 0.0, None),
+        "theta": (float, 1.0, None),
+        "sigma": (float, 1.0, None),
+        "toy_eps": (float, 0.25, None),
     },
     "noise": {
-        "amplitude": (float, 0.25),
-        "decay_q": (float, 2.0),
-        "cutoff": (int, 0),
-        "eps": (float, 1.0),
+        "amplitude": (float, 0.25, None),
+        "decay_q": (float, 2.0, None),
+        "cutoff": (int, 0, None),
+        "eps": (float, 1.0, None),
     },
     "integrator": {
-        "dt": (float, 0.0),
-        "horizon": (float, 10.0),
-        "stride": (int, 8),
-        "toy_dt": (float, 1e-3),
-        "allow_large_dt": (_bool, False),
+        "dt": (float, 0.0, None),
+        "horizon": (float, 10.0, _POSITIVE),
+        "stride": (int, 8, _POSITIVE),
+        "toy_dt": (float, 1e-3, _POSITIVE),
+        "allow_large_dt": (_bool, False, None),
     },
     "experiment": {
-        "n_traj": (int, 400),
-        "n_feedback": (int, 8),
-        "distances": (_floats, [0.04, 0.02, 0.01]),
-        "betas": (_floats, [-0.5, -0.25, 0.25, 0.5]),
-        "interval": (_floats, [0.4, 0.6]),
-        "horizons": (_floats, []),
-        "s_exponent": (float, 0.4),
-        "eps_list": (_floats, [1e-3]),
-        "sets": (_floats, [2.9, 3.1]),
-        "mc": (_bool, False),
-        "from_point": (float, 0.0),
-        "to_point": (float, 3.0),
-        "eta": (float, 0.05),
-        "radii": (_floats, [0.15, 0.2, 0.3, 0.45, 0.6]),
-        "chain_variant": (str, "i-graph"),
-        "use_solver": (_bool, False),
-        "replicas": (int, 64),
-        "rep_horizon": (float, 1500.0),
-        "state_scale": (float, 0.4),
+        "n_traj": (int, 400, _POSITIVE),
+        "n_feedback": (int, 8, None),
+        "distances": (_floats, [0.04, 0.02, 0.01], (lambda v: len(v) >= 2 and min(v) > 0,
+                                                     "at least two values, each > 0")),
+        "betas": (_floats, [-0.5, -0.25, 0.25, 0.5],
+                  (lambda v: any(v), "at least one value other than 0")),
+        "interval": (_floats, [0.4, 0.6],
+                     (lambda v: len(v) == 2 and _increasing(v), "two values lo < hi")),
+        "horizons": (_floats, [], (lambda v: v == [] or len(v) >= 2 and min(v) > 0,
+                                   "empty or at least two values, each > 0")),
+        "s_exponent": (float, 0.4, None),
+        "eps_list": (_floats, [1e-3], (lambda v: len(v) >= 1 and min(v) > 0,
+                                       "at least one value, each > 0")),
+        "sets": (_floats, [2.9, 3.1],
+                 (lambda v: len(v) >= 2 and len(v) % 2 == 0
+                  and all(lo < hi for lo, hi in zip(v[::2], v[1::2])),
+                  "lo/hi pairs with lo < hi, at least one")),
+        "mc": (_bool, False, None),
+        "from_point": (float, 0.0, None),
+        "to_point": (float, 3.0, None),
+        "eta": (float, 0.05, None),
+        "radii": (_floats, [0.15, 0.2, 0.3, 0.45, 0.6],
+                  (lambda v: len(v) == 5 and _increasing([0.0, *v]),
+                   "five values 0 < rho1' < rho0' < rho1 < rho0 < rho*")),
+        "chain_variant": (str, "i-graph", (lambda v: v in ("i-graph", "chain"),
+                                           "i-graph or chain")),
+        "use_solver": (_bool, False, None),
+        "replicas": (int, 64, _POSITIVE),
+        "rep_horizon": (float, 1500.0, None),
+        "state_scale": (float, 0.4, None),
     },
 }
 
-SUBCOMMANDS = ["simulate", "energy-audit", "couple-fp", "girsanov-tv", "mix",
-               "occupation", "pressure", "ldp1", "quasipotential", "fw-graph",
-               "stationary-smallnoise", "boundary-chain", "selftest"]
-
 
 class RunConfig:
-    """Resolved configuration: schema values plus seed and output directory."""
+    """Resolved configuration: schema values plus seed, output directory and
+    thread count; of these three only the seed enters the manifest."""
 
     def __init__(self, values: dict[str, dict], seed: int, out: str):
         self.values = values
         self.seed = seed
         self.out = out
+        self.threads = 1
 
     def __getitem__(self, section: str) -> dict:
         return self.values[section]
@@ -196,32 +213,11 @@ def _assign(values: dict, section: str, key: str, raw: str) -> None:
 
 
 def _validate(cfg: RunConfig):
-    if cfg["model"]["kind"] not in ("nlw", "cubic", "doublewell", "ou", "chain2"):
-        raise ConfigError(f"unknown model kind {cfg['model']['kind']!r}")
-    for target in ("integrator.stride", "integrator.horizon", "integrator.toy_dt",
-                   "experiment.n_traj", "experiment.replicas"):
-        section, key = target.split(".")
-        if cfg[section][key] <= 0:
-            raise ConfigError(f"{target}={cfg[section][key]} must be > 0")
-    x = cfg["experiment"]
-    if x["chain_variant"] not in ("i-graph", "chain"):
-        raise ConfigError(f"unknown experiment.chain_variant {x['chain_variant']!r}")
-    lo_hi, radii, sets = x["interval"], x["radii"], x["sets"]
-    radii_ok = len(radii) == 5
-    try:
-        rates.BoundaryChainConfig(*radii[:5])
-    except ValueError:
-        radii_ok = False
-    for key, ok, rule in (
-            ("interval", len(lo_hi) == 2 and lo_hi[0] < lo_hi[1], "two values lo < hi"),
-            ("radii", radii_ok, "five values 0 < rho1' < rho0' < rho1 < rho0 < rho*"),
-            ("eps_list", len(x["eps_list"]) >= 1, "at least one value"),
-            ("distances", len(x["distances"]) >= 2, "at least two values"),
-            ("horizons", len(x["horizons"]) != 1, "empty or at least two values"),
-            ("sets", len(sets) >= 2 and len(sets) % 2 == 0, "lo/hi pairs, at least one"),
-            ("betas", len(x["betas"]) >= 1, "at least one value")):
-        if not ok:
-            raise ConfigError(f"experiment.{key}={x[key]} must be {rule}")
+    for section, keys in SCHEMA.items():
+        for key, (_, _, rule) in keys.items():
+            value = cfg[section][key]
+            if rule is not None and not rule[0](value):
+                raise ConfigError(f"{section}.{key}={value} must be {rule[1]}")
     if cfg["model"]["kind"] == "nlw":
         _wave(cfg)
 
@@ -285,13 +281,9 @@ def _build_simconfig(cfg: RunConfig, basis: SpectralBasis) -> nlw.SimConfig:
 
 def _build_toy(cfg: RunConfig):
     kind = cfg["model"]["kind"]
-    if kind == "cubic":
-        return toys.builtin_cubic()
-    if kind == "doublewell":
-        return toys.builtin_doublewell()
     if kind == "ou":
         return toys.OrnsteinUhlenbeck(cfg["model"]["theta"], cfg["model"]["sigma"])
-    raise ConfigError(f"model kind {kind!r} is not a toy")
+    return toys.builtin_cubic() if kind == "cubic" else toys.builtin_doublewell()
 
 
 # First spawn-key entry of the start-state streams: an arbitrary constant far
@@ -401,7 +393,7 @@ def _jsonify(obj):
 # Experiment implementations
 
 
-def _cmd_simulate(cfg: RunConfig, out: _RunDir, threads: int) -> int:
+def _cmd_simulate(cfg: RunConfig, out: _RunDir) -> int:
     kind = cfg["model"]["kind"]
     if kind == "nlw":
         basis, nl, noise, sim = _wave(cfg)
@@ -426,7 +418,7 @@ def _cmd_simulate(cfg: RunConfig, out: _RunDir, threads: int) -> int:
     return _finish(cfg, out, "pass", {"final": paths[0, -1]}, {})
 
 
-def _cmd_energy_audit(cfg: RunConfig, out: _RunDir, threads: int) -> int:
+def _cmd_energy_audit(cfg: RunConfig, out: _RunDir) -> int:
     basis, nl, noise, sim = _wave(cfg)
     # without noise every path is the same: one path is the pathwise audit
     res = nlw.run_flow(sim, nl, noise, _start(cfg, sim, 1),
@@ -434,7 +426,7 @@ def _cmd_energy_audit(cfg: RunConfig, out: _RunDir, threads: int) -> int:
                        probes={"energy": nlw.make_energy_fn(basis, nl, sim.alpha)},
                        integrands={"normH2": lambda s: phase_norm_sq_arr(
                            s, basis.eigenvalues, sim.alpha)},
-                       threads=threads)
+                       threads=cfg.threads)
     audit = nlw.energy_audit(res.t, res.probes["energy"], res.integrals["normH2"], sim.alpha)
     out.write_csv("energy.csv", ["t", "E"],
                   [[audit.t[i], audit.series[i]] for i in range(audit.t.size)])
@@ -469,7 +461,7 @@ def _coupled_series(cfg: RunConfig, out: _RunDir, name: str, wave, z: PhaseState
                     pair.girsanov.novikov_energy[i]] for i in range(pair.t.size)])
 
 
-def _cmd_couple_fp(cfg: RunConfig, out: _RunDir, threads: int) -> int:
+def _cmd_couple_fp(cfg: RunConfig, out: _RunDir) -> int:
     wave = basis, nl, noise, sim = _wave(cfg)
     z, zp = _start(cfg, sim, 1), _start(cfg, sim, 2)
     _coupled_series(cfg, out, "couple_fp.csv", wave, z, zp)
@@ -482,7 +474,7 @@ def _cmd_couple_fp(cfg: RunConfig, out: _RunDir, threads: int) -> int:
                    {"lowmode_margin_max": 1e-6, "rate_floor": sim.alpha / 2})
 
 
-def _cmd_girsanov_tv(cfg: RunConfig, out: _RunDir, threads: int) -> int:
+def _cmd_girsanov_tv(cfg: RunConfig, out: _RunDir) -> int:
     wave = basis, nl, noise, sim = _wave(cfg)
     # without feedback v is u' and every likelihood ratio is 1: nothing to fit
     n_feedback = _feedback_modes(cfg, basis, least=1)
@@ -513,10 +505,10 @@ def _cmd_girsanov_tv(cfg: RunConfig, out: _RunDir, threads: int) -> int:
                    {"scaling_exponent": [1.7, 2.3], "domination_se": 3})
 
 
-def _cmd_mix(cfg: RunConfig, out: _RunDir, threads: int) -> int:
+def _cmd_mix(cfg: RunConfig, out: _RunDir) -> int:
     _, nl, noise, sim = _wave(cfg)
     rep = cpl.mixing_rate(sim, nl, noise, _start(cfg, sim, 1), _start(cfg, sim, 2),
-                          n_traj=cfg["experiment"]["n_traj"], threads=threads)
+                          n_traj=cfg["experiment"]["n_traj"], threads=cfg.threads)
     out.write_csv("mixing.csv", ["t", "delta"],
                   [[rep.t[i], rep.delta[i]] for i in range(rep.t.size)])
     status = ("inconclusive" if rep.inconclusive
@@ -529,14 +521,14 @@ def _cmd_mix(cfg: RunConfig, out: _RunDir, threads: int) -> int:
                     "min_points_above_floor": cpl.MIN_FIT_POINTS})
 
 
-def _cmd_occupation(cfg: RunConfig, out: _RunDir, threads: int) -> int:
+def _cmd_occupation(cfg: RunConfig, out: _RunDir) -> int:
     kind = cfg["model"]["kind"]
     horizon = cfg["integrator"]["horizon"]
     if kind == "nlw":
         basis, nl, noise, sim = _wave(cfg)
         obs = {o.name: o for o in default_observables(basis, sim.alpha, (1, 2))}
         res = nlw.run_flow(sim, nl, noise, _start(cfg, sim, 1), n_traj=1,
-                           integrands=obs, threads=threads)
+                           integrands=obs, threads=cfg.threads)
         series = {k: v[0] for k, v in res.integrals.items()}
         rows = [[res.t[i]] + [series[k][i] / res.t[i] if res.t[i] > 0 else 0.0
                               for k in series] for i in range(res.t.size)]
@@ -552,7 +544,7 @@ def _cmd_occupation(cfg: RunConfig, out: _RunDir, threads: int) -> int:
     return _finish(cfg, out, "pass", {"avg_u": rec.final("u")}, {})
 
 
-def _cmd_pressure(cfg: RunConfig, out: _RunDir, threads: int) -> int:
+def _cmd_pressure(cfg: RunConfig, out: _RunDir) -> int:
     kind = cfg["model"]["kind"]
     betas = cfg["experiment"]["betas"]
     if 0.0 not in betas:
@@ -560,7 +552,7 @@ def _cmd_pressure(cfg: RunConfig, out: _RunDir, threads: int) -> int:
     if kind == "chain2":
         chain = erg.two_state_chain(1.0, 1.0, v=(1.0, 0.0))
         curve = erg.chain_pressure_curve(chain, betas)
-    elif kind == "ou":
+    else:
         ou = _build_toy(cfg)
         horizon = cfg["integrator"]["horizon"]
         n_traj = cfg["experiment"]["n_traj"]
@@ -575,8 +567,6 @@ def _cmd_pressure(cfg: RunConfig, out: _RunDir, threads: int) -> int:
             return erg.feynman_kac_estimate(ints[:, -1], horizon)
 
         curve = erg.pressure_curve(betas, estimator, center=0.0)
-    else:
-        raise ConfigError("pressure needs model kind ou or chain2")
     out.write_csv("pressure.csv", ["beta", "Q", "stderr"],
                   [[curve.betas[i], curve.values[i], curve.stderr[i]]
                    for i in range(curve.betas.size)])
@@ -591,7 +581,7 @@ def _cmd_pressure(cfg: RunConfig, out: _RunDir, threads: int) -> int:
                    {"convexity_violations": 0})
 
 
-def _cmd_ldp1(cfg: RunConfig, out: _RunDir, threads: int) -> int:
+def _cmd_ldp1(cfg: RunConfig, out: _RunDir) -> int:
     kind = cfg["model"]["kind"]
     interval = tuple(cfg["experiment"]["interval"])
     horizons = cfg["experiment"]["horizons"] or [8.0, 16.0, 32.0]
@@ -610,7 +600,7 @@ def _cmd_ldp1(cfg: RunConfig, out: _RunDir, threads: int) -> int:
                                            integrand=lambda u: u,
                                            stream=(_LDP1_STREAM, k))
             avgs.append(ints[:, -1] / T)
-    elif kind == "chain2":
+    else:
         chain = erg.two_state_chain(1.0, 1.0, v=(1.0, 0.0))
         curve = erg.chain_pressure_curve(chain, np.linspace(-3, 3, 61))
         rate = erg.legendre(curve)
@@ -619,8 +609,6 @@ def _cmd_ldp1(cfg: RunConfig, out: _RunDir, threads: int) -> int:
             ints = chain.sample_occupation(T, n_traj, cfg.seed,
                                            stream=(_LDP1_STREAM, k))
             avgs.append(ints / T)
-    else:
-        raise ConfigError("ldp1 needs model kind ou or chain2")
     rep = erg.ldp_level1_check(horizons, avgs, interval, rate)
     out.write_csv("ldp1.csv", ["horizon", "log_prob", "hits"],
                   [[rep.horizons[i], rep.log_probs[i], rep.hits[i]]
@@ -633,7 +621,7 @@ def _cmd_ldp1(cfg: RunConfig, out: _RunDir, threads: int) -> int:
                    {"rel_error_max": 0.2, "min_hits": 50})
 
 
-def _cmd_quasipotential(cfg: RunConfig, out: _RunDir, threads: int) -> int:
+def _cmd_quasipotential(cfg: RunConfig, out: _RunDir) -> int:
     kind = cfg["model"]["kind"]
     eta = cfg["experiment"]["eta"]
     if kind in ("cubic", "doublewell"):
@@ -668,10 +656,8 @@ def _cmd_quasipotential(cfg: RunConfig, out: _RunDir, threads: int) -> int:
                    {"eta": eta})
 
 
-def _cmd_fw_graph(cfg: RunConfig, out: _RunDir, threads: int) -> int:
+def _cmd_fw_graph(cfg: RunConfig, out: _RunDir) -> int:
     model = _build_toy(cfg)
-    if not isinstance(model, toys.GradientSDE):
-        raise ConfigError("fw-graph needs a gradient toy model")
     net = rates.toy_equilibrium_network(model)
     if cfg["experiment"]["use_solver"]:
         pts, stable = model.equilibria()
@@ -707,7 +693,7 @@ def _cmd_fw_graph(cfg: RunConfig, out: _RunDir, threads: int) -> int:
     return _finish(cfg, out, status, {"W": W.tolist(), "rate": queries}, tol)
 
 
-def _cmd_stationary_smallnoise(cfg: RunConfig, out: _RunDir, threads: int) -> int:
+def _cmd_stationary_smallnoise(cfg: RunConfig, out: _RunDir) -> int:
     model = _build_toy(cfg)
     flat = cfg["experiment"]["sets"]
     sets = [(flat[i], flat[i + 1]) for i in range(0, len(flat), 2)]
@@ -740,7 +726,7 @@ def _cmd_stationary_smallnoise(cfg: RunConfig, out: _RunDir, threads: int) -> in
                    {"exact_abs_tol": 0.02, "mc_rel_tol": 0.2})
 
 
-def _cmd_boundary_chain(cfg: RunConfig, out: _RunDir, threads: int) -> int:
+def _cmd_boundary_chain(cfg: RunConfig, out: _RunDir) -> int:
     model = _build_toy(cfg)
     bc = rates.BoundaryChainConfig(*cfg["experiment"]["radii"])
     eps = cfg["experiment"]["eps_list"][0]
@@ -774,7 +760,7 @@ def _cmd_boundary_chain(cfg: RunConfig, out: _RunDir, threads: int) -> int:
                    {"rel_gap_max": 0.25, "min_cell": 50})
 
 
-def _cmd_selftest(cfg: RunConfig, out: _RunDir, threads: int) -> int:
+def _cmd_selftest(cfg: RunConfig, out: _RunDir) -> int:
     """Fast exact oracles: every check here has a closed-form answer."""
     results = {}
     basis = SpectralBasis((math.pi,), 12)
@@ -805,27 +791,33 @@ def _cmd_selftest(cfg: RunConfig, out: _RunDir, threads: int) -> int:
     return _finish(cfg, out, status, results, {})
 
 
+# subcommand -> (its run, the model kinds it runs; None: it reads no model)
 COMMANDS = {
-    "simulate": _cmd_simulate,
-    "energy-audit": _cmd_energy_audit,
-    "couple-fp": _cmd_couple_fp,
-    "girsanov-tv": _cmd_girsanov_tv,
-    "mix": _cmd_mix,
-    "occupation": _cmd_occupation,
-    "pressure": _cmd_pressure,
-    "ldp1": _cmd_ldp1,
-    "quasipotential": _cmd_quasipotential,
-    "fw-graph": _cmd_fw_graph,
-    "stationary-smallnoise": _cmd_stationary_smallnoise,
-    "boundary-chain": _cmd_boundary_chain,
-    "selftest": _cmd_selftest,
+    "simulate": (_cmd_simulate, ("nlw", "cubic", "doublewell", "ou")),
+    "energy-audit": (_cmd_energy_audit, ("nlw",)),
+    "couple-fp": (_cmd_couple_fp, ("nlw",)),
+    "girsanov-tv": (_cmd_girsanov_tv, ("nlw",)),
+    "mix": (_cmd_mix, ("nlw",)),
+    "occupation": (_cmd_occupation, ("nlw", "cubic", "doublewell", "ou")),
+    "pressure": (_cmd_pressure, ("ou", "chain2")),
+    "ldp1": (_cmd_ldp1, ("ou", "chain2")),
+    "quasipotential": (_cmd_quasipotential, ("nlw", "cubic", "doublewell")),
+    "fw-graph": (_cmd_fw_graph, ("cubic", "doublewell")),
+    "stationary-smallnoise": (_cmd_stationary_smallnoise, ("cubic", "doublewell")),
+    "boundary-chain": (_cmd_boundary_chain, ("cubic", "doublewell")),
+    "selftest": (_cmd_selftest, None),
 }
 
 
-def dispatch(cfg: RunConfig, subcommand: str, threads: int = 1) -> int:
+def dispatch(cfg: RunConfig, subcommand: str) -> int:
+    run, kinds = COMMANDS[subcommand]
+    kind = cfg["model"]["kind"]
+    if kinds is not None and kind not in kinds:
+        raise ConfigError(f"model.kind={kind} must be one of {', '.join(kinds)} "
+                          f"for {subcommand}")
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return COMMANDS[subcommand](cfg, _RunDir(out_dir), threads)
+    return run(cfg, _RunDir(out_dir))
 
 
 # flag -> the config key it sets; every experiment key has a flag of its name
@@ -843,7 +835,7 @@ def _parser() -> argparse.ArgumentParser:
         description="Stochastic wave-equation laboratory: simulation, coupling "
                     "diagnostics, pressure and rare-event rate experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in SUBCOMMANDS:
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None)
         p.add_argument("--seed", type=int, default=None)
@@ -872,7 +864,8 @@ def main(argv: list[str] | None = None) -> int:
             cfg.seed = args.seed
         if args.out is not None:
             cfg.out = args.out
-        return dispatch(cfg, args.command, threads=args.threads)
+        cfg.threads = args.threads
+        return dispatch(cfg, args.command)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -234,10 +234,6 @@ class NoiseModel:
     def B1(self) -> float:
         return float(np.sum(self.basis.eigenvalues * self.coeffs ** 2))
 
-    @property
-    def sup_b2(self) -> float:
-        return float(np.max(self.coeffs ** 2))
-
     def cameron_martin_norm_sq(self, coeffs: np.ndarray) -> np.ndarray:
         """|v|^2 in the noise-weighted norm sum b_j^-2 (v, e_j)^2; inf if the
         control touches a degenerate mode."""

@@ -116,12 +116,38 @@ def test_bad_counts_and_steps_rejected(command, override, tmp_path, capsys):
     (["ldp1", "--model", "chain2"], "experiment.horizons=8"),
     (["stationary-smallnoise", "--model", "cubic"], "experiment.sets="),
     (["pressure", "--model", "ou"], "experiment.betas="),
+    # values each run needs: a beta besides the pinned 0, positive noise
+    # levels, distances and horizons, and sets with lo < hi
+    (["pressure", "--model", "ou"], "experiment.betas=0"),
+    (["boundary-chain", "--model", "doublewell"], "experiment.eps_list=-0.1"),
+    (["stationary-smallnoise", "--model", "cubic"], "experiment.sets=3.1,2.9"),
+    (["girsanov-tv"], "experiment.distances=0,0.01"),
+    (["ldp1", "--model", "ou"], "experiment.horizons=0,8"),
 ])
 def test_bad_list_values_rejected(command, override, tmp_path, capsys):
     out = tmp_path / "run"
     assert main(command + ["--set", override, "--out", str(out)]) == EXIT_CONFIG
     assert override.split("=")[0] in capsys.readouterr().err
     assert not (out / "verdict.json").exists()
+
+
+# the model kinds each subcommand runs; selftest reads no model
+_RUNS = {"simulate": "nlw cubic doublewell ou", "energy-audit": "nlw",
+         "couple-fp": "nlw", "girsanov-tv": "nlw", "mix": "nlw",
+         "occupation": "nlw cubic doublewell ou", "pressure": "ou chain2",
+         "ldp1": "ou chain2", "quasipotential": "nlw cubic doublewell",
+         "fw-graph": "cubic doublewell", "stationary-smallnoise": "cubic doublewell",
+         "boundary-chain": "cubic doublewell"}
+
+
+@pytest.mark.parametrize("command, kind", [
+    (c, k) for c, runs in _RUNS.items()
+    for k in ("nlw", "cubic", "doublewell", "ou", "chain2") if k not in runs.split()])
+def test_unsupported_model_kind_rejected(command, kind, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main([command, "--model", kind, "--out", str(out)]) == EXIT_CONFIG
+    assert command in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_percent_values_never_crash(tmp_path):
@@ -151,7 +177,7 @@ def test_usage_errors_exit_config(capsys):
 def test_consecutive_calls_do_not_share_arguments(monkeypatch):
     seen = []
     monkeypatch.setattr(cli, "dispatch",
-                        lambda cfg, command, threads=1: seen.append((cfg, threads)) or 0)
+                        lambda cfg, command: seen.append((cfg, cfg.threads)) or 0)
     assert main(["simulate", "--set", "model.modes=12", "--set", "noise.eps=0.5",
                  "--horizon", "3", "--threads", "2"]) == EXIT_PASS
     assert main(["simulate"]) == EXIT_PASS
