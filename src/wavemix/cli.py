@@ -79,9 +79,9 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "nu": (float, 0.01, None),
         "alpha": (float, 0.0, None),
         "h_amplitude": (float, 0.0, None),
-        "theta": (float, 1.0, None),
-        "sigma": (float, 1.0, None),
-        "toy_eps": (float, 0.25, None),
+        "theta": (float, 1.0, _POSITIVE),
+        "sigma": (float, 1.0, _POSITIVE),
+        "toy_eps": (float, 0.25, _POSITIVE),
     },
     "noise": {
         "amplitude": (float, 0.25, None),
@@ -117,7 +117,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "mc": (_bool, False, None),
         "from_point": (float, 0.0, None),
         "to_point": (float, 3.0, None),
-        "eta": (float, 0.05, None),
+        "eta": (float, 0.05, _POSITIVE),
         "radii": (_floats, [0.15, 0.2, 0.3, 0.45, 0.6],
                   (lambda v: len(v) == 5 and _increasing([0.0, *v]),
                    "five values 0 < rho1' < rho0' < rho1 < rho0 < rho*")),

@@ -427,17 +427,17 @@ def mixing_rate(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
     obs = list(observables if observables is not None else
                default_observables(cfg.basis, cfg.alpha))
     probes = {o.name: o for o in obs}
-    res_a = run_flow(cfg, nl, noise, z, n_traj=n_traj, probes=probes,
-                     threads=threads)
-    res_b = run_flow(cfg, nl, noise, zprime, n_traj=n_traj, probes=probes,
-                     seed_offset=n_traj, threads=threads)
-    gaps = []
-    floors = []
-    for name in probes:
-        ma, sa = stats.mean_se(res_a.probes[name], axis=0)
-        mb, sb = stats.mean_se(res_b.probes[name], axis=0)
-        gaps.append(np.abs(ma - mb))
-        floors.append(np.sqrt(sa ** 2 + sb ** 2))
+
+    def moments(y0: PhaseState, seed_offset: int):
+        # each ensemble's probes are dropped once reduced to (mean, se) pairs
+        res = run_flow(cfg, nl, noise, y0, n_traj=n_traj, probes=probes,
+                       seed_offset=seed_offset, threads=threads)
+        return res.t, [stats.mean_se(res.probes[name], axis=0) for name in probes]
+
+    t, mom_a = moments(z, 0)
+    _, mom_b = moments(zprime, n_traj)
+    gaps = [np.abs(ma - mb) for (ma, _), (mb, _) in zip(mom_a, mom_b)]
+    floors = [np.sqrt(sa ** 2 + sb ** 2) for (_, sa), (_, sb) in zip(mom_a, mom_b)]
     delta = np.max(gaps, axis=0)
     # the gap statistic is a max over observables, so its noise level is the
     # worst per-observable standard error
@@ -450,8 +450,8 @@ def mixing_rate(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
     passed = False
     n_above = int(mask.sum())
     if n_above >= MIN_FIT_POINTS:
-        fit = stats.line_fit(res_a.t[mask], np.log(delta[mask]))
+        fit = stats.line_fit(t[mask], np.log(delta[mask]))
         kappa = -fit.slope
         ci = (kappa - 1.96 * fit.slope_se, kappa + 1.96 * fit.slope_se)
         passed = ci[0] > 0
-    return MixingReport(res_a.t, delta, floor, kappa, ci, fit, passed, n_above)
+    return MixingReport(t, delta, floor, kappa, ci, fit, passed, n_above)

@@ -25,7 +25,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -660,6 +659,8 @@ def run_flow(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel, y0: PhaseState
 
     blocks = [(lo, min(lo + block_size, n_traj)) for lo in range(0, n_traj, block_size)]
     if threads > 1 and len(blocks) > 1:
+        # imported here: concurrent.futures loads logging, which no 1-thread run needs
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(lambda b: run_block(*b), blocks))
     else:

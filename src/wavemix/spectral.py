@@ -8,6 +8,7 @@ an oversampled collocation grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -178,27 +179,31 @@ class SpectralBasis:
         return block.reshape(lead + (k * k,))[..., flat]
 
     def quadrature(self, values: np.ndarray) -> np.ndarray:
-        """Integral over the domain of grid values (batched on the left)."""
-        return values @ self.weights
+        """Integral over the domain of grid values (batched on the left).
+
+        A per-path pairwise sum, so a path's integral is the same under any
+        path blocking (a gemv's bits depend on how its rows are grouped).
+        """
+        return np.sum(values * self.weights, axis=-1)
 
     def project(self, g, coeffs: np.ndarray) -> np.ndarray:
         """``analyze(g(synthesize(coeffs)))`` for a pointwise map ``g``."""
         return self._by_path_block(lambda c: self.analyze(g(self.synthesize(c))),
-                                   coeffs, self.mode_count)
+                                   coeffs, (self.mode_count,))
 
     def integrate(self, G, coeffs: np.ndarray) -> np.ndarray:
         """``quadrature(G(synthesize(coeffs)))`` for a pointwise map ``G``."""
-        return self.quadrature(self._by_path_block(lambda c: G(self.synthesize(c)),
-                                                   coeffs, self.weights.size))
+        return self._by_path_block(lambda c: self.quadrature(G(self.synthesize(c))),
+                                   coeffs, ())
 
-    def _by_path_block(self, fn, coeffs: np.ndarray, width: int) -> np.ndarray:
-        """``fn(coeffs)``; 2D runs it on leading-axis blocks, which keeps every bit.
-        1D runs whole: blocking its gemm, or a quadrature gemv, would change bits."""
+    def _by_path_block(self, fn, coeffs: np.ndarray, tail: tuple[int, ...]) -> np.ndarray:
+        """``fn(coeffs)``, of shape ``lead + tail``; 2D runs it on leading-axis
+        blocks, which keeps every bit. 1D runs whole: blocking its gemm would change bits."""
         lead = np.shape(coeffs)[:-1]
-        rows = max(_GRID_BLOCK_BYTES // (8 * self.weights.size * int(np.prod(lead[1:]))), 1)
+        rows = max(_GRID_BLOCK_BYTES // (8 * self.weights.size * math.prod(lead[1:])), 1)
         if self.dim == 1 or not lead or lead[0] <= rows:
             return fn(coeffs)
-        out = np.empty(lead + (width,))
+        out = np.empty(lead + tail)
         for i in range(0, lead[0], rows):
             out[i:i + rows] = fn(coeffs[i:i + rows])
         return out

@@ -17,21 +17,25 @@ class LineFit:
 
 
 def line_fit(x, y) -> LineFit:
-    """Ordinary least squares y = a + b x with R^2 and the slope's standard error."""
+    """Ordinary least squares y = a + b x with R^2 and the slope's standard error.
+
+    Closed form from centred sums, so no LAPACK call. With constant x the
+    slope is 0, the intercept mean(y) and the slope's error infinite.
+    """
     x = np.asarray(x, float)
     y = np.asarray(y, float)
     if x.size < 2:
         raise ValueError("need at least two points to fit a line")
-    A = np.vstack([np.ones_like(x), x]).T
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    yhat = A @ coef
-    ss_res = float(np.sum((y - yhat) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    xm, ym = x.mean(), y.mean()
+    dx, dy = x - xm, y - ym
+    sxx = float(dx @ dx)
+    slope = float(dx @ dy) / sxx if sxx > 0 else 0.0
+    ss_res = float(np.sum((dy - slope * dx) ** 2))
+    ss_tot = float(dy @ dy)
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     dof = max(x.size - 2, 1)
-    sxx = float(np.sum((x - x.mean()) ** 2))
     se = math.sqrt(ss_res / dof / sxx) if sxx > 0 else math.inf
-    return LineFit(float(coef[1]), float(coef[0]), r2, se)
+    return LineFit(slope, float(ym - slope * xm), r2, se)
 
 
 def log_decay_fit(t, series, floor: float = 0.0) -> LineFit:

@@ -98,6 +98,11 @@ def test_bad_integrator_rejected(command, override, tmp_path, capsys):
     (["couple-fp"], "experiment.n_feedback=33"),  # M = 32
     # no feedback leaves no measure change to fit a scaling exponent to
     (["girsanov-tv"], "experiment.n_feedback=0"),
+    # a penalty weight, a noise level and an OU drift and diffusion, each > 0
+    (["quasipotential", "--model", "cubic"], "experiment.eta=0"),
+    (["simulate", "--model", "cubic"], "model.toy_eps=-1"),
+    (["simulate", "--model", "ou"], "model.theta=-1"),
+    (["simulate", "--model", "ou"], "model.sigma=-1"),
 ])
 def test_bad_counts_and_steps_rejected(command, override, tmp_path, capsys):
     out = tmp_path / "run"
@@ -187,8 +192,8 @@ def test_consecutive_calls_do_not_share_arguments(monkeypatch):
     assert second.values == parse_config().values and t2 == 1
 
 
-_HEAVY = ("networkx", "numpy.ma", "scipy", "scipy.linalg", "scipy.optimize",
-          "scipy.sparse", "scipy.stats")
+_HEAVY = ("concurrent.futures", "logging", "networkx", "numpy.ma", "scipy", "scipy.linalg",
+          "scipy.optimize", "scipy.sparse", "scipy.stats")
 
 
 def test_import_leaves_heavy_libraries_unloaded(tmp_path):

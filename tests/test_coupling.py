@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -351,6 +352,28 @@ def test_mixing_linear_rate(basis, noise):
     rep = mixing_rate(cfg, nl, noise, z, zp, n_traj=600)
     assert rep.passed
     assert rep.kappa_ci[1] >= cfg.alpha / 2
+
+
+def test_mixing_rate_holds_one_ensemble_of_probes():
+    # 128 paths at M = 32 with 81 records: each ensemble's probes (about 1 MB)
+    # are reduced to means and errors before the other ensemble runs
+    basis = SpectralBasis((PI,), 32)
+    cfg = make_cfg(basis, horizon=1.25, stride=1)
+    assert cfg.n_steps == 80
+    nl = Nonlinearity.klein_gordon(1.0)
+    noise = NoiseModel.power_law(basis, amplitude=0.25, q=2.0)
+    z = smooth_state(basis, 0.4, 1, cfg.alpha)
+    zp = smooth_state(basis, 0.4, 2, cfg.alpha)
+    mixing_rate(cfg, nl, noise, z, zp, n_traj=4)  # build the cached tables
+    tracemalloc.start()
+    try:
+        mixing_rate(cfg, nl, noise, z, zp, n_traj=128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one ensemble's probes, the 1 MiB noise buffer and the flow's working set;
+    # holding both ensembles' probes takes about 3.65 MiB
+    assert peak < 3 << 20
 
 
 def test_tv_estimate_reindexing_invariance(basis, noise):

@@ -20,6 +20,28 @@ def test_jackknife_log_mean_matches_log_of_mean():
     assert 0 < se < math.inf
 
 
+@pytest.mark.parametrize("n", [2, 3, 7, 40])
+def test_line_fit_matches_polyfit(n):
+    rng = np.random.default_rng(n)
+    x = rng.uniform(-3.0, 10.0, n)
+    y = 1.5 - 0.7 * x + rng.standard_normal(n)
+    fit = stats.line_fit(x, y)
+    slope, intercept = np.polyfit(x, y, 1)
+    res = y - (intercept + slope * x)
+    ss_res = float(res @ res)
+    r2 = 1.0 - ss_res / float(np.sum((y - y.mean()) ** 2))
+    # the textbook standard error, with one degree of freedom kept at n = 2
+    se = math.sqrt(ss_res / max(n - 2, 1) / float(np.sum((x - x.mean()) ** 2)))
+    got = (fit.slope, fit.intercept, fit.r2, fit.slope_se)
+    for g, w in zip(got, (slope, intercept, r2, se)):
+        assert g == pytest.approx(w, rel=1e-12, abs=1e-12)
+
+
+def test_line_fit_constant_x():
+    fit = stats.line_fit([2.0, 2.0, 2.0], [1.0, 4.0, 2.5])
+    assert (fit.slope, fit.intercept, fit.slope_se) == (0.0, 2.5, math.inf)
+
+
 def test_record_steps_keeps_stride_and_last_step():
     assert stats.record_steps(8, 4) == {0: 0, 4: 1, 8: 2}
     assert stats.record_steps(10, 4) == {0: 0, 4: 1, 8: 2, 10: 3}
