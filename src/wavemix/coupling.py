@@ -27,7 +27,7 @@ from wavemix.nlw import (
     linear_ops,
     trajectory_streams,
 )
-from wavemix.observables import Observable, default_observables
+from wavemix.observables import default_observables
 from wavemix.spectral import PhaseState, phase_norm, phase_norm_sq_arr
 
 
@@ -52,14 +52,6 @@ class GirsanovRecord:
     h_energy: np.ndarray
     log_lr: np.ndarray
     n_feedback: int
-
-    @property
-    def total_novikov(self) -> float:
-        return float(self.novikov_energy[-1])
-
-    @property
-    def likelihood(self) -> float:
-        return float(np.exp(self.log_lr[-1]))
 
 
 @dataclass
@@ -218,6 +210,13 @@ def couple_fp_batch(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
                         math.sqrt(r.dist0_sq))
 
 
+# The contraction test's verdict: the low-mode ratio |P_N(xi_v - xi_u)|_H^2
+# e^{alpha t} / |xi_v - xi_u|_H^2(0) may exceed 1 by at most LOWMODE_MARGIN_MAX,
+# and N* is the first N whose fitted decay rate reaches RATE_FLOOR_PER_ALPHA * alpha.
+LOWMODE_MARGIN_MAX = 1e-6
+RATE_FLOOR_PER_ALPHA = 0.5
+
+
 @dataclass
 class ContractionReport:
     n_grid: tuple[int, ...]
@@ -230,15 +229,14 @@ class ContractionReport:
 
 def fp_contraction_test(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
                         z: PhaseState, zprime: PhaseState,
-                        n_grid: Sequence[int] = (2, 4, 8, 16),
-                        rate_floor: float | None = None) -> ContractionReport:
+                        n_grid: Sequence[int] = (2, 4, 8, 16)) -> ContractionReport:
     """Fitted decay rates of |xi_v - xi_u|_H^2 across feedback dimensions.
 
     Reports the exact low-mode contraction margin (pathwise, at the largest N)
-    and the first N whose fitted full-norm decay rate exceeds alpha/2.
+    and the first N whose fitted full-norm decay rate reaches alpha/2.
     """
     alpha = cfg.alpha
-    floor = alpha / 2 if rate_floor is None else rate_floor
+    floor = RATE_FLOOR_PER_ALPHA * alpha
     d0_sq = phase_norm(PhaseState.from_coeffs(
         cfg.basis, *(z.as_array() - zprime.as_array()), cfg.alpha)) ** 2
     rates: dict[int, float] = {}
@@ -259,7 +257,7 @@ def fp_contraction_test(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
         else:
             rates[n] = math.inf
     n_star = next((n for n in n_grid if rates[n] >= floor), None)
-    return ContractionReport(tuple(n_grid), rates, lowmode_margin <= 1e-6,
+    return ContractionReport(tuple(n_grid), rates, lowmode_margin <= LOWMODE_MARGIN_MAX,
                              lowmode_margin, n_star, alpha)
 
 
@@ -413,7 +411,6 @@ class MixingReport:
 
 def mixing_rate(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
                 z: PhaseState, zprime: PhaseState,
-                observables: Sequence[Observable] | None = None,
                 n_traj: int = 400, threads: int = 1) -> MixingReport:
     """Decay rate of the worst-case observable gap between two ensembles.
 
@@ -424,9 +421,7 @@ def mixing_rate(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
     """
     from wavemix.nlw import run_flow
 
-    obs = list(observables if observables is not None else
-               default_observables(cfg.basis, cfg.alpha))
-    probes = {o.name: o for o in obs}
+    probes = {o.name: o for o in default_observables(cfg.basis, cfg.alpha)}
 
     def moments(y0: PhaseState, seed_offset: int):
         # each ensemble's probes are dropped once reduced to (mean, se) pairs

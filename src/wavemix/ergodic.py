@@ -10,7 +10,7 @@ local level-1 large deviation checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -59,12 +59,12 @@ class SllnReport:
     passed: bool
 
 
-def slln_check(t: np.ndarray, averages: np.ndarray, reference_mean: float,
-               exponent_cap: float = -0.4) -> SllnReport:
+def slln_check(t: np.ndarray, averages: np.ndarray, reference_mean: float) -> SllnReport:
     """Decay exponent of |time-average - reference| on dyadic horizons.
 
     ``averages`` may be a single running-average series or an ensemble of them
-    (first axis = trajectory); the ensemble RMS residual is fitted.
+    (first axis = trajectory); the ensemble RMS residual is fitted, and the
+    check passes when its exponent is at most -0.4.
     """
     avg = np.atleast_2d(np.asarray(averages, float))
     resid = np.sqrt(np.mean((avg - reference_mean) ** 2, axis=0))
@@ -76,7 +76,7 @@ def slln_check(t: np.ndarray, averages: np.ndarray, reference_mean: float,
     if np.all(r == 0):
         return SllnReport(horizons, r, -math.inf, None, True)
     fit = stats.line_fit(np.log(horizons), np.log(np.maximum(r, 1e-300)))
-    return SllnReport(horizons, r, fit.slope, fit, fit.slope <= exponent_cap)
+    return SllnReport(horizons, r, fit.slope, fit, fit.slope <= -0.4)
 
 
 @dataclass
@@ -88,9 +88,9 @@ class CltReport:
     passed: bool
 
 
-def clt_check(horizon: float, integrals: np.ndarray, centering: float,
-              p_floor: float = 0.01) -> CltReport:
-    """Normality of t^{-1/2} (int_0^t psi ds - t*centering) across an ensemble."""
+def clt_check(horizon: float, integrals: np.ndarray, centering: float) -> CltReport:
+    """Normality of t^{-1/2} (int_0^t psi ds - t*centering) across an ensemble:
+    the check passes when the Kolmogorov-Smirnov p-value exceeds 0.01."""
     s = (np.asarray(integrals, float) - horizon * centering) / math.sqrt(horizon)
     sigma = float(s.std(ddof=1))
     if sigma == 0:
@@ -98,7 +98,7 @@ def clt_check(horizon: float, integrals: np.ndarray, centering: float,
     from scipy.stats import kstest
     res = kstest(s, "norm", args=(0.0, sigma))
     return CltReport(sigma, float(res.statistic), float(res.pvalue), s,
-                     res.pvalue > p_floor)
+                     res.pvalue > 0.01)
 
 
 # --------------------------------------------------------------------------
@@ -112,24 +112,13 @@ class PressureEstimate:
     horizon: float
     n_paths: int
     tail_warning: bool
-    by_start: dict[float, float] = field(default_factory=dict)
-
-    @property
-    def start_spread(self) -> float:
-        if len(self.by_start) < 2:
-            return 0.0
-        vals = list(self.by_start.values())
-        return max(vals) - min(vals)
 
 
 def feynman_kac_estimate(integrals: np.ndarray, horizon: float,
-                         by_start: dict[float, np.ndarray] | None = None,
                          antithetic_integrals: np.ndarray | None = None) -> PressureEstimate:
     """(1/t) log of the empirical mean of exp(int V), with jackknife error.
 
-    ``integrals`` holds int_0^t V along each path.  ``by_start`` optionally
-    maps initial conditions to integral arrays for the uniformity report.
-    When the law of the integral has an exact symmetry (for instance an odd
+    ``integrals`` holds int_0^t V along each path.  When the law of the integral has an exact symmetry (for instance an odd
     potential on dynamics started at a symmetric point), the mirrored values
     may be passed as ``antithetic_integrals``; each path then contributes the
     average of the paired weights, which tames the exponential tails.
@@ -138,13 +127,8 @@ def feynman_kac_estimate(integrals: np.ndarray, horizon: float,
     if antithetic_integrals is not None:
         w = 0.5 * (w + np.exp(np.asarray(antithetic_integrals, float)))
     est, se = stats.jackknife_log_mean(w)
-    by = {}
-    if by_start:
-        for s, arr in by_start.items():
-            v, _ = stats.jackknife_log_mean(np.exp(np.asarray(arr, float)))
-            by[s] = v / horizon
     return PressureEstimate(est / horizon, se / horizon, horizon, w.size,
-                            stats.tail_dominated(w), by)
+                            stats.tail_dominated(w))
 
 
 def richardson_pressure(est_t: PressureEstimate, est_2t: PressureEstimate) -> PressureEstimate:
@@ -190,16 +174,17 @@ class PressureCurve:
 
 
 def pressure_curve(betas: Sequence[float], estimator: Callable[[float], PressureEstimate],
-                   center: float, horizon: float = 0.0,
-                   n_paths: int = 0) -> PressureCurve:
+                   center: float) -> PressureCurve:
     """Assemble a pressure curve from per-beta Monte Carlo estimates.
 
     ``estimator`` receives the tilt beta and returns a PressureEstimate for
-    the centered observable; beta = 0 is pinned to zero by construction.
+    the centered observable; beta = 0 is pinned to zero by construction.  The
+    curve's horizon and path count are those of the last estimate (0 if none).
     """
     betas = np.asarray(sorted(betas), float)
     vals = np.zeros(betas.size)
     errs = np.zeros(betas.size)
+    horizon, n_paths = 0.0, 0
     for i, b in enumerate(betas):
         if b == 0.0:
             continue
@@ -254,8 +239,9 @@ class FiniteChain:
         return pi / pi.sum()
 
     def sample_occupation(self, horizon: float, n_paths: int, seed: int,
-                          start: int = 0, stream: tuple[int, ...] = ()) -> np.ndarray:
-        """int_0^T V(x_s) ds per Gillespie path (holding times are exact).
+                          stream: tuple[int, ...] = ()) -> np.ndarray:
+        """int_0^T V(x_s) ds per Gillespie path from state 0 (holding times are
+        exact).
 
         The paths draw from ``SeedSequence(entropy=seed, spawn_key=stream)``.
         """
@@ -269,7 +255,7 @@ class FiniteChain:
         out = np.empty(n_paths)
         for i in range(n_paths):
             t_now = 0.0
-            x = start
+            x = 0
             acc = 0.0
             while True:
                 if rates[x] <= 0:
@@ -425,6 +411,14 @@ def legendre(curve: PressureCurve, p_grid: np.ndarray | None = None,
 # Level-1 LDP check
 
 
+# The level-1 check's verdict: inconclusive when a horizon has fewer than
+# LDP1_MIN_HITS hits, and passed when the rate's relative error is at most
+# LDP1_TOL.  The error is relative to max(|target|, 0.05 / LDP1_TOL), so near a
+# zero target 0.05 absorbs the extrapolation noise.
+LDP1_MIN_HITS = 50
+LDP1_TOL = 0.2
+
+
 @dataclass
 class Ldp1Report:
     interval: tuple[float, float]
@@ -439,15 +433,12 @@ class Ldp1Report:
 
 
 def ldp_level1_check(horizons: Sequence[float], averages_by_horizon: Sequence[np.ndarray],
-                     interval: tuple[float, float], rate: RateSamples,
-                     min_hits: int = 50, tol: float = 0.2,
-                     abs_floor: float = 0.05) -> Ldp1Report:
+                     interval: tuple[float, float], rate: RateSamples) -> Ldp1Report:
     """Empirical decay rate of P{time-average in O} against -inf_O I.
 
     The per-horizon (1/t) log P estimates are extrapolated linearly in 1/t;
-    horizons with fewer than ``min_hits`` hits make the verdict inconclusive.
-    ``abs_floor`` absorbs extrapolation noise when the target rate is at or
-    near zero (the interval contains the stationary mean).
+    horizons with fewer than ``LDP1_MIN_HITS`` hits make the verdict
+    inconclusive.
     """
     lo, hi = interval
     horizons = np.asarray(horizons, float)
@@ -459,13 +450,13 @@ def ldp_level1_check(horizons: Sequence[float], averages_by_horizon: Sequence[np
         hits[i] = h
         logp[i] = math.log(h / a.size) if h else -math.inf
     target = -rate.infimum(lo, hi)
-    if np.any(hits < min_hits):
+    if np.any(hits < LDP1_MIN_HITS):
         return Ldp1Report(interval, horizons, logp, hits, math.nan, target,
                           math.nan, True, False)
     y = logp / horizons
     fit = stats.line_fit(1.0 / horizons, y)
     emp = fit.intercept
-    denom = max(abs(target), abs_floor / tol)
+    denom = max(abs(target), 0.05 / LDP1_TOL)
     rel = abs(emp - target) / denom
     return Ldp1Report(interval, horizons, logp, hits, emp, target, rel, False,
-                      rel <= tol)
+                      rel <= LDP1_TOL)

@@ -14,9 +14,12 @@ from types import SimpleNamespace
 import numpy as np
 
 _MESSAGES = ("stopping rule met", "maxiter reached", "no damping lowers J")
+# Accepted steps before a run gives up, and the relative stopping tolerance.
+MAXITER = 1000
+RTOL = 1e-9
 
 
-def minimize(fun, x0, args=(), hess=None, maxiter=1000, rtol=1e-9):
+def minimize(fun, x0, args=(), hess=None):
     """Levenberg-Marquardt-damped Newton descent of ``fun``.
 
     ``fun(x, *args)`` returns J and its gradient g; ``hess(x, *args)``
@@ -26,7 +29,7 @@ def minimize(fun, x0, args=(), hess=None, maxiter=1000, rtol=1e-9):
     does and then adapted to the model's gain ratio (Nielsen's rule).
 
     The run stops when the predicted remaining decrease, half the Newton
-    decrement g^T H^-1 g, is at most ``rtol`` max(|J|, 1).  The rule is
+    decrement g^T H^-1 g, is at most ``RTOL`` max(|J|, 1).  The rule is
     relative because the endpoint penalty scales the gradient far above its
     roundoff; the floor of 1 covers downhill transitions, whose J tends to 0.
     Where H is singular at the optimum (a path that ends on a saddle), the
@@ -35,20 +38,20 @@ def minimize(fun, x0, args=(), hess=None, maxiter=1000, rtol=1e-9):
 
     Returns a namespace with ``x``, ``fun`` (J), ``jac`` (g), ``nit``
     (accepted steps), ``nfev`` (evaluations of ``fun``), ``status`` (0
-    stopping rule met, 1 ``maxiter`` accepted steps, 2 no damping lowers J
+    stopping rule met, 1 ``MAXITER`` accepted steps, 2 no damping lowers J
     elsewhere), ``success`` (status 0) and ``message``.
     """
     x = np.array(x0, dtype=float)
     f, g = fun(x, *args)
     nfev, lam, status = 1, 1e-3, 1
-    for nit in range(maxiter + 1):
-        tol = 2 * rtol * max(abs(f), 1.0)
+    for nit in range(MAXITER + 1):
+        tol = 2 * RTOL * max(abs(f), 1.0)
         H = hess(x, *args)
         newton = tridiagonal_solve(H, -g)
         if newton is not None and -(g @ newton) <= tol:
             status = 0
             break
-        if nit == maxiter:
+        if nit == MAXITER:
             break
         D, nu = np.abs(H[-1]), 2.0
         while lam <= 1e16:

@@ -23,7 +23,6 @@ which leaves the law of the state at every sync step unchanged.
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -155,10 +154,11 @@ class DissipativityReport:
     u_range: tuple[float, float]
 
 
-def check_dissipativity(nl: Nonlinearity, u_max: float = 1e4,
-                        n_points: int = 4001) -> DissipativityReport:
-    """Scan the dissipativity inequalities on a symmetric log-spaced grid."""
-    mags = np.logspace(-4, math.log10(u_max), n_points // 2)
+def check_dissipativity(nl: Nonlinearity) -> DissipativityReport:
+    """Scan the dissipativity inequalities on a symmetric log-spaced grid of
+    4001 points with |u| <= 1e4."""
+    u_max = 1e4
+    mags = np.logspace(-4, math.log10(u_max), 2000)
     u = np.concatenate([-mags[::-1], [0.0], mags])
     f = nl.f(u)
     F = nl.F(u)
@@ -191,8 +191,7 @@ class NoiseModel:
     """Mode coefficients of the additive white-in-time noise.
 
     ``coeffs[j]`` multiplies the Brownian motion acting on the velocity of
-    mode j+1.  The derived sums B = sum b_j^2 and B1 = sum lambda_j b_j^2
-    enter every moment bound downstream.
+    mode j+1.  A ``nondegenerate`` model rejects a zero coefficient.
     """
 
     def __init__(self, basis: SpectralBasis, coeffs, nondegenerate: bool = True):
@@ -203,17 +202,15 @@ class NoiseModel:
             raise ValueError("noise coefficients must be nonnegative")
         if nondegenerate and np.any(c == 0):
             raise ValueError("non-degenerate noise requires all b_j > 0")
-        self.basis = basis
         self.coeffs = c
-        self.nondegenerate = bool(nondegenerate)
 
     @staticmethod
     def power_law(basis: SpectralBasis, amplitude: float = 0.25, q: float = 2.0,
                   cutoff: int | None = None) -> "NoiseModel":
         """b_j = amplitude * j^-q, optionally zeroed beyond ``cutoff`` modes.
 
-        The decay rate must satisfy q > (d+2)/2 so that B1 stays summable as
-        the truncation grows.
+        The decay rate must satisfy q > (d+2)/2 so that B1 = sum lambda_j b_j^2
+        stays summable as the truncation grows.
         """
         if q <= (basis.dim + 2) / 2:
             raise ValueError(
@@ -224,14 +221,6 @@ class NoiseModel:
         if cutoff is not None:
             c[cutoff:] = 0.0
         return NoiseModel(basis, c, nondegenerate=cutoff is None)
-
-    @property
-    def B(self) -> float:
-        return float(np.sum(self.coeffs ** 2))
-
-    @property
-    def B1(self) -> float:
-        return float(np.sum(self.basis.eigenvalues * self.coeffs ** 2))
 
     def cameron_martin_norm_sq(self, coeffs: np.ndarray) -> np.ndarray:
         """|v|^2 in the noise-weighted norm sum b_j^-2 (v, e_j)^2; inf if the
@@ -293,13 +282,6 @@ class SimConfig:
         if self.h is None:
             return np.zeros(self.basis.mode_count)
         return self.h.coeffs
-
-    def fingerprint(self) -> str:
-        parts = [repr(self.basis.lengths), str(self.basis.mode_count),
-                 f"{self.gamma!r}", f"{self.dt!r}", f"{self.horizon!r}",
-                 str(self.seed), f"{self.eps!r}", f"{self.alpha!r}",
-                 self.h_coeffs().tobytes().hex(), str(self.stride)]
-        return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
 
 
 # --------------------------------------------------------------------------
@@ -474,8 +456,6 @@ class FlowResult:
     integrals: dict[str, np.ndarray]   # running trapezoid integrals
     final_states: np.ndarray           # (n_traj, 2, M)
     states: np.ndarray | None          # (n_traj, n_rec, 2, M) when requested
-    seed: int
-    config_hash: str
 
 
 @dataclass
@@ -667,8 +647,7 @@ def run_flow(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel, y0: PhaseState
         for b in blocks:
             run_block(*b)
 
-    return FlowResult(t_rec, out_probes, out_ints, finals, all_states,
-                      cfg.seed, cfg.fingerprint())
+    return FlowResult(t_rec, out_probes, out_ints, finals, all_states)
 
 
 def simulate(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,

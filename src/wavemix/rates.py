@@ -104,15 +104,6 @@ class EquilibriumNetwork:
             "V": [[enc(v) for v in row] for row in self.V],
         }
 
-    @staticmethod
-    def from_json_dict(d: dict) -> "EquilibriumNetwork":
-        pts = [np.asarray(n["coefficients"], float) for n in d["nodes"]]
-        pts = [p[0] if p.size == 1 else p for p in pts]
-        stable = np.array([n["stable"] for n in d["nodes"]])
-        V = np.array([[math.inf if v is None else v for v in row]
-                      for row in d["V"]])
-        return EquilibriumNetwork(d["kind"], pts, stable, V)
-
 
 def toy_equilibrium_network(model: GradientSDE) -> EquilibriumNetwork:
     """Network of a 1D gradient toy; V filled by the exact variation oracle."""
@@ -178,8 +169,6 @@ class QuasipotentialResult:
 
 def toy_quasipotential(model: GradientSDE, z1: float, z2: float, eta: float = 0.05,
                        horizons: Sequence[float] = (2.0, 4.0, 8.0, 16.0),
-                       nodes_per_unit: int = 40,
-                       penalty_ladder: Sequence[float] = (1e2, 1e3, 1e4, 1e5),
                        eta_ladder: Sequence[float] = ()) -> QuasipotentialResult:
     """Banded Newton collocation of the 1D action with endpoint penalty.
 
@@ -187,7 +176,8 @@ def toy_quasipotential(model: GradientSDE, z1: float, z2: float, eta: float = 0.
     recovered from the residual.  Each phi_k touches two neighbouring nodes,
     so the Hessian is tridiagonal and every penalty weight is solved by
     damped Newton steps in O(K) work (the minimum-action method of E, Ren and
-    Vanden-Eijnden), starting from the straight line at each horizon.
+    Vanden-Eijnden), starting from the straight line at each horizon with
+    max(40 T, 16) nodes, through the endpoint penalty weights 1e2 ... 1e5.
     ``converged`` needs the endpoint within ``eta`` and every solve of the
     reported horizon ended on its stopping rule.
     """
@@ -198,11 +188,11 @@ def toy_quasipotential(model: GradientSDE, z1: float, z2: float, eta: float = 0.
         return QuasipotentialResult(0.0, empty, abs(z2 - z1), 0.0, eta, ladder)
     best = None
     for T in horizons:
-        K = max(int(nodes_per_unit * T), 16)
+        K = max(int(40 * T), 16)
         dt = T / K
         x = np.linspace(z1, z2, K + 1)[1:]
         stopped = True
-        for w_pen in penalty_ladder:
+        for w_pen in (1e2, 1e3, 1e4, 1e5):
             res = minimize(_toy_action_and_grad, x, hess=_toy_hessian,
                            args=(model, z1, z2, dt, w_pen / eta ** 2))
             x = res.x
@@ -216,9 +206,7 @@ def toy_quasipotential(model: GradientSDE, z1: float, z2: float, eta: float = 0.
     val, err, t_mid, phi, T, grad_norm, stopped = best
     ladder = []
     for e2 in eta_ladder:
-        sub = toy_quasipotential(model, z1, z2, eta=e2, horizons=(T,),
-                                 nodes_per_unit=nodes_per_unit,
-                                 penalty_ladder=penalty_ladder)
+        sub = toy_quasipotential(model, z1, z2, eta=e2, horizons=(T,))
         ladder.append((e2, sub.value))
     return QuasipotentialResult(val, ControlPath(t_mid, phi, val), err, T, eta,
                                 ladder, converged=err <= eta and stopped,
@@ -283,16 +271,15 @@ def _toy_hessian(x, model, z1, z2, dt, pen):
 def nlw_quasipotential(basis: SpectralBasis, nl: Nonlinearity, gamma: float,
                        noise: NoiseModel, z1: PhaseState, z2: PhaseState,
                        eta: float = 0.1, horizons: Sequence[float] = (2.0, 4.0, 8.0),
-                       nodes_per_unit: int = 24,
-                       penalty_ladder: Sequence[float] = (1e2, 1e3, 1e4),
-                       h_coeffs: np.ndarray | None = None,
-                       maxiter: int = 400) -> QuasipotentialResult:
+                       h_coeffs: np.ndarray | None = None) -> QuasipotentialResult:
     """Collocation quasipotential for the damped wave dynamics.
 
     The position coefficient path is the variable; the control is the
     second-order equation residual weighted by the noise coefficients.  Dead
     noise modes get a large finite weight and any residual action they carry
-    beyond tolerance turns the reported value into the +inf sentinel.
+    beyond tolerance turns the reported value into the +inf sentinel.  Each
+    horizon T gets max(24 T, 12) nodes and each endpoint penalty weight of
+    the ladder 1e2, 1e3, 1e4 at most 400 L-BFGS-B iterations.
     """
     from scipy import optimize
     m = basis.mode_count
@@ -313,18 +300,18 @@ def nlw_quasipotential(basis: SpectralBasis, nl: Nonlinearity, gamma: float,
 
     best = None
     for T in horizons:
-        K = max(int(nodes_per_unit * T), 12)
+        K = max(int(24 * T), 12)
         dt = T / K
         ramp = np.linspace(0, 1, K + 1)[:, None]
         X = (1 - ramp) * p1 + ramp * p2
         X[1] = p1 + dt * v1
         x = X[2:].ravel().copy()
-        for w_pen in penalty_ladder:
+        for w_pen in (1e2, 1e3, 1e4):
             res = optimize.minimize(
                 _nlw_action_and_grad, x, method="L-BFGS-B", jac=True,
                 args=(p1, v1, p2, v2, lam, gamma, alpha, inv_b2, nl, basis, h,
                       dt, K, m, w_pen / eta ** 2),
-                options={"maxiter": maxiter, "ftol": 1e-14, "gtol": 1e-9})
+                options={"maxiter": 400, "ftol": 1e-14, "gtol": 1e-9})
             x = res.x
         X = np.vstack([p1[None], (p1 + dt * v1)[None], x.reshape(K - 1, m)])
         phi = _nlw_controls(X, lam, gamma, nl, basis, h, dt)
@@ -537,14 +524,15 @@ class SmallNoiseReport:
 
 def smallnoise_stationary_probe(model: GradientSDE, eps_list: Sequence[float],
                                 sets: Sequence[tuple[float, float]],
-                                mode: str = "exact", eta: float = 0.1,
-                                seed: int = 0, horizon: float | None = None,
-                                min_hits: int = 50) -> SmallNoiseReport:
+                                mode: str = "exact", seed: int = 0,
+                                horizon: float | None = None) -> SmallNoiseReport:
     """eps log mu^eps(Gamma) against -inf_Gamma of the gradient rate function.
 
     ``exact`` mode evaluates the closed-form density by quadrature; ``mc``
     mode samples one long trajectory per eps after a burn-in of twenty
-    empirical mixing times and cross-checks two runs for agreement.
+    empirical mixing times and cross-checks two runs for agreement, and is
+    inconclusive when a set sees fewer than 50 entries in either run.
+    ``stable_mass`` is the mass within 0.1 of the stable equilibria.
     """
     net = toy_equilibrium_network(model)
     pts, stable = model.equilibria()
@@ -554,6 +542,7 @@ def smallnoise_stationary_probe(model: GradientSDE, eps_list: Sequence[float],
     stable_mass = np.zeros(eps_arr.size)
     inconclusive = False
     agreement_ok = True
+    eta = 0.1
 
     targets = np.empty(n_sets)
     inf_A = min(model.potential(p) for p in pts[stable])
@@ -593,7 +582,7 @@ def smallnoise_stationary_probe(model: GradientSDE, eps_list: Sequence[float],
             for si in range(n_sets):
                 f1, e1 = masses[0][si]
                 f2, e2 = masses[1][si]
-                if min(e1, e2) < min_hits:
+                if min(e1, e2) < 50:
                     inconclusive = True
                     continue
                 se = abs(f1 - f2) / max(min(f1, f2), 1e-12)
@@ -649,6 +638,11 @@ class BoundaryChainConfig:
             raise ValueError("radii must satisfy rho1' < rho0' < rho1 < rho0 < rho*")
 
 
+# Transitions every off-diagonal cell of the boundary chain needs before its
+# eps log P-hat is judged; a sparser matrix is inconclusive.
+MIN_CELL = 50
+
+
 @dataclass
 class BoundaryChainReport:
     eps: float
@@ -662,8 +656,8 @@ class BoundaryChainReport:
 
 def boundary_chain(model: GradientSDE, bc: BoundaryChainConfig, eps: float,
                    seed: int = 0, n_replicas: int = 64,
-                   horizon_per_replica: float = 250.0, dt: float = 1e-3,
-                   min_cell: int = 50) -> BoundaryChainReport:
+                   horizon_per_replica: float = 250.0,
+                   dt: float = 1e-3) -> BoundaryChainReport:
     """Empirical boundary-chain transition matrix of a 1D gradient toy.
 
     The chain lives on the inner shells around the stable equilibria: each
@@ -715,7 +709,7 @@ def boundary_chain(model: GradientSDE, bc: BoundaryChainConfig, eps: float,
         for j in range(n):
             if i == j:
                 continue
-            if counts[i, j] < min_cell:
+            if counts[i, j] < MIN_CELL:
                 inconclusive = True
             elif probs[i, j] > 0:
                 eps_log[i, j] = eps * math.log(probs[i, j])

@@ -96,11 +96,11 @@ def median(values) -> float:
     return float(mid.sum() / mid.size)  # the sum and division of np.mean
 
 
-def tail_dominated(values, threshold: float = 0.1) -> bool:
-    """True when one summand carries more than ``threshold`` of the total."""
+def tail_dominated(values) -> bool:
+    """True when one summand carries more than a tenth of the total."""
     v = np.asarray(values, float)
     total = v.sum()
-    return bool(total > 0 and v.max() > threshold * total)
+    return bool(total > 0 and v.max() > 0.1 * total)
 
 
 def record_steps(n_steps: int, stride: int) -> dict[int, int]:

@@ -114,9 +114,9 @@ class OrnsteinUhlenbeck:
     def stationary_var(self) -> float:
         return self.sigma ** 2 / (2 * self.theta)
 
-    def clt_variance(self, coeff: float = 1.0) -> float:
-        """Green-Kubo variance of t^{-1/2} int psi(u) ds for psi(u) = coeff*u."""
-        return coeff ** 2 * self.sigma ** 2 / self.theta ** 2
+    def clt_variance(self) -> float:
+        """Green-Kubo variance of t^{-1/2} int u ds."""
+        return self.sigma ** 2 / self.theta ** 2
 
     def pressure(self, beta: float) -> float:
         """Exact growth rate of E exp(beta int u ds): beta^2 sigma^2 / (2 theta^2)."""
@@ -176,8 +176,9 @@ class ExactDensity:
         return float(sum(self.measure(p - eta, p + eta) for p in np.atleast_1d(points)))
 
 
-def gradient_sde_exact_density(model, eps: float, n_grid: int = 200001) -> ExactDensity:
-    """Quadrature-normalized density; rejects non-integrable potentials.
+def gradient_sde_exact_density(model, eps: float) -> ExactDensity:
+    """Quadrature-normalized density on 200001 nodes; rejects non-integrable
+    potentials.
 
     The grid extends until the potential exceeds its minimum by 60*eps on
     both sides, which bounds the truncated mass by e^-120.
@@ -199,7 +200,7 @@ def gradient_sde_exact_density(model, eps: float, n_grid: int = 200001) -> Exact
             hi *= 1.6
         if abs(lo) > 1e6 or hi > 1e6:
             raise ValueError("exp(-2A/eps) is not integrable on the real line")
-    u = np.linspace(lo, hi, n_grid)
+    u = np.linspace(lo, hi, 200001)
     logw = -2.0 * model.potential(u) / eps
     logw -= logw.max()
     w = np.exp(logw)
@@ -299,12 +300,13 @@ def _em_drive(model, u, eps, dt, n_steps, rngs, on_chunk):
         done += k
 
 
-def autocorrelation_time(path: np.ndarray, dt: float, max_lag: int = 2000) -> float:
-    """Integrated autocorrelation time of a scalar series (in time units)."""
+def autocorrelation_time(path: np.ndarray, dt: float) -> float:
+    """Integrated autocorrelation time of a scalar series (in time units),
+    summed over lags below min(2000, n/4) until the correlation drops below 0.05."""
     x = np.asarray(path, float)
     x = x - x.mean()
     n = x.size
-    max_lag = min(max_lag, n // 4)
+    max_lag = min(2000, n // 4)
     var = float(np.dot(x, x) / n)
     if var == 0:
         return dt

@@ -103,6 +103,12 @@ def test_bad_integrator_rejected(command, override, tmp_path, capsys):
     (["simulate", "--model", "cubic"], "model.toy_eps=-1"),
     (["simulate", "--model", "ou"], "model.theta=-1"),
     (["simulate", "--model", "ou"], "model.sigma=-1"),
+    # 0 picks the default step and no cutoff; a negative value is no sentinel
+    (["simulate"], "integrator.dt=-1"),
+    (["simulate"], "noise.cutoff=-3"),
+    # a replica that runs no step records no transition
+    (["boundary-chain", "--model", "doublewell"], "experiment.rep_horizon=0"),
+    (["boundary-chain", "--model", "doublewell"], "experiment.rep_horizon=-5"),
 ])
 def test_bad_counts_and_steps_rejected(command, override, tmp_path, capsys):
     out = tmp_path / "run"
@@ -128,6 +134,11 @@ def test_bad_counts_and_steps_rejected(command, override, tmp_path, capsys):
     (["stationary-smallnoise", "--model", "cubic"], "experiment.sets=3.1,2.9"),
     (["girsanov-tv"], "experiment.distances=0,0.01"),
     (["ldp1", "--model", "ou"], "experiment.horizons=0,8"),
+    # a repeated beta leaves no slope to transform, a repeated distance no
+    # scaling to fit
+    (["pressure", "--model", "chain2"], "experiment.betas=-0.5,0,0"),
+    (["pressure", "--model", "chain2"], "experiment.betas=0.5,0.5"),
+    (["girsanov-tv"], "experiment.distances=0.02,0.02"),
 ])
 def test_bad_list_values_rejected(command, override, tmp_path, capsys):
     out = tmp_path / "run"
@@ -373,6 +384,29 @@ def test_quasipotential_nlw_reports_grad_norm(tmp_path):
     assert metrics["grad_norm"] >= 0.0
 
 
+def test_quasipotential_nlw_feels_the_forcing(tmp_path):
+    values = []
+    for h in ("0", "0.5"):
+        out = tmp_path / h
+        main(["quasipotential", "--out", str(out), "--set", "model.modes=4",
+              "--set", f"model.h_amplitude={h}"])
+        values.append(json.loads((out / "verdict.json").read_text())["metrics"]["value"])
+    assert values[0] != values[1]
+
+
+def test_ldp1_reports_the_min_hits_it_judged_by(tmp_path, monkeypatch):
+    import wavemix.ergodic as erg
+    args = ["ldp1", "--model", "chain2", "--n-traj", "400"]
+    verdicts = []
+    for name, min_hits in (("plain", erg.LDP1_MIN_HITS), ("patched", 401)):
+        monkeypatch.setattr(erg, "LDP1_MIN_HITS", min_hits)
+        main(args + ["--out", str(tmp_path / name)])
+        verdicts.append(json.loads((tmp_path / name / "verdict.json").read_text()))
+    assert verdicts[0]["status"] != "inconclusive"
+    assert verdicts[1]["status"] == "inconclusive"  # 400 paths give at most 400 hits
+    assert [v["tolerances"]["min_hits"] for v in verdicts] == [50, 401]
+
+
 @pytest.mark.parametrize("point", ["2", "1.7", "0.001"])
 def test_quasipotential_needs_equilibrium_start(tmp_path, capsys, point):
     code = main(["quasipotential", "--model", "cubic", "--from-point", point,
@@ -544,26 +578,109 @@ def _loaded_names(tree: ast.AST) -> set[tuple[str, int]]:
             and isinstance(n.ctx, ast.Load)}
 
 
+def _parsed(*dirs: str) -> dict[Path, ast.AST]:
+    return {p: ast.parse(p.read_text()) for d in dirs for p in sorted((ROOT / d).rglob("*.py"))}
+
+
+def _read_outside(node, path: Path, loads: dict) -> bool:
+    """True when a file of ``loads`` reads ``node``'s name outside its own body."""
+    return any(name == node.name and not (q == path and node.lineno <= line <= node.end_lineno)
+               for q, names in loads.items() for name, line in names)
+
+
+def _gated() -> set[str]:
+    return {name for name, _ in
+            _loaded_names(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()))}
+
+
 def test_public_definitions_have_a_caller():
     # a public definition is reached from the package itself, is exported, or
     # is checked by an acceptance gate; anything else has no user path
     import wavemix
-    src = {p: ast.parse(p.read_text()) for p in (ROOT / "src" / "wavemix").glob("*.py")}
+    src = _parsed("src")
     loads = {p: _loaded_names(tree) for p, tree in src.items()}
-    gated = {name for name, _ in
-             _loaded_names(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()))}
+    gated = _gated()
     uncalled = []
-    for p, tree in sorted(src.items()):
+    for p, tree in src.items():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
                     or node.name.startswith("_"):
                 continue
-            outside = any(name == node.name and not (
-                q == p and node.lineno <= line <= node.end_lineno)
-                for q, names in loads.items() for name, line in names)
-            if not (outside or node.name in wavemix.__all__ or node.name in gated):
+            if not (_read_outside(node, p, loads) or node.name in wavemix.__all__
+                    or node.name in gated):
                 uncalled.append(f"{p.stem}.{node.name}")
     assert uncalled == []
+
+
+# Public members no run reads, kept because the tests use them as oracles or
+# fixtures.
+_ORACLES_AND_FIXTURES = {
+    "OrnsteinUhlenbeck.stationary_var": "exact stationary variance of the OU ergodic tests",
+    "OrnsteinUhlenbeck.clt_variance": "exact Green-Kubo variance of the OU CLT tests",
+    "MaximalCoupling.sample": "the joint draw whose marginals and TV the coupling tests check",
+    "Nonlinearity.polynomial": "the one non-dissipative nonlinearity the failing "
+                               "check_dissipativity test can build",
+}
+
+
+def test_public_members_have_a_caller():
+    # a method or property is reached when the package reads its name outside
+    # its own body, or an acceptance gate reads it
+    src = _parsed("src")
+    loads = {p: _loaded_names(tree) for p, tree in src.items()}
+    gated = _gated()
+    unread = []
+    for p, tree in src.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                    continue
+                member = f"{cls.name}.{node.name}"
+                if not (_read_outside(node, p, loads) or node.name in gated
+                        or member in _ORACLES_AND_FIXTURES):
+                    unread.append(f"{p.stem}.{member}")
+    assert unread == []
+
+
+def _passes(call: ast.Call, callee: str, name: str, index: int | None) -> bool:
+    """Whether ``call`` calls ``callee`` and sets its parameter ``name``, at
+    positional ``index`` (None: keyword only) or through ``*``/``**``."""
+    f = call.func
+    if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) != callee:
+        return False
+    return (any(k.arg in (name, None) for k in call.keywords)
+            or any(isinstance(a, ast.Starred) for a in call.args)
+            or index is not None and len(call.args) > index)
+
+
+def test_defaulted_parameters_are_passed():
+    # a default that no call sets, other than the function's own recursion,
+    # is a constant of the body
+    calls = [(p, n) for p, tree in _parsed("src", "tests", "perfbench").items()
+             for n in ast.walk(tree) if isinstance(n, ast.Call)]
+    unset = []
+    for p, tree in _parsed("src").items():
+        # (def, its name, the name its callers call, leading parameters they skip)
+        defs = [(n, n.name, n.name, 0) for n in tree.body if isinstance(n, ast.FunctionDef)]
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+            defs += [(n, f"{cls.name}.{n.name}", cls.name if n.name == "__init__" else n.name,
+                      0 if any(getattr(d, "id", None) == "staticmethod"
+                               for d in n.decorator_list) else 1)
+                     for n in cls.body if isinstance(n, ast.FunctionDef)]
+        for fn, qualname, callee, skip in defs:
+            a = fn.args
+            positional = a.posonlyargs + a.args
+            first = len(positional) - len(a.defaults)
+            params = [(arg.arg, i - skip) for i, arg in enumerate(positional) if i >= first]
+            params += [(arg.arg, None) for arg, d in zip(a.kwonlyargs, a.kw_defaults)
+                       if d is not None]
+            for name, index in params:
+                if not any(_passes(c, callee, name, index) for q, c in calls
+                           if not (q == p and fn.lineno <= c.lineno <= fn.end_lineno)):
+                    unset.append(f"{p.stem}.{qualname}({name})")
+    assert unset == []
 
 
 def test_module_level_imports_are_used():

