@@ -458,25 +458,25 @@ def _feedback_modes(cfg: RunConfig, basis: SpectralBasis, least: int = 0) -> int
     return n
 
 
-def _coupled_series(cfg: RunConfig, out: _RunDir, name: str, wave, z: PhaseState,
-                    zp: PhaseState) -> None:
-    """Run one coupled pair from (z, z') and write its four-column series."""
-    basis, nl, noise, sim = wave
-    pair = cpl.couple_fp(sim, nl, noise, z, zp, _feedback_modes(cfg, basis))
+def _coupled_series(out: _RunDir, name: str, wave, z: PhaseState, zp: PhaseState,
+                    run: cpl.CoupledRun) -> None:
+    """Write path 0 of a coupled run from (z, z') as its four-column series."""
+    basis, _, _, sim = wave
     d0_sq = max(float(phase_norm_sq_arr(z.as_array() - zp.as_array(),
                                         basis.eigenvalues, sim.alpha)), 1e-300)
     out.write_csv(name, ["t", "diff_normH", "lowmode_ratio", "novikov_energy"],
-                  [[pair.t[i], pair.diff_vu[i],
-                    pair.lowmode_sq[i] / d0_sq * math.exp(sim.alpha * pair.t[i]),
-                    pair.girsanov.novikov_energy[i]] for i in range(pair.t.size)])
+                  [[run.t[i], run.diff_vu[0, i],
+                    run.lowmode_sq[0, i] / d0_sq * math.exp(sim.alpha * run.t[i]),
+                    run.novikov_energy[0, i]] for i in range(run.t.size)])
 
 
 def _cmd_couple_fp(cfg: RunConfig, out: _RunDir) -> int:
     wave = basis, nl, noise, sim = _wave(cfg)
     z, zp = _start(cfg, sim, 1), _start(cfg, sim, 2)
-    _coupled_series(cfg, out, "couple_fp.csv", wave, z, zp)
-    rep = cpl.fp_contraction_test(
-        sim, nl, noise, z, zp, n_grid=(2, 4, _feedback_modes(cfg, basis), basis.mode_count))
+    n_feedback = _feedback_modes(cfg, basis)
+    rep = cpl.fp_contraction_test(sim, nl, noise, z, zp,
+                                  n_grid=(2, 4, n_feedback, basis.mode_count))
+    _coupled_series(out, "couple_fp.csv", wave, z, zp, rep.runs[n_feedback])
     ok = rep.lowmode_ok and rep.n_star is not None
     return _finish(cfg, out, "pass" if ok else "fail",
                    {"rates": {str(k): v for k, v in rep.rates.items()},
@@ -505,7 +505,8 @@ def _cmd_girsanov_tv(cfg: RunConfig, out: _RunDir) -> int:
     # representative coupled series at the largest separation
     zp = PhaseState.from_coeffs(basis, *(z.as_array() + float(exp.distances[0]) * d),
                                 sim.alpha)
-    _coupled_series(cfg, out, "couple_series.csv", wave, z, zp)
+    _coupled_series(out, "couple_series.csv", wave, z, zp,
+                    cpl.couple_fp(sim, nl, noise, z, zp, n_feedback))
     # the novikov energy scales as distance^2; an estimate may exceed its
     # bound by domination_se standard errors
     exponent, spread, domination_se = 2.0, 0.3, 3
@@ -736,12 +737,16 @@ def _cmd_stationary_smallnoise(cfg: RunConfig, out: _RunDir) -> int:
                 denom = max(abs(tgt), 1e-12)
                 oks.append(abs(rep.intercepts[si] - tgt) / denom <= tol)
         status = "pass" if all(oks) and rep.agreement_ok else "fail"
+    tolerances = {"exact_abs_tol": exact_tol, "mc_rel_tol": mc_tol}
+    if mode == "mc":
+        tolerances.update(mc_min_entries=rates.MC_MIN_ENTRIES,
+                          mc_agreement_max=rates.MC_AGREEMENT_MAX)
     return _finish(cfg, out, status,
                    {"table": rep.eps_log_mu.tolist(),
                     "intercepts": rep.intercepts.tolist(),
                     "targets": rep.targets.tolist(),
                     "stable_mass": rep.stable_mass.tolist()},
-                   {"exact_abs_tol": exact_tol, "mc_rel_tol": mc_tol})
+                   tolerances)
 
 
 def _cmd_boundary_chain(cfg: RunConfig, out: _RunDir) -> int:

@@ -32,58 +32,25 @@ from wavemix.spectral import PhaseState, phase_norm, phase_norm_sq_arr
 
 
 @dataclass
-class GirsanovRecord:
-    """Measure change taking law(v) to law(u'), u' the plain flow from z'.
+class CoupledRun:
+    """Coupled pairs (u, v) from (z, z'), one per path, on their own noise streams.
 
-    ``novikov_energy`` is the running time-quadrature of |a|^2, with the
-    noise-coordinate drift a_j = (f(u)-f(v), e_j) / (sqrt(eps) b_j) at step
-    midpoints.
-    ``log_lr`` is the exact log-likelihood ratio between the shifted and plain
-    discrete noise laws, and ``h_energy`` is the exact discrete energy of that
-    measure change mapped to unweighted mode coordinates.  At this splitting a
-    velocity kick is represented through a half-step convolution, which costs
-    a constant shape factor above the naive quadrature of |P_N(f(u)-f(v))|^2;
-    the total-variation bound must therefore consume ``h_energy``, not the
+    ``diff_vu`` is |xi_v - xi_u|_H and ``lowmode_sq`` is |P_N(xi_v - xi_u)|_H^2
+    at the record times ``t``.  The rest describe the measure change taking
+    law(v) to law(u'), u' the plain flow from z'.  ``novikov_energy`` is the
+    running time-quadrature of |a|^2, with the noise-coordinate drift
+    a_j = (f(u)-f(v), e_j) / (sqrt(eps) b_j) at step midpoints.  ``log_lr`` is
+    the exact log-likelihood ratio between the shifted and plain discrete noise
+    laws, and ``h_energy`` is the exact discrete energy of that measure change
+    mapped to unweighted mode coordinates.  At this splitting a velocity kick
+    is represented through a half-step convolution, which costs a constant
+    shape factor above the naive quadrature of |P_N(f(u)-f(v))|^2; the
+    total-variation bound must therefore consume ``h_energy``, not the
     quadrature, to stay comparable with the likelihood-ratio estimate.
+
+    Every series is (n_traj, n_rec); ``states`` is (n_traj, n_rec, 2, 2, M),
+    u before v, when kept.
     """
-
-    t: np.ndarray
-    novikov_energy: np.ndarray
-    h_energy: np.ndarray
-    log_lr: np.ndarray
-    n_feedback: int
-
-
-@dataclass
-class CoupledPair:
-    """Recorded pair (u, v) on one noise realization, with its Girsanov record."""
-
-    t: np.ndarray
-    states_u: np.ndarray
-    states_v: np.ndarray
-    n_feedback: int
-    diff_vu: np.ndarray        # |xi_v - xi_u|_H at record times
-    lowmode_sq: np.ndarray     # |P_N(xi_v - xi_u)|_H^2 at record times
-    girsanov: GirsanovRecord
-
-
-@dataclass
-class CoupledBatch:
-    """Per-path scalars of an ensemble of coupled runs on one configuration."""
-
-    t: np.ndarray
-    diff_vu: np.ndarray        # (n_traj, n_rec)
-    lowmode_sq: np.ndarray
-    novikov_energy: np.ndarray  # (n_traj,) at the horizon
-    h_energy: np.ndarray
-    log_lr: np.ndarray
-    n_feedback: int
-    distance: float
-
-
-@dataclass
-class _CoupledRun:
-    """Per-path series of ``_run_coupled``; the running ones are (n_traj, n_rec)."""
 
     t: np.ndarray
     diff_vu: np.ndarray
@@ -91,13 +58,12 @@ class _CoupledRun:
     novikov_energy: np.ndarray
     h_energy: np.ndarray
     log_lr: np.ndarray
-    states: np.ndarray | None   # (n_traj, n_rec, 2, 2, M) when kept
-    dist0_sq: float
+    states: np.ndarray | None
 
 
 def _run_coupled(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
                  z: PhaseState, zprime: PhaseState, n_feedback: int, n_traj: int,
-                 keep_states: bool, seed_offset: int = 0) -> _CoupledRun:
+                 keep_states: bool, seed_offset: int = 0) -> CoupledRun:
     basis = cfg.basis
     m = basis.mode_count
     if not 0 <= n_feedback <= m:
@@ -122,7 +88,6 @@ def _run_coupled(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
     P_half_fb = ops.P_half[:n_feedback]
 
     z0 = np.stack([z.as_array(), zprime.as_array()])  # u, v
-    dist0_sq = phase_norm_sq_arr(z.as_array() - zprime.as_array(), lam, alpha)
 
     diff_vu = np.empty((n_traj, nr))
     lowmode = np.empty((n_traj, nr))
@@ -185,29 +150,21 @@ def _run_coupled(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
         _strang_drive(states, ops, rngs, kick, n_steps, on_step,
                       girsanov if n_feedback else None, offset=lo)
 
-    return _CoupledRun(t_rec, diff_vu, lowmode, nov_run, hen_run, llr_run,
-                       states_out, dist0_sq)
+    return CoupledRun(t_rec, diff_vu, lowmode, nov_run, hen_run, llr_run, states_out)
 
 
 def couple_fp(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel, z: PhaseState,
-              zprime: PhaseState, n_feedback: int) -> CoupledPair:
-    """Simulate the coupled pair (u, v) on one shared noise realization."""
-    r = _run_coupled(cfg, nl, noise, z, zprime, n_feedback, 1, keep_states=True)
-    rec = GirsanovRecord(r.t, r.novikov_energy[0], r.h_energy[0], r.log_lr[0],
-                         n_feedback)
-    states = r.states[0]
-    return CoupledPair(r.t, states[:, 0], states[:, 1], n_feedback,
-                       r.diff_vu[0], r.lowmode_sq[0], rec)
+              zprime: PhaseState, n_feedback: int) -> CoupledRun:
+    """One coupled pair (u, v) on one shared noise realization, states kept."""
+    return _run_coupled(cfg, nl, noise, z, zprime, n_feedback, 1, keep_states=True)
 
 
 def couple_fp_batch(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
                     z: PhaseState, zprime: PhaseState, n_feedback: int,
-                    n_traj: int = 100, seed_offset: int = 0) -> CoupledBatch:
-    r = _run_coupled(cfg, nl, noise, z, zprime, n_feedback, n_traj,
-                     keep_states=False, seed_offset=seed_offset)
-    return CoupledBatch(r.t, r.diff_vu, r.lowmode_sq, r.novikov_energy[:, -1],
-                        r.h_energy[:, -1], r.log_lr[:, -1], n_feedback,
-                        math.sqrt(r.dist0_sq))
+                    n_traj: int = 100, seed_offset: int = 0) -> CoupledRun:
+    """``n_traj`` coupled pairs, path i on stream ``seed_offset + i``."""
+    return _run_coupled(cfg, nl, noise, z, zprime, n_feedback, n_traj,
+                        keep_states=False, seed_offset=seed_offset)
 
 
 # The contraction test's verdict: the low-mode ratio |P_N(xi_v - xi_u)|_H^2
@@ -219,12 +176,11 @@ RATE_FLOOR_PER_ALPHA = 0.5
 
 @dataclass
 class ContractionReport:
-    n_grid: tuple[int, ...]
+    runs: dict[int, CoupledRun]     # one coupled pair per feedback dimension N
     rates: dict[int, float]
     lowmode_ok: bool
     lowmode_margin: float
     n_star: int | None
-    alpha: float
 
 
 def fp_contraction_test(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
@@ -233,32 +189,33 @@ def fp_contraction_test(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
     """Fitted decay rates of |xi_v - xi_u|_H^2 across feedback dimensions.
 
     Reports the exact low-mode contraction margin (pathwise, at the largest N)
-    and the first N whose fitted full-norm decay rate reaches alpha/2.
+    and the first N whose fitted full-norm decay rate reaches alpha/2.  A
+    dimension repeated in ``n_grid`` runs once.
     """
     alpha = cfg.alpha
     floor = RATE_FLOOR_PER_ALPHA * alpha
     d0_sq = phase_norm(PhaseState.from_coeffs(
         cfg.basis, *(z.as_array() - zprime.as_array()), cfg.alpha)) ** 2
+    runs = {n: couple_fp(cfg, nl, noise, z, zprime, n) for n in dict.fromkeys(n_grid)}
     rates: dict[int, float] = {}
     lowmode_margin = -math.inf
-    for n in n_grid:
-        pair = couple_fp(cfg, nl, noise, z, zprime, n)
+    for n, run in runs.items():
         if d0_sq == 0:
             rates[n] = math.inf
             lowmode_margin = max(lowmode_margin, 0.0)
             continue
-        ratio = pair.lowmode_sq / d0_sq * np.exp(alpha * pair.t)
+        ratio = run.lowmode_sq[0] / d0_sq * np.exp(alpha * run.t)
         lowmode_margin = max(lowmode_margin, float(ratio.max() - 1.0))
-        sq = pair.diff_vu ** 2
+        sq = run.diff_vu[0] ** 2
         tiny = sq > sq[0] * 1e-22
         if tiny.sum() >= 3:
-            fit = stats.line_fit(pair.t[tiny], np.log(sq[tiny]))
+            fit = stats.line_fit(run.t[tiny], np.log(sq[tiny]))
             rates[n] = -fit.slope
         else:
             rates[n] = math.inf
-    n_star = next((n for n in n_grid if rates[n] >= floor), None)
-    return ContractionReport(tuple(n_grid), rates, lowmode_margin <= LOWMODE_MARGIN_MAX,
-                             lowmode_margin, n_star, alpha)
+    n_star = next((n for n in runs if rates[n] >= floor), None)
+    return ContractionReport(runs, rates, lowmode_margin <= LOWMODE_MARGIN_MAX,
+                             lowmode_margin, n_star)
 
 
 @dataclass
@@ -268,17 +225,18 @@ class TVBound:
     tail_warning: bool
 
 
-def tv_bound(batch: CoupledBatch, b: np.ndarray, n_feedback: int) -> TVBound:
+def tv_bound(run: CoupledRun, b: np.ndarray, n_feedback: int) -> TVBound:
     """Total-variation bound from the exponential moment of the drift energy.
 
     Evaluates 0.5 ((E exp[6 max_{j<=N} b_j^-1 int |a|^2 dt])^{1/2} - 1)^{1/2}
-    with |a|^2 the unweighted low-mode drift and the max over the effective
-    noise coefficients, clipped to [0, 1].
+    over the paths' energies at the horizon, with |a|^2 the unweighted
+    low-mode drift and the max over the effective noise coefficients, clipped
+    to [0, 1].
     """
     if n_feedback < 1:
         return TVBound(0.0, 1.0, False)
     bmax = float(np.max(1.0 / np.asarray(b[:n_feedback], float)))
-    weights = np.exp(6.0 * bmax * batch.h_energy)
+    weights = np.exp(6.0 * bmax * run.h_energy[:, -1])
     moment = float(weights.mean())
     tail = stats.tail_dominated(weights)
     val = 0.5 * math.sqrt(max(math.sqrt(moment) - 1.0, 0.0))
@@ -293,9 +251,10 @@ class TVEstimate:
     degenerate: bool
 
 
-def tv_estimate_likelihood(batch: CoupledBatch) -> TVEstimate:
-    """TV between law(v) and law(u') as half the mean |1 - likelihood ratio|."""
-    lam = np.exp(batch.log_lr)
+def tv_estimate_likelihood(run: CoupledRun) -> TVEstimate:
+    """TV between law(v) and law(u') as half the mean |1 - likelihood ratio|
+    over the paths' ratios at the horizon."""
+    lam = np.exp(run.log_lr[:, -1])
     vals = 0.5 * np.abs(1.0 - lam)
     est, se = stats.mean_se(vals)
     ess = float(lam.sum() ** 2 / np.sum(lam ** 2)) if np.any(lam > 0) else 0.0
@@ -325,11 +284,11 @@ def girsanov_tv_experiment(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
     for k, d in enumerate(distances):
         zp = PhaseState.from_coeffs(cfg.basis, *(z.as_array() + d * direction),
                                     cfg.alpha)
-        batch = couple_fp_batch(cfg, nl, noise, z, zp, n_feedback,
-                                n_traj=n_traj, seed_offset=1000 * k)
-        ests.append(tv_estimate_likelihood(batch))
-        bnds.append(tv_bound(batch, b_eff, n_feedback))
-        med.append(stats.median(batch.novikov_energy))
+        run = couple_fp_batch(cfg, nl, noise, z, zp, n_feedback,
+                              n_traj=n_traj, seed_offset=1000 * k)
+        ests.append(tv_estimate_likelihood(run))
+        bnds.append(tv_bound(run, b_eff, n_feedback))
+        med.append(stats.median(run.novikov_energy[:, -1]))
     med = np.array(med)
     fit = stats.line_fit(np.log(np.asarray(distances, float)), np.log(med))
     return GirsanovTVExperiment(np.asarray(distances, float), ests, bnds, med, fit)

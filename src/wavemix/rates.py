@@ -509,6 +509,13 @@ def fw_rate(net: EquilibriumNetwork, v_to_point: Sequence[float] | None = None,
 # Small-noise stationary measure probes
 
 
+# The Monte Carlo probe's guards: a set entered fewer than MC_MIN_ENTRIES
+# times in either of the two runs is inconclusive, and a run-to-run relative
+# difference of a set's mass above MC_AGREEMENT_MAX fails the agreement check.
+MC_MIN_ENTRIES = 50
+MC_AGREEMENT_MAX = 0.5
+
+
 @dataclass
 class SmallNoiseReport:
     mode: str
@@ -531,7 +538,8 @@ def smallnoise_stationary_probe(model: GradientSDE, eps_list: Sequence[float],
     ``exact`` mode evaluates the closed-form density by quadrature; ``mc``
     mode samples one long trajectory per eps after a burn-in of twenty
     empirical mixing times and cross-checks two runs for agreement, and is
-    inconclusive when a set sees fewer than 50 entries in either run.
+    inconclusive when a set sees fewer than ``MC_MIN_ENTRIES`` entries in
+    either run.
     ``stable_mass`` is the mass within 0.1 of the stable equilibria.
     """
     net = toy_equilibrium_network(model)
@@ -582,11 +590,11 @@ def smallnoise_stationary_probe(model: GradientSDE, eps_list: Sequence[float],
             for si in range(n_sets):
                 f1, e1 = masses[0][si]
                 f2, e2 = masses[1][si]
-                if min(e1, e2) < 50:
+                if min(e1, e2) < MC_MIN_ENTRIES:
                     inconclusive = True
                     continue
                 se = abs(f1 - f2) / max(min(f1, f2), 1e-12)
-                if se > 0.5:
+                if se > MC_AGREEMENT_MAX:
                     agreement_ok = False
                 frac = 0.5 * (f1 + f2)
                 table[si, ei] = eps * math.log(frac)

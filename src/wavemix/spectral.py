@@ -83,14 +83,13 @@ class SpectralBasis:
 
     @cached_property
     def _grid_1d(self) -> list[np.ndarray]:
-        n = GRID_FACTOR * self._modes_per_dim
-        return [np.linspace(0.0, L, n + 1) for L in self.lengths]
+        return [np.linspace(0.0, L, GRID_FACTOR * k + 1)
+                for k, L in zip(self._modes_per_axis, self.lengths)]
 
     @property
-    def _modes_per_dim(self) -> int:
-        if self.dim == 1:
-            return self.mode_count
-        return int(self._mode_indices.max())
+    def _modes_per_axis(self) -> tuple[int, ...]:
+        """Largest retained mode index on each axis."""
+        return tuple(int(k) for k in self._mode_indices.max(axis=0))
 
     @cached_property
     def nodes(self) -> np.ndarray:
@@ -129,20 +128,20 @@ class SpectralBasis:
 
     @cached_property
     def _tensor_factors(self) -> tuple[np.ndarray, ...]:
-        """1D factors of the 2D transform through the K x K coefficient block.
+        """1D factors of the 2D transform through the K1 x K2 coefficient block.
 
         Mode (j1, j2) is e_j1(x) e_j2(y) with e_j = sqrt(2/L) sin(j pi x / L),
         so on the tensor grid a transform is two small matmuls (sum
         factorisation).  Returns ``(S1, S2, w1 S1, w2 S2, flat)``: the
-        (n+1) x K sine tables of both axes, their copies scaled by the 1D
-        trapezoid weights, and the position (j1-1) K + (j2-1) of each
+        (n_d+1) x K_d sine table of each axis d, their copies scaled by the 1D
+        trapezoid weights, and the position (j1-1) K2 + (j2-1) of each
         retained mode in the flattened block.
         """
-        k = self._modes_per_dim
         s1, s2 = (np.sqrt(2.0 / L) * np.sin(np.arange(1, k + 1) * np.pi * x[:, None] / L)
-                  for x, L in zip(self._grid_1d, self.lengths))
+                  for k, x, L in zip(self._modes_per_axis, self._grid_1d, self.lengths))
         w1, w2 = self._weights_1d
-        flat = (self._mode_indices[:, 0] - 1) * k + (self._mode_indices[:, 1] - 1)
+        k2 = s2.shape[1]
+        flat = (self._mode_indices[:, 0] - 1) * k2 + (self._mode_indices[:, 1] - 1)
         return s1, s2, w1[:, None] * s1, w2[:, None] * s2, flat
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
@@ -151,32 +150,33 @@ class SpectralBasis:
         1D multiplies by the dense ``eigenfunctions`` matrix, with any leading
         axes folded into one (B, M) operand so that a strided batch is one
         gemm rather than numpy's stacked loop; 2D forms ``S1 C S2^T`` from the
-        K x K coefficient block C of each batch entry.
+        K1 x K2 coefficient block C of each batch entry, one product per entry:
+        one gemm over all B K1 rows rounds differently at a few rows (B = 1,
+        K1 = 7), so a path's values would depend on its path block.
         """
         lead = np.shape(coeffs)[:-1]
         if self.dim == 1:
             rows = np.reshape(coeffs, (-1, self.mode_count))
             return (rows @ self.eigenfunctions.T).reshape(lead + (-1,))
         s1, s2, _, _, flat = self._tensor_factors
-        n, k = s1.shape
-        block = np.zeros(lead + (k * k,))
+        (n1, k1), (n2, k2) = s1.shape, s2.shape
+        block = np.zeros(lead + (k1 * k2,))
         block[..., flat] = coeffs
-        rows = (block.reshape(-1, k) @ s2.T).reshape(lead + (k, n))  # C S2^T
-        return (s1 @ rows).reshape(lead + (n * n,))
+        rows = block.reshape(lead + (k1, k2)) @ s2.T  # C S2^T
+        return (s1 @ rows).reshape(lead + (n1 * n2,))
 
     def analyze(self, values: np.ndarray) -> np.ndarray:
         """Coefficients of grid values, projected onto the retained modes.
 
         1D is the dense weighted projection; 2D forms ``(w1 S1)^T V (w2 S2)``
-        on the (n+1) x (n+1) value grid V and keeps the retained entries.
+        on the (n1+1) x (n2+1) value grid V and keeps the retained entries.
         """
         if self.dim == 1:
             return (values * self.weights) @ self.eigenfunctions
         _, _, ws1, ws2, flat = self._tensor_factors
-        n, k = ws1.shape
         lead = np.shape(values)[:-1]
-        block = ws1.T @ np.reshape(values, lead + (n, n)) @ ws2
-        return block.reshape(lead + (k * k,))[..., flat]
+        block = ws1.T @ np.reshape(values, lead + (ws1.shape[0], ws2.shape[0])) @ ws2
+        return block.reshape(lead + (-1,))[..., flat]
 
     def quadrature(self, values: np.ndarray) -> np.ndarray:
         """Integral over the domain of grid values (batched on the left).

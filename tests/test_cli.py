@@ -407,6 +407,54 @@ def test_ldp1_reports_the_min_hits_it_judged_by(tmp_path, monkeypatch):
     assert [v["tolerances"]["min_hits"] for v in verdicts] == [50, 401]
 
 
+def test_smallnoise_mc_reports_the_guards_it_judged_by(tmp_path, monkeypatch):
+    import functools
+    import wavemix.rates as rates
+    # a 20-unit horizon keeps the two Monte Carlo runs short; at seed 12345
+    # this window passes both guards and the intercept tolerance
+    monkeypatch.setattr(rates, "smallnoise_stationary_probe",
+                        functools.partial(rates.smallnoise_stationary_probe, horizon=20.0))
+    args = ["stationary-smallnoise", "--model", "cubic", "--mc", "1",
+            "--eps-list", "0.5,0.4", "--sets", "2.0,2.5"]
+    verdicts = []
+    for name, min_entries, agreement_max in (
+            ("plain", rates.MC_MIN_ENTRIES, rates.MC_AGREEMENT_MAX),
+            ("floor", 10 ** 6, rates.MC_AGREEMENT_MAX),
+            ("agreement", rates.MC_MIN_ENTRIES, 0.0)):
+        monkeypatch.setattr(rates, "MC_MIN_ENTRIES", min_entries)
+        monkeypatch.setattr(rates, "MC_AGREEMENT_MAX", agreement_max)
+        main(args + ["--out", str(tmp_path / name)])
+        verdicts.append(json.loads((tmp_path / name / "verdict.json").read_text()))
+    assert [v["status"] for v in verdicts] == ["pass", "inconclusive", "fail"]
+    assert [(v["tolerances"]["mc_min_entries"], v["tolerances"]["mc_agreement_max"])
+            for v in verdicts] == [(50, 0.5), (10 ** 6, 0.5), (50, 0.0)]
+
+
+@pytest.mark.parametrize("n_feedback, runs", [(8, 4), (4, 3)])
+def test_couple_fp_runs_each_feedback_dimension_once(tmp_path, monkeypatch,
+                                                     n_feedback, runs):
+    # the grid (2, 4, n_feedback, M) runs each distinct N once, and the series
+    # comes from the grid's n_feedback run: the bytes of a separate run
+    import wavemix.coupling as cpl
+    calls = []
+    real = cpl.couple_fp
+
+    def counting(*args):
+        calls.append(args[-1])
+        return real(*args)
+    monkeypatch.setattr(cpl, "couple_fp", counting)
+    out = tmp_path / "run"
+    override = f"experiment.n_feedback={n_feedback}"
+    assert main(["couple-fp", "--set", override, "--out", str(out)]) == EXIT_PASS
+    assert len(calls) == runs and len(set(calls)) == runs
+    cfg = parse_config(overrides=[override])
+    wave = basis, nl, noise, sim = cli._wave(cfg)
+    z, zp = cli._start(cfg, sim, 1), cli._start(cfg, sim, 2)
+    ref = cli._RunDir(tmp_path)
+    cli._coupled_series(ref, "ref.csv", wave, z, zp, real(sim, nl, noise, z, zp, n_feedback))
+    assert (out / "couple_fp.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 @pytest.mark.parametrize("point", ["2", "1.7", "0.001"])
 def test_quasipotential_needs_equilibrium_start(tmp_path, capsys, point):
     code = main(["quasipotential", "--model", "cubic", "--from-point", point,
@@ -705,3 +753,89 @@ def test_module_level_imports_are_used():
                 if name not in read and "# noqa" not in lines[a.lineno - 1]:
                     unused.append(f"{path.stem}: {name}")
     assert unused == []
+
+
+def _benchmark_names() -> tuple[set[str], set[str], set[tuple[str, str]]]:
+    """What ``perfbench/spans.py`` finds by name, read without importing it.
+
+    Returns the span names it matches as strings (``parent`` comparisons and
+    the keys of ``_special_posts``), the ``module.attr`` paths it reads from
+    the loaded modules, and the ``(class path, attribute)`` pairs it patches.
+    """
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    aliases: dict[str, str] = {}
+
+    def path(node):
+        if isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "mods" \
+                and isinstance(node.slice, ast.Constant):
+            return node.slice.value
+        if isinstance(node, ast.Name):
+            return aliases.get(node.id)
+        if isinstance(node, ast.Attribute) and node.attr != "__dict__":
+            base = path(node.value)
+            return base and f"{base}.{node.attr}"
+        return None
+
+    assigns = [n for n in ast.walk(tree) if isinstance(n, ast.Assign)]
+    for _ in range(2):  # an alias may be built from another alias
+        for node in assigns:
+            targets, values = node.targets[0], node.value
+            if isinstance(targets, ast.Tuple) and isinstance(values, ast.Tuple):
+                pairs = zip(targets.elts, values.elts)
+            else:
+                pairs = [(targets, values)]
+            for t, v in pairs:
+                if isinstance(t, ast.Name) and path(v):
+                    aliases[t.id] = path(v)
+
+    keyed, paths, patched = set(), set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and getattr(node.left, "id", None) == "parent":
+            for c in node.comparators:
+                keyed |= {e.value for e in getattr(c, "elts", [c])}
+        elif isinstance(node, ast.FunctionDef) and node.name == "_special_posts":
+            keyed |= {k.value for r in ast.walk(node)
+                      if isinstance(r, ast.Return) and isinstance(r.value, ast.Dict)
+                      for k in r.value.keys}
+        elif isinstance(node, ast.Attribute) and path(node):
+            paths.add(path(node))
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_patch_attr":
+            patched.add((path(node.args[0]), node.args[1].value))
+        elif isinstance(node, ast.Subscript) and getattr(node.value, "attr", None) == "__dict__" \
+                and path(node.value.value):
+            patched.add((path(node.value.value), node.slice.value))
+    return keyed, paths, patched
+
+
+def test_benchmark_names_resolve():
+    # the benchmark counts path-steps by span name and patches hot methods by
+    # attribute name: a rename in src/ must fail here, not only in perfbench
+    import importlib
+    import inspect
+
+    def resolve(dotted: str):
+        module, *attrs = dotted.split(".")
+        obj = importlib.import_module(f"wavemix.{module}")
+        for a in attrs:
+            obj = getattr(obj, a)
+        return obj
+
+    keyed, paths, patched = _benchmark_names()
+    assert {"nlw.make_kick_fn", "nlw.make_energy_fn", "nlw.trajectory_streams",
+            "nlw.linear_ops", "coupling.couple_fp", "coupling.couple_fp_batch",
+            "toys.simulate_toy", "rates.boundary_chain"} <= keyed
+    assert "rates.minimize" in paths
+    assert {("nlw.LinearOps", "__init__"), ("nlw.Nonlinearity", "f"),
+            ("toys.GradientSDE", "drift"), ("toys.OrnsteinUhlenbeck", "drift"),
+            ("observables.Observable", "__call__"),
+            ("spectral.SpectralBasis", "eigenfunctions")} <= patched
+    # a span exists only for a public function defined in its module
+    for name in sorted(keyed):
+        module, fn = name.split(".")
+        obj = resolve(name)
+        assert not fn.startswith("_") and inspect.isfunction(obj), name
+        assert obj.__module__ == f"wavemix.{module}", name
+    for name in sorted(paths):
+        assert callable(resolve(name)), name
+    for cls, attr in sorted(patched):
+        assert attr in vars(resolve(cls)), f"{cls}.{attr}"

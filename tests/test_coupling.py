@@ -61,10 +61,11 @@ def test_same_start_gives_identical_processes(basis, noise):
     cfg = make_cfg(basis)
     nl = Nonlinearity.klein_gordon(1.0)
     z = smooth_state(basis, 0.4, 1, cfg.alpha)
-    pair = couple_fp(cfg, nl, noise, z, z, n_feedback=4)
-    assert np.max(pair.diff_vu) < 1e-10
-    assert pair.girsanov.novikov_energy[-1] == 0.0
-    assert np.exp(pair.girsanov.log_lr[-1]) == pytest.approx(1.0)
+    run = couple_fp(cfg, nl, noise, z, z, n_feedback=4)
+    assert run.diff_vu.shape == (1, run.t.size)
+    assert np.max(run.diff_vu) < 1e-10
+    assert run.novikov_energy[0, -1] == 0.0
+    assert np.exp(run.log_lr[0, -1]) == pytest.approx(1.0)
 
 
 def test_marginal_preservation(basis, noise):
@@ -73,11 +74,11 @@ def test_marginal_preservation(basis, noise):
     nl = Nonlinearity.klein_gordon(1.0)
     z = smooth_state(basis, 0.4, 2, cfg.alpha)
     zp = smooth_state(basis, 0.4, 3, cfg.alpha)
-    pair = couple_fp(cfg, nl, noise, z, zp, n_feedback=4)
+    run = couple_fp(cfg, nl, noise, z, zp, n_feedback=4)
     plain = simulate(cfg, nl, noise, z)
-    np.testing.assert_allclose(pair.states_u, plain.states, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(run.states[0, :, 0], plain.states, rtol=0, atol=1e-13)
     # without feedback v is the plain flow from z'
-    free_v = couple_fp(cfg, nl, noise, z, zp, n_feedback=0).states_v
+    free_v = couple_fp(cfg, nl, noise, z, zp, n_feedback=0).states[0, :, 1]
     plain_p = simulate(cfg, nl, noise, zp)
     np.testing.assert_allclose(free_v, plain_p.states, rtol=0, atol=1e-13)
 
@@ -88,7 +89,7 @@ def test_linear_feedback_difference_is_free_wave(basis, noise):
     nl = Nonlinearity.zero()
     z = smooth_state(basis, 0.4, 4, cfg.alpha)
     zp = smooth_state(basis, 0.4, 5, cfg.alpha)
-    pair = couple_fp(cfg, nl, noise, z, zp, n_feedback=0)
+    run = couple_fp(cfg, nl, noise, z, zp, n_feedback=0)
     w0 = zp.as_array() - z.as_array()
     from wavemix.nlw import linear_ops, apply_modewise
     ops = linear_ops(cfg, noise)
@@ -100,7 +101,7 @@ def test_linear_feedback_difference_is_free_wave(basis, noise):
         w = apply_modewise(ops.P_half, w)
         diffs.append(np.sqrt(float(np.sum(basis.eigenvalues * w[0, 0] ** 2
                                           + (w[0, 1] + cfg.alpha * w[0, 0]) ** 2))))
-    np.testing.assert_allclose(pair.diff_vu, diffs, rtol=1e-9, atol=1e-13)
+    np.testing.assert_allclose(run.diff_vu[0], diffs, rtol=1e-9, atol=1e-13)
 
 
 def test_lowmode_contraction_pathwise(basis, noise):
@@ -111,8 +112,8 @@ def test_lowmode_contraction_pathwise(basis, noise):
     d0_sq = phase_norm(PhaseState.from_coeffs(
         basis, *(zp.as_array() - z.as_array()), cfg.alpha)) ** 2
     for n in (4, 16):
-        pair = couple_fp(cfg, nl, noise, z, zp, n_feedback=n)
-        ratio = pair.lowmode_sq / d0_sq * np.exp(cfg.alpha * pair.t)
+        run = couple_fp(cfg, nl, noise, z, zp, n_feedback=n)
+        ratio = run.lowmode_sq[0] / d0_sq * np.exp(cfg.alpha * run.t)
         assert np.max(ratio) <= 1.0 + 1e-6
 
 
@@ -139,13 +140,13 @@ def test_girsanov_zero_cases(basis, noise):
     nl = Nonlinearity.klein_gordon(1.0)
     z = smooth_state(basis, 0.4, 10, cfg.alpha)
     # u == v: zero drift, zero energy
-    rec = couple_fp(cfg, nl, noise, z, z, n_feedback=4).girsanov
-    assert rec.novikov_energy[-1] == 0.0
+    run = couple_fp(cfg, nl, noise, z, z, n_feedback=4)
+    assert run.novikov_energy[0, -1] == 0.0
     # N = 0: zero drift regardless of the trajectories
     zp = smooth_state(basis, 0.4, 11, cfg.alpha)
-    rec0 = couple_fp(cfg, nl, noise, z, zp, n_feedback=0).girsanov
-    assert rec0.novikov_energy[-1] == 0.0
-    assert rec0.log_lr[-1] == 0.0
+    run0 = couple_fp(cfg, nl, noise, z, zp, n_feedback=0)
+    assert run0.novikov_energy[0, -1] == 0.0
+    assert run0.log_lr[0, -1] == 0.0
 
 
 def test_batch_path_zero_matches_single_run(basis, noise):
@@ -154,15 +155,16 @@ def test_batch_path_zero_matches_single_run(basis, noise):
     nl = Nonlinearity.klein_gordon(1.0)
     z = smooth_state(basis, 0.4, 19, cfg.alpha)
     zp = smooth_state(basis, 0.4, 20, cfg.alpha)
-    pair = couple_fp(cfg, nl, noise, z, zp, n_feedback=4)
+    single = couple_fp(cfg, nl, noise, z, zp, n_feedback=4)
     batch = couple_fp_batch(cfg, nl, noise, z, zp, n_feedback=4, n_traj=3)
-    rec = pair.girsanov
-    assert rec.log_lr[-1] != 0.0
-    # einsum reduction order changes with the batch size
-    assert batch.log_lr[0] == pytest.approx(rec.log_lr[-1], rel=1e-12)
-    assert batch.h_energy[0] == pytest.approx(rec.h_energy[-1], rel=1e-12)
-    assert batch.novikov_energy[0] == pytest.approx(rec.novikov_energy[-1], rel=1e-12)
-    np.testing.assert_array_equal(batch.diff_vu[0], pair.diff_vu)
+    assert batch.states is None and batch.log_lr.shape == (3, single.t.size)
+    assert single.log_lr[0, -1] != 0.0
+    # the feedback's projection rounds differently with the batch size
+    assert batch.log_lr[0, -1] == pytest.approx(single.log_lr[0, -1], rel=1e-12)
+    assert batch.h_energy[0, -1] == pytest.approx(single.h_energy[0, -1], rel=1e-12)
+    assert batch.novikov_energy[0, -1] == pytest.approx(single.novikov_energy[0, -1],
+                                                        rel=1e-12)
+    np.testing.assert_array_equal(batch.diff_vu[0], single.diff_vu[0])
 
 
 def _assert_same_path(small, big, i, j=None):
@@ -171,8 +173,8 @@ def _assert_same_path(small, big, i, j=None):
     np.testing.assert_array_equal(small.diff_vu[i], big.diff_vu[j])
     np.testing.assert_array_equal(small.lowmode_sq[i], big.lowmode_sq[j])
     for name in ("novikov_energy", "h_energy", "log_lr"):
-        assert getattr(small, name)[i] == pytest.approx(getattr(big, name)[j],
-                                                        rel=1e-12), name
+        assert getattr(small, name)[i, -1] == pytest.approx(getattr(big, name)[j, -1],
+                                                            rel=1e-12), name
 
 
 @pytest.fixture(scope="module")
@@ -195,7 +197,7 @@ def test_batch_path_does_not_depend_on_batch_size(coupled_setup, noise, n_traj,
                             seed_offset=7)
     big = couple_fp_batch(cfg, nl, noise, z, zp, n_feedback=4,
                           n_traj=n_traj + extra, seed_offset=7)
-    assert small.log_lr[i] != 0.0
+    assert small.log_lr[i, -1] != 0.0
     _assert_same_path(small, big, i)
 
 
@@ -224,7 +226,7 @@ def test_likelihood_ratio_is_unit_mean(basis, noise):
     d = unit_direction(basis, cfg.alpha)
     zp = PhaseState.from_coeffs(basis, *(z.as_array() + 0.05 * d), cfg.alpha)
     batch = couple_fp_batch(cfg, nl, noise, z, zp, n_feedback=4, n_traj=400)
-    lam = np.exp(batch.log_lr)
+    lam = np.exp(batch.log_lr[:, -1])
     assert lam.mean() == pytest.approx(1.0, abs=4 * lam.std() / math.sqrt(lam.size))
 
 
@@ -384,7 +386,7 @@ def test_tv_estimate_reindexing_invariance(basis, noise):
     zp = PhaseState.from_coeffs(basis, *(z.as_array() + 0.05 * d), cfg.alpha)
     batch = couple_fp_batch(cfg, nl, noise, z, zp, n_feedback=4, n_traj=64)
     base = tv_estimate_likelihood(batch)
-    perm = np.random.default_rng(0).permutation(batch.log_lr.size)
+    perm = np.random.default_rng(0).permutation(len(batch.log_lr))
     shuffled = tv_estimate_likelihood(dataclasses.replace(batch, log_lr=batch.log_lr[perm]))
     assert shuffled.value == pytest.approx(base.value, rel=1e-12)
 

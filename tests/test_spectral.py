@@ -96,6 +96,17 @@ def test_blocked_map_matches_unblocked_bitwise(basis, paths, systems, block, nl,
     assert got_f.shape == lead + (basis.mode_count,) and got_F.shape == lead
 
 
+def test_collocation_grid_per_axis():
+    # each axis gets GRID_FACTOR * (its largest mode index) intervals: the
+    # (1, 5) box keeps j1 <= 7 and j2 <= 37, so 29 x 149 nodes, not 149 x 149
+    aniso = _MAP_BASES[2]
+    assert aniso._mode_indices.max(axis=0).tolist() == [7, 37]
+    assert [x.size for x in aniso._grid_1d] == [29, 149]
+    assert aniso.nodes.shape == (29 * 149, 2) and aniso.weights.size == 29 * 149
+    # a square box is unchanged
+    assert _MAP_BASES[1].nodes.shape == (57 * 57, 2)
+
+
 def test_1d_synthesize_folds_strided_batch(basis_pi):
     # the coupled kick's strided (B, 3, M) position view is one (3B, M) gemm;
     # each system still gets its own dense product
