@@ -313,6 +313,8 @@ def _start(cfg: RunConfig, sim: nlw.SimConfig, k: int,
     """
     if scale is None:
         scale = cfg["experiment"]["state_scale"]
+    # PCG64, the one stream not from stats.generator: moving it to Philox
+    # would move every wave start state and so every wave hash
     rng = np.random.default_rng(np.random.SeedSequence(
         entropy=cfg.seed, spawn_key=(_START_STREAM, k)))
     m = sim.basis.mode_count
@@ -540,24 +542,24 @@ def _cmd_mix(cfg: RunConfig, out: _RunDir) -> int:
 def _cmd_occupation(cfg: RunConfig, out: _RunDir) -> int:
     kind = cfg["model"]["kind"]
     horizon = cfg["integrator"]["horizon"]
+    # running integrals int_0^t psi of path 0, trapezoid over every step
     if kind == "nlw":
         basis, nl, noise, sim = _wave(cfg)
         obs = {o.name: o for o in default_observables(basis, sim.alpha, (1, 2))}
         res = nlw.run_flow(sim, nl, noise, _start(cfg, sim, 1), n_traj=1,
                            integrands=obs, threads=cfg.threads)
-        series = {k: v[0] for k, v in res.integrals.items()}
-        rows = [[res.t[i]] + [series[k][i] / res.t[i] if res.t[i] > 0 else 0.0
-                              for k in series] for i in range(res.t.size)]
-        out.write_csv("occupation.csv", ["t"] + list(series), rows)
-        return _finish(cfg, out, "pass",
-                       {"averages": {k: series[k][-1] / res.t[-1] for k in series}}, {})
-    eps = None if kind == "ou" else cfg["model"]["toy_eps"]
-    t, paths, _ = toys.simulate_toy(_build_toy(cfg), eps, cfg["integrator"]["toy_dt"],
-                                    horizon, cfg.seed, record_stride=100)
-    rec = erg.occupation_measure(t, {"u": paths})
-    rows = [[t[i], rec.averages["u"][0, i]] for i in range(t.size)]
-    out.write_csv("occupation.csv", ["t", "avg_u"], rows)
-    return _finish(cfg, out, "pass", {"avg_u": rec.final("u")}, {})
+        t, series = res.t, {k: v[0] for k, v in res.integrals.items()}
+    else:
+        eps = None if kind == "ou" else cfg["model"]["toy_eps"]
+        t, _, ints = toys.simulate_toy(_build_toy(cfg), eps, cfg["integrator"]["toy_dt"],
+                                       horizon, cfg.seed, record_stride=100,
+                                       integrand=lambda u: u)
+        series = {"u": ints[0]}
+    rows = [[t[i]] + [series[k][i] / t[i] if t[i] > 0 else 0.0 for k in series]
+            for i in range(t.size)]
+    out.write_csv("occupation.csv", ["t"] + list(series), rows)
+    return _finish(cfg, out, "pass",
+                   {"averages": {k: series[k][-1] / t[-1] for k in series}}, {})
 
 
 def _cmd_pressure(cfg: RunConfig, out: _RunDir) -> int:
@@ -576,7 +578,7 @@ def _cmd_pressure(cfg: RunConfig, out: _RunDir) -> int:
         streams = {b: (i,) for i, b in enumerate(sorted(betas))}
 
         def estimator(beta: float) -> erg.PressureEstimate:
-            t, _, ints = toys.simulate_toy(
+            _, _, ints = toys.simulate_toy(
                 ou, None, cfg["integrator"]["toy_dt"], horizon, cfg.seed,
                 n_traj=n_traj, record_stride=10 ** 9,
                 integrand=lambda u: beta * u, stream=streams[beta])
@@ -678,7 +680,7 @@ def _cmd_fw_graph(cfg: RunConfig, out: _RunDir) -> int:
     model = _build_toy(cfg)
     net = rates.toy_equilibrium_network(model)
     if cfg["experiment"]["use_solver"]:
-        pts, stable = model.equilibria()
+        pts = model.equilibria()[0]
         n = pts.size
         V = np.zeros((n, n))
         for i in range(n):

@@ -22,6 +22,7 @@ from wavemix.nlw import (
     NoiseModel,
     Nonlinearity,
     SimConfig,
+    _path_blocks,
     _strang_drive,
     apply_modewise,  # noqa: F401  (re-exported; perfbench checks this binding)
     linear_ops,
@@ -96,10 +97,7 @@ def _run_coupled(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
     llr_run = np.empty((n_traj, nr))
     states_out = np.empty((n_traj, nr, 2, 2, m)) if keep_states else None
 
-    block_size = max(min(128, n_traj), 1)
-
-    for lo in range(0, n_traj, block_size):
-        hi = min(lo + block_size, n_traj)
+    for lo, hi in _path_blocks(n_traj):
         nb = hi - lo
         states = np.broadcast_to(z0, (nb,) + z0.shape).copy()
         rngs = trajectory_streams(cfg.seed, nb, offset=seed_offset + lo)
@@ -221,7 +219,6 @@ def fp_contraction_test(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
 @dataclass
 class TVBound:
     value: float
-    exp_moment: float
     tail_warning: bool
 
 
@@ -234,13 +231,13 @@ def tv_bound(run: CoupledRun, b: np.ndarray, n_feedback: int) -> TVBound:
     to [0, 1].
     """
     if n_feedback < 1:
-        return TVBound(0.0, 1.0, False)
+        return TVBound(0.0, False)
     bmax = float(np.max(1.0 / np.asarray(b[:n_feedback], float)))
     weights = np.exp(6.0 * bmax * run.h_energy[:, -1])
     moment = float(weights.mean())
     tail = stats.tail_dominated(weights)
     val = 0.5 * math.sqrt(max(math.sqrt(moment) - 1.0, 0.0))
-    return TVBound(min(val, 1.0), moment, tail)
+    return TVBound(min(val, 1.0), tail)
 
 
 @dataclass

@@ -1,4 +1,7 @@
-"""Occupation measures, ergodic limit theorems, and pressure estimation.
+"""Ergodic limit theorems, Feynman-Kac pressures and level-1 large deviations.
+
+The limit theorems judge time averages integral / t, where the integral is
+the per-step trapezoid that the simulators accumulate along each path.
 
 The Feynman-Kac pressure Q(V) = lim (1/t) log E exp(int_0^t V) is estimated by
 Monte Carlo on simulators and computed exactly on finite-state chains, where
@@ -20,40 +23,12 @@ from wavemix.nlw import _expm
 
 
 # --------------------------------------------------------------------------
-# Occupation records
-
-
-@dataclass
-class OccupationRecord:
-    """Running time-averages (1/t) int_0^t psi_k(y_s) ds per observable."""
-
-    t: np.ndarray
-    averages: dict[str, np.ndarray]
-
-    def final(self, name: str) -> float:
-        return float(np.mean(np.asarray(self.averages[name])[..., -1]))
-
-
-def occupation_measure(t: np.ndarray, series: dict[str, np.ndarray]) -> OccupationRecord:
-    """Trapezoid running averages of recorded observable series.
-
-    ``series`` maps names to arrays over the time grid (last axis = time).
-    """
-    t = np.asarray(t, float)
-    avgs = {}
-    for name, vals in series.items():
-        integral = stats.running_trapezoid(t, np.asarray(vals, float))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            avg = integral / t
-        avg[..., 0] = np.asarray(vals)[..., 0]
-        avgs[name] = avg
-    return OccupationRecord(t, avgs)
+# Ergodic limit theorems on running averages
 
 
 @dataclass
 class SllnReport:
     horizons: np.ndarray
-    residuals: np.ndarray
     exponent: float
     fit: stats.LineFit | None
     passed: bool
@@ -74,15 +49,14 @@ def slln_check(t: np.ndarray, averages: np.ndarray, reference_mean: float) -> Sl
     idx = np.clip(idx, 1, t.size - 1)
     r = resid[idx]
     if np.all(r == 0):
-        return SllnReport(horizons, r, -math.inf, None, True)
+        return SllnReport(horizons, -math.inf, None, True)
     fit = stats.line_fit(np.log(horizons), np.log(np.maximum(r, 1e-300)))
-    return SllnReport(horizons, r, fit.slope, fit, fit.slope <= -0.4)
+    return SllnReport(horizons, fit.slope, fit, fit.slope <= -0.4)
 
 
 @dataclass
 class CltReport:
     sigma: float
-    ks_statistic: float
     ks_pvalue: float
     samples: np.ndarray
     passed: bool
@@ -94,11 +68,10 @@ def clt_check(horizon: float, integrals: np.ndarray, centering: float) -> CltRep
     s = (np.asarray(integrals, float) - horizon * centering) / math.sqrt(horizon)
     sigma = float(s.std(ddof=1))
     if sigma == 0:
-        return CltReport(0.0, 0.0, 1.0, s, True)
+        return CltReport(0.0, 1.0, s, True)
     from scipy.stats import kstest
     res = kstest(s, "norm", args=(0.0, sigma))
-    return CltReport(sigma, float(res.statistic), float(res.pvalue), s,
-                     res.pvalue > 0.01)
+    return CltReport(sigma, float(res.pvalue), s, res.pvalue > 0.01)
 
 
 # --------------------------------------------------------------------------
@@ -243,10 +216,9 @@ class FiniteChain:
         """int_0^T V(x_s) ds per Gillespie path from state 0 (holding times are
         exact).
 
-        The paths draw from ``SeedSequence(entropy=seed, spawn_key=stream)``.
+        The paths draw from ``stats.generator(seed, stream)``.
         """
-        rng = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(entropy=seed, spawn_key=stream)))
+        rng = stats.generator(seed, stream)
         rates = -np.diag(self.G)
         jump_p = self.G.copy()
         np.fill_diagonal(jump_p, 0.0)
@@ -349,7 +321,6 @@ def chain_pressure_curve(chain: FiniteChain, betas: Sequence[float]) -> Pressure
 class RateSamples:
     p: np.ndarray
     values: np.ndarray
-    hull_changed: bool
 
     def at(self, p: float) -> float:
         return float(np.interp(p, self.p, self.values))
@@ -363,7 +334,7 @@ class RateSamples:
         return min([inner] + edges)
 
 
-def _lower_convex_hull(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, bool]:
+def _lower_convex_hull(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Largest convex minorant of the points, evaluated back on the grid."""
     hull = [0]
     for i in range(1, x.size):
@@ -376,19 +347,18 @@ def _lower_convex_hull(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, bool]:
             else:
                 break
         hull.append(i)
-    yc = np.interp(x, x[hull], y[hull])
-    return yc, bool(np.any(yc < y - 1e-12))
+    return np.interp(x, x[hull], y[hull])
 
 
 def legendre(curve: PressureCurve, p_grid: np.ndarray | None = None,
              shift_to_original: bool = True) -> RateSamples:
     """Discrete Legendre transform I(p) = sup_beta (beta p - Q(beta)).
 
-    The curve is convexified first (flagged when that changes anything).  A
-    supremum attained at a boundary beta is reported as the +inf sentinel,
-    since the true conjugate may be unbounded there.
+    The curve is convexified first.  A supremum attained at a boundary beta
+    is reported as the +inf sentinel, since the true conjugate may be
+    unbounded there.
     """
-    q, changed = _lower_convex_hull(curve.betas, curve.values)
+    q = _lower_convex_hull(curve.betas, curve.values)
     slopes = np.gradient(q, curve.betas)
     if p_grid is None:
         p_grid = np.linspace(slopes.min(), slopes.max(), 401)
@@ -404,7 +374,7 @@ def legendre(curve: PressureCurve, p_grid: np.ndarray | None = None,
             if (k == 0 and p >= edge_slope) or (k == curve.betas.size - 1 and p <= edge_slope):
                 vals[i] = obj[k]
     p_out = p_grid + (curve.center if shift_to_original else 0.0)
-    return RateSamples(p_out, vals, changed)
+    return RateSamples(p_out, vals)
 
 
 # --------------------------------------------------------------------------

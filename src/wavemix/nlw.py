@@ -143,7 +143,7 @@ class DissipativityReport:
     ``c_balance``:  f(u) u - F(u) >= -nu u^2 - C
     ``c_gradient``: F(u) >= C^{-1} |f'(u)|^{(rho+2)/rho} - nu u^2 - C
     A condition is violated when the needed constant keeps growing at the
-    edge of the scan range (the certificate records where).
+    edge of the scan range.
     """
 
     c_lower: float
@@ -151,7 +151,6 @@ class DissipativityReport:
     c_gradient: float
     ok: bool
     violations: tuple[str, ...]
-    u_range: tuple[float, float]
 
 
 def check_dissipativity(nl: Nonlinearity) -> DissipativityReport:
@@ -183,8 +182,7 @@ def check_dissipativity(nl: Nonlinearity) -> DissipativityReport:
         if c > 1.2 * max(c_inner, 1e-9):
             violations.append(name)
     return DissipativityReport(consts[0], consts[1], consts[2],
-                               ok=not violations, violations=tuple(violations),
-                               u_range=(float(u.min()), float(u.max())))
+                               ok=not violations, violations=tuple(violations))
 
 
 class NoiseModel:
@@ -221,16 +219,6 @@ class NoiseModel:
         if cutoff is not None:
             c[cutoff:] = 0.0
         return NoiseModel(basis, c, nondegenerate=cutoff is None)
-
-    def cameron_martin_norm_sq(self, coeffs: np.ndarray) -> np.ndarray:
-        """|v|^2 in the noise-weighted norm sum b_j^-2 (v, e_j)^2; inf if the
-        control touches a degenerate mode."""
-        c2 = np.asarray(coeffs, float) ** 2
-        b2 = self.coeffs ** 2
-        dead = b2 == 0
-        out = np.sum(np.divide(c2, b2, out=np.zeros_like(c2), where=~dead), axis=-1)
-        touched = np.any(c2[..., dead] > 0, axis=-1) if dead.any() else np.zeros(out.shape, bool)
-        return np.where(touched, np.inf, out)
 
 
 def default_alpha(gamma: float, lambda1: float) -> float:
@@ -437,10 +425,9 @@ def check_finite(states: np.ndarray, t: float, offset: int) -> None:
 
 
 def trajectory_streams(seed: int, n: int, offset: int = 0):
-    """Counter-based per-trajectory generators split from the master seed."""
-    return [np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(entropy=seed, spawn_key=(offset + i,))))
-        for i in range(n)]
+    """Counter-based per-trajectory generators split from the master seed:
+    trajectory ``offset + i`` draws from ``stats.generator(seed, (offset + i,))``."""
+    return [stats.generator(seed, (offset + i,)) for i in range(n)]
 
 
 # --------------------------------------------------------------------------
@@ -507,6 +494,15 @@ _CHUNK_STEPS = 256
 # Bytes of a chunk's noise block, here and in the toys: a large batch gets fewer
 # steps per chunk, drawn in the same order.  Nothing else depends on this cap.
 _NOISE_BLOCK_BYTES = 1 << 20
+# Paths per block of both ensemble engines, ``run_flow`` and the coupled pairs.
+# A path draws from its own stream wherever its block starts, so the block
+# decides only the memory of a run and the BLAS reduction order.
+_PATH_BLOCK = 128
+
+
+def _path_blocks(n_traj: int) -> list[tuple[int, int]]:
+    """The (lo, hi) path ranges of ``n_traj`` paths in blocks of ``_PATH_BLOCK``."""
+    return [(lo, min(lo + _PATH_BLOCK, n_traj)) for lo in range(0, n_traj, _PATH_BLOCK)]
 
 
 def _strang_drive(states: np.ndarray, ops: LinearOps, rngs, kick: Callable,
@@ -582,7 +578,7 @@ def run_flow(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel, y0: PhaseState
              *, n_traj: int = 1, probes: dict[str, Callable] | None = None,
              integrands: dict[str, Callable] | None = None,
              return_states: bool = False, seed_offset: int = 0,
-             block_size: int = 128, threads: int = 1) -> FlowResult:
+             threads: int = 1) -> FlowResult:
     """Advance ``n_traj`` independent trajectories from ``y0``.
 
     ``probes`` are evaluated at recorded times; ``integrands`` are accumulated
@@ -637,7 +633,7 @@ def run_flow(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel, y0: PhaseState
                                       cfg.n_steps, on_step,
                                       sync=None if integrands else rec, offset=lo)
 
-    blocks = [(lo, min(lo + block_size, n_traj)) for lo in range(0, n_traj, block_size)]
+    blocks = _path_blocks(n_traj)
     if threads > 1 and len(blocks) > 1:
         # imported here: concurrent.futures loads logging, which no 1-thread run needs
         from concurrent.futures import ThreadPoolExecutor

@@ -16,12 +16,11 @@ from wavemix.spectral import SpectralBasis
 
 @dataclass(frozen=True)
 class Observable:
-    """ψ(y) = wave(ℓ(y)) with |ψ|_∞ ≤ 1 and Lipschitz constant ≤ lipschitz."""
+    """ψ(y) = wave(ℓ(y)) with |ψ|_∞ ≤ 1 and Lipschitz constant ≤ 1, since
+    |wave'| ≤ 1 and ℓ has unit dual norm."""
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
-    lipschitz: float
-    bound: float
 
     def __call__(self, states: np.ndarray) -> np.ndarray:
         return self.fn(states)
@@ -51,7 +50,7 @@ def default_observables(basis: SpectralBasis, alpha: float,
         for kind, lin in (("pos", _position_functional(basis, k, alpha)),
                           ("vel", _velocity_functional(basis, k, alpha))):
             obs.append(Observable(f"cos_{kind}{k}",
-                                  (lambda f: lambda s: np.cos(f(s)))(lin), 1.0, 1.0))
+                                  (lambda f: lambda s: np.cos(f(s)))(lin)))
             obs.append(Observable(f"sin_{kind}{k}",
-                                  (lambda f: lambda s: np.sin(f(s)))(lin), 1.0, 1.0))
+                                  (lambda f: lambda s: np.sin(f(s)))(lin)))
     return obs

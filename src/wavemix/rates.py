@@ -34,31 +34,16 @@ from wavemix.toys import GradientSDE, _em_drive, autocorrelation_time, \
 
 @dataclass
 class ControlPath:
-    """Time-discretized forcing with its quadratic action.
-
-    ``phis`` has shape (n_nodes,) for scalar toys or (n_nodes, M) for spectral
-    controls; ``action`` is the cached trapezoid value of 0.5 int |phi|^2 in
-    the noise-weighted norm (plain L2 for toys).
-    """
+    """Time-discretized forcing: ``phis`` has shape (n_nodes,) for scalar toys
+    or (n_nodes, M) for spectral controls."""
 
     t: np.ndarray
     phis: np.ndarray
-    action: float
 
 
-def action_value(t, phis, noise: NoiseModel | None = None) -> float:
-    """Trapezoid quadrature of 0.5 |phi(s)|^2_{H_theta}; inf on dead modes."""
-    t = np.asarray(t, float)
-    phis = np.asarray(phis, float)
-    if phis.ndim == 1:
-        sq = phis ** 2
-    else:
-        if noise is None:
-            raise ValueError("spectral controls need a noise model")
-        sq = noise.cameron_martin_norm_sq(phis)
-        if np.any(np.isinf(sq)):
-            return math.inf
-    return float(0.5 * np.trapezoid(sq, t))
+def action_value(t, phis) -> float:
+    """Trapezoid quadrature of 0.5 int |phi(s)|^2 ds for a scalar control."""
+    return float(0.5 * np.trapezoid(np.asarray(phis, float) ** 2, np.asarray(t, float)))
 
 
 # --------------------------------------------------------------------------
@@ -183,7 +168,7 @@ def toy_quasipotential(model: GradientSDE, z1: float, z2: float, eta: float = 0.
     """
     if abs(z2 - z1) <= eta:
         # the target ball already contains the start: V = 0 at T -> 0
-        empty = ControlPath(np.zeros(1), np.zeros(1), 0.0)
+        empty = ControlPath(np.zeros(1), np.zeros(1))
         ladder = [(e2, 0.0) for e2 in eta_ladder]
         return QuasipotentialResult(0.0, empty, abs(z2 - z1), 0.0, eta, ladder)
     best = None
@@ -208,7 +193,7 @@ def toy_quasipotential(model: GradientSDE, z1: float, z2: float, eta: float = 0.
     for e2 in eta_ladder:
         sub = toy_quasipotential(model, z1, z2, eta=e2, horizons=(T,))
         ladder.append((e2, sub.value))
-    return QuasipotentialResult(val, ControlPath(t_mid, phi, val), err, T, eta,
+    return QuasipotentialResult(val, ControlPath(t_mid, phi), err, T, eta,
                                 ladder, converged=err <= eta and stopped,
                                 grad_norm=grad_norm)
 
@@ -295,7 +280,7 @@ def nlw_quasipotential(basis: SpectralBasis, nl: Nonlinearity, gamma: float,
     d0 = math.sqrt(float(np.sum(lam * (p1 - p2) ** 2)
                          + np.sum((v1 - v2 + alpha * (p1 - p2)) ** 2)))
     if d0 <= eta:
-        empty = ControlPath(np.zeros(1), np.zeros((1, m)), 0.0)
+        empty = ControlPath(np.zeros(1), np.zeros((1, m)))
         return QuasipotentialResult(0.0, empty, d0, 0.0, eta)
 
     best = None
@@ -327,7 +312,7 @@ def nlw_quasipotential(basis: SpectralBasis, nl: Nonlinearity, gamma: float,
         cand = (val, dist, t_mid, phi, T, float(np.max(np.abs(res.jac))))
         best = _better_candidate(best, cand, eta)
     val, dist, t_mid, phi, T, grad_norm = best
-    return QuasipotentialResult(val, ControlPath(t_mid, phi, val), dist, T, eta,
+    return QuasipotentialResult(val, ControlPath(t_mid, phi), dist, T, eta,
                                 converged=dist <= eta, grad_norm=grad_norm)
 
 
@@ -471,7 +456,6 @@ def _chain_weight(V: np.ndarray, root: int) -> float:
 @dataclass
 class RateQuery:
     value: float
-    argmin_node: int
     weights: np.ndarray
 
 
@@ -501,8 +485,7 @@ def fw_rate(net: EquilibriumNetwork, v_to_point: Sequence[float] | None = None,
         if v_vec.size != len(base.points):
             raise ValueError("need one quasipotential per (stable) node")
     totals = W + v_vec
-    k = int(np.argmin(totals))
-    return RateQuery(float(totals[k] - W.min()), k, W)
+    return RateQuery(float(totals.min() - W.min()), W)
 
 
 # --------------------------------------------------------------------------
@@ -542,7 +525,6 @@ def smallnoise_stationary_probe(model: GradientSDE, eps_list: Sequence[float],
     either run.
     ``stable_mass`` is the mass within 0.1 of the stable equilibria.
     """
-    net = toy_equilibrium_network(model)
     pts, stable = model.equilibria()
     eps_arr = np.asarray(sorted(eps_list, reverse=True), float)
     n_sets = len(sets)
@@ -672,11 +654,11 @@ def boundary_chain(model: GradientSDE, bc: BoundaryChainConfig, eps: float,
     step exits the outer rho0-neighborhood and records which rho1-shell the
     path hits next.  eps log P-hat is compared to the avoid-others
     quasipotentials between the nodes.  Each replica is its own noise lane:
-    replica ``r`` draws from stream ``SeedSequence(entropy=seed,
-    spawn_key=(r,))``.  ``toys._em_drive`` runs the steps and hands each
-    chunk of paths to the first-passage scan, so the chain keeps no second
-    copy of them; a nonfinite state raises ``BlowupError`` naming its
-    earliest step and, within it, the lowest replica.
+    replica ``r`` draws from stream ``stats.generator(seed, (r,))``.
+    ``toys._em_drive`` runs the steps and hands each chunk of paths to the
+    first-passage scan, so the chain keeps no second copy of them; a
+    nonfinite state raises ``BlowupError`` naming its earliest step and,
+    within it, the lowest replica.
     """
     pts, stable = model.equilibria()
     nodes = pts[stable]
@@ -694,9 +676,7 @@ def boundary_chain(model: GradientSDE, bc: BoundaryChainConfig, eps: float,
                             else toy_quasipotential_oracle(model, nodes[i], nodes[j]))
 
     counts = np.zeros((n, n), int)
-    rngs = [np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(entropy=seed, spawn_key=(r,))))
-        for r in range(n_replicas)]
+    rngs = [stats.generator(seed, (r,)) for r in range(n_replicas)]
     # replicas start spread over the nodes so every source row fills evenly
     resident = np.arange(n_replicas) % n
     waiting_exit = np.ones(n_replicas, bool)

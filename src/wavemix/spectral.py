@@ -58,19 +58,14 @@ class SpectralBasis:
         """Integer index tuples of the retained modes, ascending eigenvalue."""
         if self.dim == 1:
             return np.arange(1, self.mode_count + 1)[:, None]
-        k = int(np.ceil(np.sqrt(self.mode_count)))
-        # Enlarge until the k x k tensor block certainly contains the M
-        # smallest eigenvalues (anisotropic domains can push low modes out).
-        while True:
-            jj = np.stack(np.meshgrid(np.arange(1, k + 1), np.arange(1, k + 1),
-                                      indexing="ij"), axis=-1).reshape(-1, 2)
-            lams = ((jj[:, 0] * np.pi / self.lengths[0]) ** 2
-                    + (jj[:, 1] * np.pi / self.lengths[1]) ** 2)
-            order = np.lexsort((jj[:, 1], jj[:, 0], lams))
-            edge = (np.pi * min(self.lengths) / max(self.lengths)) ** 2
-            if lams[order[self.mode_count - 1]] <= ((k + 1) * np.pi / max(self.lengths)) ** 2 + edge:
-                return jj[order[:self.mode_count]]
-            k += 2
+        # The M x M block holds the M smallest eigenvalues: the M modes (j, 1)
+        # lie below every mode with j1 > M, and likewise on the other axis.
+        m = self.mode_count
+        jj = np.stack(np.meshgrid(np.arange(1, m + 1), np.arange(1, m + 1),
+                                  indexing="ij"), axis=-1).reshape(-1, 2)
+        lams = ((jj[:, 0] * np.pi / self.lengths[0]) ** 2
+                + (jj[:, 1] * np.pi / self.lengths[1]) ** 2)
+        return jj[np.lexsort((jj[:, 1], jj[:, 0], lams))[:m]]
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:

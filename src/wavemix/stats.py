@@ -48,15 +48,15 @@ def log_decay_fit(t, series, floor: float = 0.0) -> LineFit:
     return line_fit(t[mask], np.log(s[mask]))
 
 
-def running_trapezoid(t, values) -> np.ndarray:
-    """Cumulative trapezoid integral along the last axis, starting at 0."""
-    t = np.asarray(t, float)
-    v = np.asarray(values, float)
-    dt = np.diff(t)
-    incr = 0.5 * dt * (v[..., 1:] + v[..., :-1])
-    out = np.zeros(v.shape)
-    np.cumsum(incr, axis=-1, out=out[..., 1:])
-    return out
+def generator(seed: int, key: tuple[int, ...]) -> np.random.Generator:
+    """The counter-based stream ``key`` of ``seed``: Philox keyed by
+    ``SeedSequence(entropy=seed, spawn_key=key)``.
+
+    Every ensemble draws its paths from these streams, so a path depends on
+    (seed, key) alone and no two keys share numbers.
+    """
+    return np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(entropy=seed, spawn_key=key)))
 
 
 def mean_se(samples, axis=0) -> tuple[np.ndarray, np.ndarray]:

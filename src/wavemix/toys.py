@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from wavemix.nlw import _NOISE_BLOCK_BYTES, BlowupError
-from wavemix.stats import record_steps
+from wavemix.stats import generator, record_steps
 
 
 @dataclass(frozen=True)
@@ -135,16 +135,16 @@ def builtin_doublewell() -> GradientSDE:
 
 @dataclass
 class ExactDensity:
-    """Normalized small-noise stationary density  exp(-2A/eps) / Z.
+    """Normalized small-noise stationary density  exp(-2A/eps) / Z, in log space.
 
-    Measures of sets are also available in log space, which stays finite far
-    below double-precision underflow of the density itself.
+    ``log_weight`` is -2A/eps on ``grid`` shifted to peak 0 and ``log_z`` the
+    log of its normalizer, so measures of sets stay finite far below
+    double-precision underflow of the density itself.
     """
 
     model: GradientSDE | OrnsteinUhlenbeck
     eps: float
     grid: np.ndarray
-    density: np.ndarray
     log_weight: np.ndarray
     log_z: float
 
@@ -203,9 +203,8 @@ def gradient_sde_exact_density(model, eps: float) -> ExactDensity:
     u = np.linspace(lo, hi, 200001)
     logw = -2.0 * model.potential(u) / eps
     logw -= logw.max()
-    w = np.exp(logw)
-    Z = np.trapezoid(w, u)
-    return ExactDensity(model, eps, u, w / Z, logw, math.log(Z))
+    Z = np.trapezoid(np.exp(logw), u)
+    return ExactDensity(model, eps, u, logw, math.log(Z))
 
 
 def simulate_toy(model, eps: float | None, dt: float, horizon: float, seed: int,
@@ -218,10 +217,10 @@ def simulate_toy(model, eps: float | None, dt: float, horizon: float, seed: int,
     Returns (times, paths, integrals) where paths has shape (n_traj, n_rec)
     and integrals is the running trapezoid integral of ``integrand(u)`` when
     one is supplied.  The noise is one lane of width ``n_traj``, drawn
-    step-major from the stream ``SeedSequence(entropy=seed, spawn_key=stream)``,
-    so callers that run several estimates from one seed give each its own
-    ``stream``.  ``_em_drive`` runs the steps; a nonfinite path raises
-    ``BlowupError`` naming its earliest step and the lowest such path.
+    step-major from the stream ``stats.generator(seed, stream)``, so callers
+    that run several estimates from one seed give each its own ``stream``.
+    ``_em_drive`` runs the steps; a nonfinite path raises ``BlowupError``
+    naming its earliest step and the lowest such path.
     """
     if eps is None:
         if not isinstance(model, OrnsteinUhlenbeck):
@@ -231,8 +230,7 @@ def simulate_toy(model, eps: float | None, dt: float, horizon: float, seed: int,
     rec = record_steps(n_steps, record_stride)
     t = np.array(list(rec)) * dt
 
-    rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(entropy=seed, spawn_key=stream)))
+    rng = generator(seed, stream)
     u = np.broadcast_to(np.asarray(0.0 if u0 is None else u0, float), (n_traj,)).copy()
     out = np.empty((n_traj, len(rec)))
     out[:, 0] = u

@@ -660,14 +660,20 @@ def test_public_definitions_have_a_caller():
     assert uncalled == []
 
 
-# Public members no run reads, kept because the tests use them as oracles or
-# fixtures.
+# Public members and dataclass fields no run reads, kept because the tests use
+# them as oracles or fixtures.
 _ORACLES_AND_FIXTURES = {
     "OrnsteinUhlenbeck.stationary_var": "exact stationary variance of the OU ergodic tests",
     "OrnsteinUhlenbeck.clt_variance": "exact Green-Kubo variance of the OU CLT tests",
     "MaximalCoupling.sample": "the joint draw whose marginals and TV the coupling tests check",
     "Nonlinearity.polynomial": "the one non-dissipative nonlinearity the failing "
                                "check_dissipativity test can build",
+    "EigenTriple.convergence": "the decay of the tilted semigroup to its rank-one "
+                               "limit, which the eigentriple tests check",
+    "DissipativityReport.c_lower": "the constant the energy lower-bound tests use",
+    "DissipativityReport.c_balance": "a constant the Klein-Gordon certificate test pins",
+    "DissipativityReport.c_gradient": "a constant the Klein-Gordon certificate test pins",
+    "FlowResult.final_states": "the end states the batching and convergence tests compare",
 }
 
 
@@ -753,6 +759,80 @@ def test_module_level_imports_are_used():
                 if name not in read and "# noqa" not in lines[a.lineno - 1]:
                     unused.append(f"{path.stem}: {name}")
     assert unused == []
+
+
+def test_dataclass_fields_are_read():
+    # a field is read when the package loads its name outside the field's own
+    # declaration, or an acceptance gate reads it
+    src = _parsed("src")
+    loads = {p: _loaded_names(tree) for p, tree in src.items()}
+    gated = _gated()
+    unread = []
+    for p, tree in src.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or not any(
+                    getattr(getattr(d, "func", d), "id", None) == "dataclass"
+                    for d in cls.decorator_list):
+                continue
+            for node in cls.body:
+                if not isinstance(node, ast.AnnAssign):
+                    continue
+                name = node.target.id
+                member = f"{cls.name}.{name}"
+                read = any(n == name and not (q == p and node.lineno <= line <= node.end_lineno)
+                           for q, names in loads.items() for n, line in names)
+                if not (read or name in gated or member in _ORACLES_AND_FIXTURES):
+                    unread.append(f"{p.stem}.{member}")
+    assert unread == []
+
+
+def _own_scope(fn: ast.FunctionDef):
+    """The nodes of a function's own scope: its body, with nested functions,
+    lambdas and classes yielded but not entered."""
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_locals_are_read():
+    # a local that nothing reads is work done for no one; an augmented
+    # assignment reads its target, and "_" is the name for a value dropped
+    unread = []
+    for p, tree in _parsed("src").items():
+        for fn in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
+            read = {n.id for n in ast.walk(fn)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            read |= {n.target.id for n in ast.walk(fn)
+                     if isinstance(n, ast.AugAssign) and isinstance(n.target, ast.Name)}
+            scope = list(_own_scope(fn))
+            outer = {name for n in scope if isinstance(n, (ast.Global, ast.Nonlocal))
+                     for name in n.names}
+            bound = {(n.id, n.lineno) for n in scope
+                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+            bound |= {(n.name, n.lineno) for n in scope if isinstance(n, ast.FunctionDef)}
+            unread += [f"{p.stem}.{fn.name}: {name} (line {line})" for name, line in bound
+                       if name != "_" and name not in read | outer]
+    assert unread == []
+
+
+def test_streams_come_from_stats_generator():
+    # every ensemble stream is stats.generator's Philox; cli._start keeps the
+    # PCG64 start states, which every wave hash depends on
+    allowed = {("stats", "generator"), ("cli", "_start")}
+    named = []
+    for p, tree in _parsed("src").items():
+        inside = {id(n) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                  and (p.stem, fn.name) in allowed for n in ast.walk(fn)}
+        for n in ast.walk(tree):
+            name = getattr(n, "attr", getattr(n, "id", None))
+            if isinstance(n, ast.alias):
+                name = n.name.split(".")[-1]
+            if name in ("Philox", "SeedSequence", "default_rng") and id(n) not in inside:
+                named.append(f"{p.stem}:{n.lineno} {name}")
+    assert named == []
 
 
 def _benchmark_names() -> tuple[set[str], set[str], set[tuple[str, str]]]:

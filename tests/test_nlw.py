@@ -373,17 +373,18 @@ def test_driven_mean_energy_bounded(basis16, noise16):
     assert mean_E[len(mean_E) // 2:].max() <= mean_E.max() * 1.5 + 1.0
 
 
-def test_streams_are_independent_of_batching(basis16, noise16):
+def test_streams_are_independent_of_batching(basis16, noise16, monkeypatch):
     cfg = make_cfg(basis16, horizon=0.5, stride=2, seed=42)
     nl = Nonlinearity.klein_gordon(1.0)
     y0 = PhaseState.zero(basis16, cfg.alpha)
-    a = run_flow(cfg, nl, noise16, y0, n_traj=5, block_size=2, return_states=True)
+    monkeypatch.setattr(nlw, "_PATH_BLOCK", 2)
+    a = run_flow(cfg, nl, noise16, y0, n_traj=5, return_states=True)
     # same layout, threaded: bit-identical
-    c = run_flow(cfg, nl, noise16, y0, n_traj=5, block_size=2, threads=3,
-                 return_states=True)
+    c = run_flow(cfg, nl, noise16, y0, n_traj=5, threads=3, return_states=True)
     np.testing.assert_array_equal(a.states, c.states)
     # different batching only reorders BLAS reductions
-    b = run_flow(cfg, nl, noise16, y0, n_traj=5, block_size=5, return_states=True)
+    monkeypatch.setattr(nlw, "_PATH_BLOCK", 5)
+    b = run_flow(cfg, nl, noise16, y0, n_traj=5, return_states=True)
     np.testing.assert_allclose(a.states, b.states, rtol=0, atol=1e-12)
 
 
@@ -471,8 +472,8 @@ def test_short_last_chunk_is_batching_invariant(basis16, noise16, monkeypatch):
     finals = []
     for block in (128, 5):
         draws.clear()
-        finals.append(run_flow(cfg, nl, noise16, y0, n_traj=n_traj,
-                               block_size=block).final_states)
+        monkeypatch.setattr(nlw, "_PATH_BLOCK", block)
+        finals.append(run_flow(cfg, nl, noise16, y0, n_traj=n_traj).final_states)
         # every stream draws exactly its steps' worth, short last chunk
         # included: one (2, M) increment per step and one more per recorded step
         assert sum(draws) == n_traj * (cfg.n_steps + n_sync) * 2 * basis16.mode_count

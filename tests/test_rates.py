@@ -39,39 +39,6 @@ def test_action_zero_control():
     assert action_value(t, np.zeros(31)) == 0.0
 
 
-def test_action_single_mode_constant():
-    basis = SpectralBasis((PI,), 8)
-    noise = NoiseModel.power_law(basis, amplitude=0.5, q=2.0)
-    T = 2.0
-    t = np.linspace(0, T, 41)
-    c = 0.3
-    phis = np.zeros((41, 8))
-    phis[:, 2] = c
-    b3 = noise.coeffs[2]
-    expected = 0.5 * c ** 2 / b3 ** 2 * T
-    assert action_value(t, phis, noise) == pytest.approx(expected, rel=1e-12)
-
-
-def test_action_dead_mode_sentinel():
-    basis = SpectralBasis((PI,), 8)
-    noise = NoiseModel.power_law(basis, amplitude=0.5, q=2.0, cutoff=4)
-    phis = np.zeros((11, 8))
-    phis[:, 6] = 1.0
-    assert action_value(np.linspace(0, 1, 11), phis, noise) == math.inf
-
-
-def test_action_grid_refinement_invariance():
-    basis = SpectralBasis((PI,), 4)
-    noise = NoiseModel.power_law(basis, amplitude=0.5, q=2.0)
-    vals = []
-    for n in (50, 100, 200):
-        t = np.linspace(0, 1, n + 1)
-        phis = np.sin(2 * t)[:, None] * np.eye(4)[0][None, :]
-        vals.append(action_value(t, phis, noise))
-    assert abs(vals[2] - vals[1]) < abs(vals[1] - vals[0])
-    assert vals[1] == pytest.approx(vals[2], rel=1e-3)
-
-
 # ------------------------------------------------------------ toy oracles
 
 

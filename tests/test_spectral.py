@@ -127,6 +127,20 @@ def test_2d_eigenvalues_sorted_and_correct():
     assert b.eigenvalues[0] == pytest.approx(PI ** 2 + (PI / 2) ** 2, rel=1e-12)
 
 
+@pytest.mark.parametrize("lengths", [(PI, PI), (1.0, 1.0), (1.0, 5.0), (PI, 1.5)])
+def test_2d_basis_keeps_the_smallest_eigenvalues(lengths):
+    # against a brute-force enumeration of every (j1, j2) up to 2M on each axis
+    for m in range(1, 201):
+        j = np.arange(1, 2 * m + 1)
+        lams = ((j[:, None] * PI / lengths[0]) ** 2 + (j[None, :] * PI / lengths[1]) ** 2)
+        smallest = np.sort(lams, axis=None)[:m]
+        np.testing.assert_allclose(SpectralBasis(lengths, m).eigenvalues, smallest,
+                                   rtol=1e-14)
+    # on (pi, pi) the ninth eigenvalue is 17, of (1, 4), not 18, of (3, 3)
+    kept = SpectralBasis((PI, PI), 9)._mode_indices.tolist()
+    assert [1, 4] in kept and [3, 3] not in kept
+
+
 def test_invalid_construction_rejected():
     with pytest.raises(ValueError):
         SpectralBasis((PI,), 0)
