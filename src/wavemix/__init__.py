@@ -15,22 +15,10 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-from wavemix.spectral import (  # noqa: E402
-    SpectralBasis,
-    Field,
-    PhaseState,
-    eigenpairs,
-    sobolev_norm,
-    phase_norm,
-    sobolev_phase_norm,
-    project_low,
-    evaluate_nonlinearity,
-    energy,
-)
+from wavemix.spectral import SpectralBasis, Field, PhaseState, phase_norm  # noqa: E402
 from wavemix.nlw import Nonlinearity, NoiseModel, SimConfig, simulate  # noqa: E402
 
 __all__ = [
-    "SpectralBasis", "Field", "PhaseState", "eigenpairs", "sobolev_norm",
-    "phase_norm", "sobolev_phase_norm", "project_low", "evaluate_nonlinearity",
-    "energy", "Nonlinearity", "NoiseModel", "SimConfig", "simulate",
+    "SpectralBasis", "Field", "PhaseState", "phase_norm",
+    "Nonlinearity", "NoiseModel", "SimConfig", "simulate",
 ]

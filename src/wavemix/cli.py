@@ -29,7 +29,8 @@ from wavemix import nlw
 from wavemix import rates
 from wavemix import toys
 from wavemix.observables import default_observables
-from wavemix.spectral import Field, PhaseState, SpectralBasis, phase_norm_sq_arr
+from wavemix.spectral import (Field, PhaseState, SpectralBasis, phase_norm_sq_arr,
+                              sobolev_phase_norm_sq_arr)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -281,7 +282,7 @@ def _build_simconfig(cfg: RunConfig, basis: SpectralBasis) -> nlw.SimConfig:
     dt = i["dt"] if i["dt"] > 0 else 0.5 / math.sqrt(basis.eigenvalues[-1])
     h = None
     if m["h_amplitude"] != 0.0:
-        h = Field.from_mode(basis, 1, m["h_amplitude"], 1.0)
+        h = Field.from_mode(basis, 1, m["h_amplitude"])
     return nlw.SimConfig(basis=basis, gamma=m["gamma"], dt=dt,
                          horizon=i["horizon"], seed=cfg.seed, eps=n["eps"],
                          alpha=m["alpha"] if m["alpha"] > 0 else None, h=h,
@@ -410,9 +411,11 @@ def _cmd_simulate(cfg: RunConfig, out: _RunDir) -> int:
         basis, nl, noise, sim = _wave(cfg)
         traj = nlw.simulate(sim, nl, noise, _start(cfg, sim, 1))
         k = min(8, basis.mode_count)
-        s = cfg["experiment"]["s_exponent"]
-        rows = [[traj.t[i], traj.energy[i], traj.norm_h()[i], traj.norm_hs(s)[i],
-                 *traj.states[i, 0, :k]] for i in range(traj.t.size)]
+        lam, s = basis.eigenvalues, cfg["experiment"]["s_exponent"]
+        h_norm = np.sqrt(phase_norm_sq_arr(traj.states, lam, sim.alpha))
+        hs_norm = np.sqrt(sobolev_phase_norm_sq_arr(traj.states, lam, sim.alpha, s))
+        rows = [[traj.t[i], traj.energy[i], h_norm[i], hs_norm[i], *traj.states[i, 0, :k]]
+                for i in range(traj.t.size)]
         out.write_csv("trajectory.csv",
                       ["t", "E", "normH", "normHs"] + [f"mode_{j + 1}" for j in range(k)],
                       rows)
@@ -608,7 +611,7 @@ def _cmd_ldp1(cfg: RunConfig, out: _RunDir) -> int:
         ou = _build_toy(cfg)
         betas = np.linspace(-1.2, 1.2, 49)
         curve = erg.PressureCurve(betas, np.array([ou.pressure(b) for b in betas]),
-                                  np.zeros(betas.size), 0.0, math.inf, 0)
+                                  np.zeros(betas.size), 0.0)
         rate = erg.legendre(curve)
         avgs = []
         for k, T in enumerate(horizons):
@@ -665,7 +668,7 @@ def _cmd_quasipotential(cfg: RunConfig, out: _RunDir) -> int:
                        {"rel_error_max": tol})
     basis, nl, noise, sim = _wave(cfg)
     z1 = PhaseState.zero(basis, sim.alpha)
-    z2 = PhaseState(Field.from_mode(basis, 1, cfg["experiment"]["to_point"], 1.0),
+    z2 = PhaseState(Field.from_mode(basis, 1, cfg["experiment"]["to_point"]),
                     Field.zero(basis), sim.alpha)
     eta = max(eta, 0.05)
     res = rates.nlw_quasipotential(basis, nl, cfg["model"]["gamma"], noise, z1,

@@ -355,7 +355,6 @@ class MixingReport:
     noise_floor: float
     kappa: float
     kappa_ci: tuple[float, float]
-    fit: stats.LineFit | None
     passed: bool
     n_above_floor: int
 
@@ -395,7 +394,6 @@ def mixing_rate(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
     floor = 2.0 * stats.median(np.max(floors, axis=0))
     mask = delta > floor
     mask[0] = delta[0] > 0
-    fit = None
     kappa = math.nan
     ci = (math.nan, math.nan)
     passed = False
@@ -405,4 +403,4 @@ def mixing_rate(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
         kappa = -fit.slope
         ci = (kappa - 1.96 * fit.slope_se, kappa + 1.96 * fit.slope_se)
         passed = ci[0] > 0
-    return MixingReport(t, delta, floor, kappa, ci, fit, passed, n_above)
+    return MixingReport(t, delta, floor, kappa, ci, passed, n_above)

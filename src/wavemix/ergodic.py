@@ -30,7 +30,6 @@ from wavemix.nlw import _expm
 class SllnReport:
     horizons: np.ndarray
     exponent: float
-    fit: stats.LineFit | None
     passed: bool
 
 
@@ -49,16 +48,15 @@ def slln_check(t: np.ndarray, averages: np.ndarray, reference_mean: float) -> Sl
     idx = np.clip(idx, 1, t.size - 1)
     r = resid[idx]
     if np.all(r == 0):
-        return SllnReport(horizons, -math.inf, None, True)
+        return SllnReport(horizons, -math.inf, True)
     fit = stats.line_fit(np.log(horizons), np.log(np.maximum(r, 1e-300)))
-    return SllnReport(horizons, fit.slope, fit, fit.slope <= -0.4)
+    return SllnReport(horizons, fit.slope, fit.slope <= -0.4)
 
 
 @dataclass
 class CltReport:
     sigma: float
     ks_pvalue: float
-    samples: np.ndarray
     passed: bool
 
 
@@ -68,10 +66,10 @@ def clt_check(horizon: float, integrals: np.ndarray, centering: float) -> CltRep
     s = (np.asarray(integrals, float) - horizon * centering) / math.sqrt(horizon)
     sigma = float(s.std(ddof=1))
     if sigma == 0:
-        return CltReport(0.0, 1.0, s, True)
+        return CltReport(0.0, 1.0, True)
     from scipy.stats import kstest
     res = kstest(s, "norm", args=(0.0, sigma))
-    return CltReport(sigma, float(res.pvalue), s, res.pvalue > 0.01)
+    return CltReport(sigma, float(res.pvalue), res.pvalue > 0.01)
 
 
 # --------------------------------------------------------------------------
@@ -83,7 +81,6 @@ class PressureEstimate:
     value: float
     stderr: float
     horizon: float
-    n_paths: int
     tail_warning: bool
 
 
@@ -100,8 +97,7 @@ def feynman_kac_estimate(integrals: np.ndarray, horizon: float,
     if antithetic_integrals is not None:
         w = 0.5 * (w + np.exp(np.asarray(antithetic_integrals, float)))
     est, se = stats.jackknife_log_mean(w)
-    return PressureEstimate(est / horizon, se / horizon, horizon, w.size,
-                            stats.tail_dominated(w))
+    return PressureEstimate(est / horizon, se / horizon, horizon, stats.tail_dominated(w))
 
 
 def richardson_pressure(est_t: PressureEstimate, est_2t: PressureEstimate) -> PressureEstimate:
@@ -115,7 +111,7 @@ def richardson_pressure(est_t: PressureEstimate, est_2t: PressureEstimate) -> Pr
         raise ValueError("extrapolation requires horizons t and 2t")
     value = 2.0 * est_2t.value - est_t.value
     se = math.sqrt(4.0 * est_2t.stderr ** 2 + est_t.stderr ** 2)
-    return PressureEstimate(value, se, est_2t.horizon, est_2t.n_paths,
+    return PressureEstimate(value, se, est_2t.horizon,
                             est_t.tail_warning or est_2t.tail_warning)
 
 
@@ -131,8 +127,6 @@ class PressureCurve:
     values: np.ndarray
     stderr: np.ndarray
     center: float
-    horizon: float
-    n_paths: int
 
     def convexity_violations(self) -> int:
         q = self.values
@@ -151,21 +145,17 @@ def pressure_curve(betas: Sequence[float], estimator: Callable[[float], Pressure
     """Assemble a pressure curve from per-beta Monte Carlo estimates.
 
     ``estimator`` receives the tilt beta and returns a PressureEstimate for
-    the centered observable; beta = 0 is pinned to zero by construction.  The
-    curve's horizon and path count are those of the last estimate (0 if none).
+    the centered observable; beta = 0 is pinned to zero by construction.
     """
     betas = np.asarray(sorted(betas), float)
     vals = np.zeros(betas.size)
     errs = np.zeros(betas.size)
-    horizon, n_paths = 0.0, 0
     for i, b in enumerate(betas):
         if b == 0.0:
             continue
         e = estimator(float(b))
         vals[i], errs[i] = e.value, e.stderr
-        horizon = e.horizon
-        n_paths = e.n_paths
-    return PressureCurve(betas, vals, errs, center, horizon, n_paths)
+    return PressureCurve(betas, vals, errs, center)
 
 
 # --------------------------------------------------------------------------
@@ -309,8 +299,7 @@ def chain_pressure_curve(chain: FiniteChain, betas: Sequence[float]) -> Pressure
     for b in betas:
         tilted = FiniteChain(chain.G, b * (chain.V - center))
         vals.append(fk_eigen_exact(tilted, check_times=()).log_lam)
-    return PressureCurve(betas, np.asarray(vals), np.zeros(betas.size), center,
-                         math.inf, 0)
+    return PressureCurve(betas, np.asarray(vals), np.zeros(betas.size), center)
 
 
 # --------------------------------------------------------------------------
@@ -391,7 +380,6 @@ LDP1_TOL = 0.2
 
 @dataclass
 class Ldp1Report:
-    interval: tuple[float, float]
     horizons: np.ndarray
     log_probs: np.ndarray
     hits: np.ndarray
@@ -421,12 +409,10 @@ def ldp_level1_check(horizons: Sequence[float], averages_by_horizon: Sequence[np
         logp[i] = math.log(h / a.size) if h else -math.inf
     target = -rate.infimum(lo, hi)
     if np.any(hits < LDP1_MIN_HITS):
-        return Ldp1Report(interval, horizons, logp, hits, math.nan, target,
-                          math.nan, True, False)
+        return Ldp1Report(horizons, logp, hits, math.nan, target, math.nan, True, False)
     y = logp / horizons
     fit = stats.line_fit(1.0 / horizons, y)
     emp = fit.intercept
     denom = max(abs(target), 0.05 / LDP1_TOL)
     rel = abs(emp - target) / denom
-    return Ldp1Report(interval, horizons, logp, hits, emp, target, rel, False,
-                      rel <= LDP1_TOL)
+    return Ldp1Report(horizons, logp, hits, emp, target, rel, False, rel <= LDP1_TOL)

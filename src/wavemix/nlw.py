@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,7 +35,6 @@ from wavemix.spectral import (
     PhaseState,
     SpectralBasis,
     phase_norm_sq_arr,
-    sobolev_phase_norm_sq_arr,
 )
 
 
@@ -453,24 +452,7 @@ class Trajectory:
     t: np.ndarray
     states: np.ndarray                 # (n_rec, 2, M)
     energy: np.ndarray
-    cfg: SimConfig
-    integrals: dict[str, np.ndarray] = field(default_factory=dict)
-
-    @property
-    def basis(self) -> SpectralBasis:
-        return self.cfg.basis
-
-    @property
-    def alpha(self) -> float:
-        return self.cfg.alpha
-
-    def norm_h(self) -> np.ndarray:
-        return np.sqrt(phase_norm_sq_arr(self.states, self.basis.eigenvalues,
-                                         self.cfg.alpha))
-
-    def norm_hs(self, s: float) -> np.ndarray:
-        return np.sqrt(sobolev_phase_norm_sq_arr(self.states, self.basis.eigenvalues,
-                                                 self.cfg.alpha, s))
+    integrals: dict[str, np.ndarray]
 
 
 def make_energy_fn(basis: SpectralBasis, nl: Nonlinearity, alpha: float) -> Callable:
@@ -655,8 +637,8 @@ def simulate(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
                    probes={"energy": energy_fn},
                    integrands={"normH2": lambda s: phase_norm_sq_arr(s, lam, cfg.alpha)},
                    return_states=True)
-    return Trajectory(res.t, res.states[0], res.probes["energy"][0], cfg,
-                      integrals={k: v[0] for k, v in res.integrals.items()})
+    return Trajectory(res.t, res.states[0], res.probes["energy"][0],
+                      {k: v[0] for k, v in res.integrals.items()})
 
 
 # --------------------------------------------------------------------------

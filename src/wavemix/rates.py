@@ -146,7 +146,6 @@ class QuasipotentialResult:
     path: ControlPath
     endpoint_error: float
     horizon: float
-    eta: float
     eta_ladder: list[tuple[float, float]] = field(default_factory=list)
     converged: bool = True
     grad_norm: float = 0.0  # final max |dJ/dx| of the reported solve, 0 if none
@@ -170,7 +169,7 @@ def toy_quasipotential(model: GradientSDE, z1: float, z2: float, eta: float = 0.
         # the target ball already contains the start: V = 0 at T -> 0
         empty = ControlPath(np.zeros(1), np.zeros(1))
         ladder = [(e2, 0.0) for e2 in eta_ladder]
-        return QuasipotentialResult(0.0, empty, abs(z2 - z1), 0.0, eta, ladder)
+        return QuasipotentialResult(0.0, empty, abs(z2 - z1), 0.0, ladder)
     best = None
     for T in horizons:
         K = max(int(40 * T), 16)
@@ -193,7 +192,7 @@ def toy_quasipotential(model: GradientSDE, z1: float, z2: float, eta: float = 0.
     for e2 in eta_ladder:
         sub = toy_quasipotential(model, z1, z2, eta=e2, horizons=(T,))
         ladder.append((e2, sub.value))
-    return QuasipotentialResult(val, ControlPath(t_mid, phi), err, T, eta,
+    return QuasipotentialResult(val, ControlPath(t_mid, phi), err, T,
                                 ladder, converged=err <= eta and stopped,
                                 grad_norm=grad_norm)
 
@@ -281,7 +280,7 @@ def nlw_quasipotential(basis: SpectralBasis, nl: Nonlinearity, gamma: float,
                          + np.sum((v1 - v2 + alpha * (p1 - p2)) ** 2)))
     if d0 <= eta:
         empty = ControlPath(np.zeros(1), np.zeros((1, m)))
-        return QuasipotentialResult(0.0, empty, d0, 0.0, eta)
+        return QuasipotentialResult(0.0, empty, d0, 0.0)
 
     best = None
     for T in horizons:
@@ -312,7 +311,7 @@ def nlw_quasipotential(basis: SpectralBasis, nl: Nonlinearity, gamma: float,
         cand = (val, dist, t_mid, phi, T, float(np.max(np.abs(res.jac))))
         best = _better_candidate(best, cand, eta)
     val, dist, t_mid, phi, T, grad_norm = best
-    return QuasipotentialResult(val, ControlPath(t_mid, phi), dist, T, eta,
+    return QuasipotentialResult(val, ControlPath(t_mid, phi), dist, T,
                                 converged=dist <= eta, grad_norm=grad_norm)
 
 
@@ -460,26 +459,20 @@ class RateQuery:
 
 
 def fw_rate(net: EquilibriumNetwork, v_to_point: Sequence[float] | None = None,
-            node: int | None = None, restrict_stable: bool = True,
-            variant: str = "i-graph") -> RateQuery:
+            node: int | None = None, variant: str = "i-graph") -> RateQuery:
     """Rate value min_i [W(i) + V(i, u)] - min_i W(i).
 
     Query either an arbitrary point through ``v_to_point`` (quasipotentials
-    from each network node to the point, stable-restricted order) or one of
-    the network nodes by index.
+    from each stable node to the point, in node order) or one of the stable
+    network nodes by index.
     """
-    base = net.restrict_to_stable() if restrict_stable else net
+    base = net.restrict_to_stable()
     W = w_graph_weights(base, variant=variant)
     if node is not None:
-        if restrict_stable:
-            idx_map = list(np.flatnonzero(net.stable))
-            if node in idx_map:
-                v_vec = base.V[:, idx_map.index(node)]
-            else:
-                raise ValueError("node queries on unstable points need "
-                                 "v_to_point")
-        else:
-            v_vec = base.V[:, node]
+        idx_map = list(np.flatnonzero(net.stable))
+        if node not in idx_map:
+            raise ValueError("node queries on unstable points need v_to_point")
+        v_vec = base.V[:, idx_map.index(node)]
     else:
         v_vec = np.asarray(v_to_point, float)
         if v_vec.size != len(base.points):
@@ -501,7 +494,6 @@ MC_AGREEMENT_MAX = 0.5
 
 @dataclass
 class SmallNoiseReport:
-    mode: str
     eps: np.ndarray
     sets: list[tuple[float, float]]
     eps_log_mu: np.ndarray          # (n_sets, n_eps)
@@ -597,7 +589,7 @@ def smallnoise_stationary_probe(model: GradientSDE, eps_list: Sequence[float],
             intercepts[si] = fit.intercept
         elif good.sum() == 1:
             intercepts[si] = row[good][0]
-    return SmallNoiseReport(mode, eps_arr, list(sets), table, intercepts,
+    return SmallNoiseReport(eps_arr, list(sets), table, intercepts,
                             -targets, stable_mass, inconclusive, agreement_ok)
 
 
@@ -612,8 +604,6 @@ class BoundaryChainConfig:
     The theory fixes only the ordering; at finite noise the prefactors shift
     the measured exponents, so the defaults come from a sweep of
     ``boundary_chain`` over a ladder of radii at the desk scale eps ~ 0.1.
-    ``max_transitions`` is checked between noise chunks, so a run may end a
-    chunk past it.
     """
 
     rho1p: float = 0.15
@@ -621,7 +611,6 @@ class BoundaryChainConfig:
     rho1: float = 0.3
     rho0: float = 0.45
     rho_star: float = 0.6
-    max_transitions: int = 100000
 
     def __post_init__(self):
         if not (0 < self.rho1p < self.rho0p < self.rho1 < self.rho0 < self.rho_star):
@@ -631,6 +620,9 @@ class BoundaryChainConfig:
 # Transitions every off-diagonal cell of the boundary chain needs before its
 # eps log P-hat is judged; a sparser matrix is inconclusive.
 MIN_CELL = 50
+# Transitions after which the boundary chain stops; it is checked between
+# noise chunks, so a run may end a chunk past it.
+MAX_TRANSITIONS = 100000
 
 
 @dataclass
@@ -683,7 +675,7 @@ def boundary_chain(model: GradientSDE, bc: BoundaryChainConfig, eps: float,
 
     def on_chunk(done, path):
         _first_passages(path, nodes, bc.rho0, bc.rho1, resident, waiting_exit, counts)
-        return counts.sum() >= bc.max_transitions
+        return counts.sum() >= MAX_TRANSITIONS
 
     _em_drive(model, nodes[resident].astype(float), eps, dt,
               int(horizon_per_replica / dt), rngs, on_chunk)

@@ -3,13 +3,15 @@
 Everything downstream works in the coordinates of this basis: a scalar field
 is a coefficient vector, a phase-space point is a pair of coefficient vectors
 (position, velocity), and nonlinear terms are evaluated pseudo-spectrally on
-an oversampled collocation grid.
+an oversampled collocation grid.  ``Field`` and ``PhaseState`` only build and
+check points; every computation runs on stacked ``(..., 2, M)`` arrays, through
+the ``SpectralBasis`` transforms and the ``*_arr`` norms.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -56,16 +58,28 @@ class SpectralBasis:
     @cached_property
     def _mode_indices(self) -> np.ndarray:
         """Integer index tuples of the retained modes, ascending eigenvalue."""
-        if self.dim == 1:
-            return np.arange(1, self.mode_count + 1)[:, None]
-        # The M x M block holds the M smallest eigenvalues: the M modes (j, 1)
-        # lie below every mode with j1 > M, and likewise on the other axis.
         m = self.mode_count
-        jj = np.stack(np.meshgrid(np.arange(1, m + 1), np.arange(1, m + 1),
-                                  indexing="ij"), axis=-1).reshape(-1, 2)
-        lams = ((jj[:, 0] * np.pi / self.lengths[0]) ** 2
-                + (jj[:, 1] * np.pi / self.lengths[1]) ** 2)
-        return jj[np.lexsort((jj[:, 1], jj[:, 0], lams))[:m]]
+        if self.dim == 1:
+            return np.arange(1, m + 1)[:, None]
+
+        def lam(j1, j2):
+            return (j1 * np.pi / self.lengths[0]) ** 2 + (j2 * np.pi / self.lengths[1]) ** 2
+
+        # The k x k block, k = ceil(sqrt(M)), holds at least M modes, so its
+        # M-th smallest eigenvalue bounds lambda_M from above.  An index pair
+        # under the bound has j_d <= L_d sqrt(bound) / pi on each axis; the
+        # ranges keep one more against rounding, and only the pairs under the
+        # bound are sorted.
+        k = np.arange(1, math.isqrt(m - 1) + 2)
+        bound = np.partition(lam(k[:, None], k[None, :]), m - 1, axis=None)[m - 1]
+        j1, j2 = (g.ravel() for g in np.meshgrid(
+            *(np.arange(1, int(L * math.sqrt(bound) / np.pi) + 2) for L in self.lengths),
+            indexing="ij"))
+        lams = lam(j1, j2)
+        under = lams <= bound
+        j1, j2, lams = j1[under], j2[under], lams[under]
+        order = np.lexsort((j2, j1, lams))[:m]
+        return np.stack([j1[order], j2[order]], axis=-1)
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -204,23 +218,12 @@ class SpectralBasis:
         return out
 
 
-def eigenpairs(basis: SpectralBasis) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and sampled eigenfunctions of the Dirichlet Laplacian."""
-    return basis.eigenvalues, basis.eigenfunctions
-
-
 @dataclass(frozen=True)
 class Field:
-    """Scalar field in spectral coordinates.
-
-    ``sobolev_exponent`` records the semantic smoothness of the slot the field
-    occupies (1 for positions, 0 for velocities); norms always take the
-    exponent explicitly.
-    """
+    """Scalar field in spectral coordinates: its coefficients on ``basis``."""
 
     basis: SpectralBasis
     coeffs: np.ndarray
-    sobolev_exponent: float = 0.0
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=float)
@@ -229,39 +232,15 @@ class Field:
         object.__setattr__(self, "coeffs", c)
 
     @staticmethod
-    def zero(basis: SpectralBasis, sobolev_exponent: float = 0.0) -> "Field":
-        return Field(basis, np.zeros(basis.mode_count), sobolev_exponent)
+    def zero(basis: SpectralBasis) -> "Field":
+        return Field(basis, np.zeros(basis.mode_count))
 
     @staticmethod
-    def from_mode(basis: SpectralBasis, mode: int, amplitude: float = 1.0,
-                  sobolev_exponent: float = 0.0) -> "Field":
+    def from_mode(basis: SpectralBasis, mode: int, amplitude: float = 1.0) -> "Field":
         """Multiple of the ``mode``-th eigenfunction (1-based index)."""
         c = np.zeros(basis.mode_count)
         c[mode - 1] = amplitude
-        return Field(basis, c, sobolev_exponent)
-
-    def __add__(self, other: "Field") -> "Field":
-        _check_same_basis(self.basis, other.basis)
-        return replace(self, coeffs=self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "Field") -> "Field":
-        _check_same_basis(self.basis, other.basis)
-        return replace(self, coeffs=self.coeffs - other.coeffs)
-
-    def __mul__(self, a: float) -> "Field":
-        return replace(self, coeffs=a * self.coeffs)
-
-    __rmul__ = __mul__
-
-
-def _check_same_basis(b1: SpectralBasis, b2: SpectralBasis):
-    if b1 != b2:
-        raise BasisMismatchError("fields live on different spectral bases")
-
-
-def sobolev_norm(f: Field, s: float) -> float:
-    """Spectral Sobolev norm sqrt(sum lambda_j^s c_j^2); s=0 is the L2 norm."""
-    return float(np.sqrt(np.sum(f.basis.eigenvalues ** s * f.coeffs ** 2)))
+        return Field(basis, c)
 
 
 @dataclass(frozen=True)
@@ -276,7 +255,8 @@ class PhaseState:
     alpha: float
 
     def __post_init__(self):
-        _check_same_basis(self.u1.basis, self.u2.basis)
+        if self.u1.basis != self.u2.basis:
+            raise BasisMismatchError("fields live on different spectral bases")
         if self.alpha < 0:
             raise ValueError("alpha must be nonnegative")
 
@@ -286,13 +266,12 @@ class PhaseState:
 
     @staticmethod
     def zero(basis: SpectralBasis, alpha: float) -> "PhaseState":
-        return PhaseState(Field.zero(basis, 1.0), Field.zero(basis, 0.0), alpha)
+        return PhaseState(Field.zero(basis), Field.zero(basis), alpha)
 
     @staticmethod
     def from_coeffs(basis: SpectralBasis, c1: np.ndarray, c2: np.ndarray,
                     alpha: float) -> "PhaseState":
-        return PhaseState(Field(basis, np.asarray(c1, float), 1.0),
-                          Field(basis, np.asarray(c2, float), 0.0), alpha)
+        return PhaseState(Field(basis, c1), Field(basis, c2), alpha)
 
     def as_array(self) -> np.ndarray:
         """Stacked coefficients, shape (2, M): row 0 position, row 1 velocity."""
@@ -311,41 +290,11 @@ def phase_norm_sq_arr(states: np.ndarray, eigenvalues: np.ndarray, alpha: float)
     return np.sum(eigenvalues * c1 ** 2 + (c2 + alpha * c1) ** 2, axis=-1)
 
 
-def sobolev_phase_norm(y: PhaseState, s: float) -> float:
-    """|y|_{H^s} = sqrt(||u1||_{s+1}^2 + ||u2 + alpha*u1||_s^2)."""
-    return float(np.sqrt(sobolev_phase_norm_sq_arr(
-        y.as_array(), y.basis.eigenvalues, y.alpha, s)))
-
-
 def sobolev_phase_norm_sq_arr(states: np.ndarray, eigenvalues: np.ndarray,
                               alpha: float, s: float) -> np.ndarray:
+    """|y|_{H^s}^2 = ||u1||_{s+1}^2 + ||u2 + alpha*u1||_s^2 for arrays of shape
+    (..., 2, M), with ||c||_s^2 = sum lambda_j^s c_j^2."""
     c1 = states[..., 0, :]
     c2 = states[..., 1, :]
     return np.sum(eigenvalues ** (s + 1) * c1 ** 2
                   + eigenvalues ** s * (c2 + alpha * c1) ** 2, axis=-1)
-
-
-def project_low(f: Field, n: int) -> Field:
-    """Zero every coefficient beyond the first ``n`` modes."""
-    if not 0 <= n <= f.basis.mode_count:
-        raise ValueError(f"projection cutoff {n} outside [0, {f.basis.mode_count}]")
-    c = f.coeffs.copy()
-    c[n:] = 0.0
-    return replace(f, coeffs=c)
-
-
-def evaluate_nonlinearity(f: Field, nl) -> Field:
-    """Pseudo-spectral evaluation of a pointwise nonlinearity.
-
-    ``nl`` is any object with a vectorized ``f`` method (or a plain callable).
-    The field is synthesized on the oversampled grid, the nonlinearity applied
-    pointwise, and the result projected back onto the retained modes.
-    """
-    func = nl.f if hasattr(nl, "f") else nl
-    return Field(f.basis, f.basis.project(func, f.coeffs), f.sobolev_exponent)
-
-
-def energy(y: PhaseState, nl) -> float:
-    """Energy functional |y|_H^2 + 2 * integral of F(u1), with F(0) = 0."""
-    primitive = nl.F if hasattr(nl, "F") else nl
-    return float(phase_norm(y) ** 2 + 2.0 * y.basis.integrate(primitive, y.u1.coeffs))

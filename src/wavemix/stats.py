@@ -12,12 +12,11 @@ import numpy as np
 class LineFit:
     slope: float
     intercept: float
-    r2: float
     slope_se: float
 
 
 def line_fit(x, y) -> LineFit:
-    """Ordinary least squares y = a + b x with R^2 and the slope's standard error.
+    """Ordinary least squares y = a + b x with the slope's standard error.
 
     Closed form from centred sums, so no LAPACK call. With constant x the
     slope is 0, the intercept mean(y) and the slope's error infinite.
@@ -31,11 +30,9 @@ def line_fit(x, y) -> LineFit:
     sxx = float(dx @ dx)
     slope = float(dx @ dy) / sxx if sxx > 0 else 0.0
     ss_res = float(np.sum((dy - slope * dx) ** 2))
-    ss_tot = float(dy @ dy)
-    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     dof = max(x.size - 2, 1)
     se = math.sqrt(ss_res / dof / sxx) if sxx > 0 else math.inf
-    return LineFit(slope, float(ym - slope * xm), r2, se)
+    return LineFit(slope, float(ym - slope * xm), se)
 
 
 def log_decay_fit(t, series, floor: float = 0.0) -> LineFit:

@@ -142,8 +142,6 @@ class ExactDensity:
     double-precision underflow of the density itself.
     """
 
-    model: GradientSDE | OrnsteinUhlenbeck
-    eps: float
     grid: np.ndarray
     log_weight: np.ndarray
     log_z: float
@@ -204,7 +202,7 @@ def gradient_sde_exact_density(model, eps: float) -> ExactDensity:
     logw = -2.0 * model.potential(u) / eps
     logw -= logw.max()
     Z = np.trapezoid(np.exp(logw), u)
-    return ExactDensity(model, eps, u, logw, math.log(Z))
+    return ExactDensity(u, logw, math.log(Z))
 
 
 def simulate_toy(model, eps: float | None, dt: float, horizon: float, seed: int,

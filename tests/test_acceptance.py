@@ -224,8 +224,7 @@ def test_ac07_feynman_kac():
         pressure_detail.append(f"b={beta:+.2f}:{est.value:.3f}±{est.stderr:.3f}")
     # Legendre transform of the exact quadratic pressure
     betas = np.linspace(-1.2, 1.2, 121)
-    curve = erg.PressureCurve(betas, betas ** 2 / 2, np.zeros(121), 0.0,
-                              math.inf, 0)
+    curve = erg.PressureCurve(betas, betas ** 2 / 2, np.zeros(121), 0.0)
     rate = erg.legendre(curve)
     ps = np.linspace(-0.9, 0.9, 37)
     leg_err = max(abs(rate.at(p) - p ** 2 / 2) for p in ps)
@@ -238,7 +237,7 @@ def test_ac07_feynman_kac():
                                      integrand=lambda u: u)
         avgs.append(iT[:, -1] / T)
     ou_curve = erg.PressureCurve(betas, np.array([ou.pressure(b) for b in betas]),
-                                 np.zeros(betas.size), 0.0, math.inf, 0)
+                                 np.zeros(betas.size), 0.0)
     ldp = erg.ldp_level1_check(horizons, avgs, (0.4, 0.6), erg.legendre(ou_curve))
     ok = resid_ok and pressure_ok and leg_err <= 1e-3 and ldp.passed
     _report(7, "feynman-kac", ok, time.time() - t0, 120.0,
@@ -264,8 +263,8 @@ def test_ac08_gradient_rates():
     V[0, 1] = up.value
     V[1, 0] = down.value
     net_solver = rates.EquilibriumNetwork("cubic", pts, np.array([True, True]), V)
-    q0 = rates.fw_rate(net_solver, node=0, restrict_stable=False)
-    q3 = rates.fw_rate(net_solver, node=1, restrict_stable=False)
+    q0 = rates.fw_rate(net_solver, node=0)
+    q3 = rates.fw_rate(net_solver, node=1)
     e2e_ok = abs(q0.value - 4.5) / 4.5 <= 0.07 and abs(q3.value) <= 1e-9
     ok = up_ok and down_ok and exact_ok and e2e_ok
     _report(8, "gradient-rates", ok, time.time() - t0, 300.0,

@@ -181,8 +181,7 @@ def test_constant_tilt_identity():
 
 def test_legendre_quadratic():
     betas = np.linspace(-1.5, 1.5, 61)
-    curve = PressureCurve(betas, betas ** 2 / 2, np.zeros(61), center=0.0,
-                          horizon=math.inf, n_paths=0)
+    curve = PressureCurve(betas, betas ** 2 / 2, np.zeros(61), center=0.0)
     rate = legendre(curve)
     for p in (-0.8, -0.3, 0.0, 0.4, 1.0):
         assert rate.at(p) == pytest.approx(p ** 2 / 2, abs=1e-3)
@@ -190,8 +189,7 @@ def test_legendre_quadratic():
 
 def test_legendre_linear_gives_sentinel():
     betas = np.linspace(-1, 1, 21)
-    curve = PressureCurve(betas, 0.7 * betas, np.zeros(21), center=0.0,
-                          horizon=math.inf, n_paths=0)
+    curve = PressureCurve(betas, 0.7 * betas, np.zeros(21), center=0.0)
     rate = legendre(curve, p_grid=np.array([-0.5, 0.7, 1.5]))
     assert rate.values[1] == pytest.approx(0.0, abs=1e-12)
     assert rate.values[0] > 1e6 or math.isinf(rate.values[0])
@@ -201,13 +199,11 @@ def test_legendre_linear_gives_sentinel():
 def test_legendre_biconjugation():
     betas = np.linspace(-2, 2, 81)
     q = betas ** 2 / 2
-    curve = PressureCurve(betas, q, np.zeros(81), center=0.0,
-                          horizon=math.inf, n_paths=0)
+    curve = PressureCurve(betas, q, np.zeros(81), center=0.0)
     rate = legendre(curve, shift_to_original=False)
     finite = np.isfinite(rate.values)
     curve2 = PressureCurve(rate.p[finite], rate.values[finite],
-                           np.zeros(finite.sum()), center=0.0,
-                           horizon=math.inf, n_paths=0)
+                           np.zeros(finite.sum()), center=0.0)
     back = legendre(curve2, p_grid=np.linspace(-1.5, 1.5, 31),
                     shift_to_original=False)
     np.testing.assert_allclose(back.values, back.p ** 2 / 2, atol=5e-3)
@@ -215,8 +211,7 @@ def test_legendre_biconjugation():
 
 def test_rate_zero_at_mean():
     betas = np.linspace(-1, 1, 41)
-    curve = PressureCurve(betas, betas ** 2 / 2, np.zeros(41), center=1.7,
-                          horizon=math.inf, n_paths=0)
+    curve = PressureCurve(betas, betas ** 2 / 2, np.zeros(41), center=1.7)
     rate = legendre(curve)
     assert rate.at(1.7) == pytest.approx(0.0, abs=1e-6)
     assert np.all(rate.values[np.isfinite(rate.values)] >= -1e-12)
@@ -242,8 +237,7 @@ def test_ldp1_ou_interval(ou):
         avgs.append(ints[:, -1] / T)
     betas = np.linspace(-1.2, 1.2, 49)
     curve = PressureCurve(betas, np.array([ou.pressure(b) for b in betas]),
-                          np.zeros(betas.size), center=0.0,
-                          horizon=math.inf, n_paths=0)
+                          np.zeros(betas.size), center=0.0)
     rate = legendre(curve)
     rep = ldp_level1_check(horizons, avgs, (0.4, 0.6), rate)
     assert not rep.inconclusive
@@ -254,8 +248,7 @@ def test_ldp1_ou_interval(ou):
 def test_ldp1_undersampling_guard(ou):
     avgs = [np.zeros(100)]  # no hits in a far interval
     betas = np.linspace(-1, 1, 21)
-    curve = PressureCurve(betas, betas ** 2 / 2, np.zeros(21), center=0.0,
-                          horizon=math.inf, n_paths=0)
+    curve = PressureCurve(betas, betas ** 2 / 2, np.zeros(21), center=0.0)
     rate = legendre(curve)
     rep = ldp_level1_check([10.0], avgs, (5.0, 6.0), rate)
     assert rep.inconclusive

@@ -344,8 +344,7 @@ def test_nlw_quasipotential_linear_exact(nlw_setup):
     basis, nl, noise = nlw_setup
     alpha = 0.25
     z1 = PhaseState.zero(basis, alpha)
-    z2 = PhaseState(Field.from_mode(basis, 1, 0.25, 1.0),
-                    Field.zero(basis), alpha)
+    z2 = PhaseState(Field.from_mode(basis, 1, 0.25), Field.zero(basis), alpha)
     res = nlw_quasipotential(basis, Nonlinearity.zero(), 1.0, noise, z1, z2,
                              eta=0.08, horizons=(4.0, 8.0))
     assert res.converged
@@ -356,7 +355,7 @@ def test_nlw_quasipotential_nonlinear_runs(nlw_setup):
     basis, nl, noise = nlw_setup
     alpha = 0.25
     z1 = PhaseState.zero(basis, alpha)
-    z2 = PhaseState(Field.from_mode(basis, 1, 0.3, 1.0), Field.zero(basis), alpha)
+    z2 = PhaseState(Field.from_mode(basis, 1, 0.3), Field.zero(basis), alpha)
     res = nlw_quasipotential(basis, nl, 1.0, noise, z1, z2, eta=0.1,
                              horizons=(4.0,))
     assert res.endpoint_error <= 0.1
@@ -525,7 +524,7 @@ def _chain_counts_before_driver(model, bc, eps, seed, n_replicas, horizon_per_re
     # step with its path once the step has used it
     block = np.empty((n_replicas, chunk))
     done = 0
-    while done < n_steps and counts.sum() < bc.max_transitions:
+    while done < n_steps and counts.sum() < rates_module.MAX_TRANSITIONS:
         k = min(chunk, n_steps - done)
         path = block[:, :k]
         for rng, row in zip(rngs, path):

@@ -1,21 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wavemix import spectral
-from wavemix.nlw import Nonlinearity
+from wavemix.nlw import Nonlinearity, make_energy_fn
 from wavemix.spectral import (
     BasisMismatchError,
     Field,
     PhaseState,
     SpectralBasis,
-    eigenpairs,
-    energy,
-    evaluate_nonlinearity,
     phase_norm,
-    project_low,
-    sobolev_norm,
-    sobolev_phase_norm,
+    sobolev_phase_norm_sq_arr,
 )
 
 PI = np.pi
@@ -27,7 +24,7 @@ def basis_pi():
 
 
 def test_interval_pi_eigenpairs(basis_pi):
-    lam, funcs = eigenpairs(basis_pi)
+    lam, funcs = basis_pi.eigenvalues, basis_pi.eigenfunctions
     assert lam[0] == pytest.approx(1.0, abs=1e-14)
     # e_1(x) = sqrt(2/pi) sin x sampled on the grid
     x = basis_pi.nodes[:, 0]
@@ -141,6 +138,19 @@ def test_2d_basis_keeps_the_smallest_eigenvalues(lengths):
     assert [1, 4] in kept and [3, 3] not in kept
 
 
+def test_2d_mode_selection_stays_small():
+    # only the index pairs under the bound from the ceil(sqrt(M))-square block
+    # are sorted; the whole M x M block took about 1 MB here
+    basis = SpectralBasis((PI, PI), 144)
+    tracemalloc.start()
+    try:
+        assert basis._mode_indices.shape == (144, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
 def test_invalid_construction_rejected():
     with pytest.raises(ValueError):
         SpectralBasis((PI,), 0)
@@ -155,21 +165,13 @@ def test_parseval(basis_pi):
     assert grid_energy == pytest.approx(np.sum(c ** 2), rel=1e-8)
 
 
-def test_sobolev_norm_single_modes(basis_pi):
-    e1 = Field.from_mode(basis_pi, 1)
-    assert sobolev_norm(e1, 1.0) == pytest.approx(1.0, rel=1e-12)
-    assert sobolev_norm(Field.zero(basis_pi), 2.0) == 0.0
-    for j in (1, 3, 7):
-        assert sobolev_norm(Field.from_mode(basis_pi, j), 0.0) == pytest.approx(1.0)
-
-
 def test_phase_norm_cases(basis_pi):
     alpha = 0.25
-    e1 = Field.from_mode(basis_pi, 1, 1.0, 1.0)
+    e1 = Field.from_mode(basis_pi, 1, 1.0)
     y = PhaseState(e1, Field.from_mode(basis_pi, 1, -alpha), alpha)
     assert phase_norm(y) == pytest.approx(1.0, rel=1e-12)
     assert phase_norm(PhaseState.zero(basis_pi, alpha)) == 0.0
-    y2 = PhaseState(Field.zero(basis_pi, 1.0), Field.from_mode(basis_pi, 1), alpha)
+    y2 = PhaseState(Field.zero(basis_pi), Field.from_mode(basis_pi, 1), alpha)
     assert phase_norm(y2) == pytest.approx(1.0, rel=1e-12)
 
 
@@ -180,68 +182,42 @@ def test_phase_norm_basis_mismatch():
         PhaseState(Field.zero(b1), Field.zero(b2), 0.1)
 
 
-def test_project_low(basis_pi):
-    f = Field.from_mode(basis_pi, 1) + Field.from_mode(basis_pi, 5)
-    p = project_low(f, 3)
-    np.testing.assert_allclose(p.coeffs, Field.from_mode(basis_pi, 1).coeffs)
-    np.testing.assert_allclose(project_low(f, basis_pi.mode_count).coeffs, f.coeffs)
-    assert np.all(project_low(f, 0).coeffs == 0)
-    with pytest.raises(ValueError):
-        project_low(f, basis_pi.mode_count + 1)
-
-
-def test_projection_contracts_norms(basis_pi):
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        c1 = rng.standard_normal(16) / np.arange(1, 17) ** 1.5
-        c2 = rng.standard_normal(16) / np.arange(1, 17)
-        y = PhaseState.from_coeffs(basis_pi, c1, c2, 0.25)
-        n = rng.integers(0, 17)
-        yp = PhaseState(project_low(y.u1, n), project_low(y.u2, n), y.alpha)
-        assert phase_norm(yp) <= phase_norm(y) + 1e-12
-        for s in (0.0, 0.4, 1.0):
-            assert sobolev_norm(project_low(y.u1, n), s) <= sobolev_norm(y.u1, s) + 1e-12
-
-
 def test_evaluate_nonlinearity_linear_identity(basis_pi):
     rng = np.random.default_rng(2)
-    f = Field(basis_pi, rng.standard_normal(16) / np.arange(1, 17) ** 2)
-    lin = evaluate_nonlinearity(f, lambda u: u)
-    np.testing.assert_allclose(lin.coeffs, f.coeffs, atol=1e-10)
-    zero = evaluate_nonlinearity(Field.zero(basis_pi), lambda u: u ** 3)
-    assert np.all(zero.coeffs == 0)
+    c = rng.standard_normal(16) / np.arange(1, 17) ** 2
+    np.testing.assert_allclose(basis_pi.project(lambda u: u, c), c, atol=1e-10)
+    assert np.all(basis_pi.project(lambda u: u ** 3, np.zeros(16)) == 0)
 
 
 def test_evaluate_cubic_against_quadrature(basis_pi):
     # independent oracle: fine-grid trapezoid quadrature of (a e_1)^3 e_k
     a = 0.7
-    f = Field.from_mode(basis_pi, 1, a)
-    out = evaluate_nonlinearity(f, lambda u: u ** 3)
+    out = basis_pi.project(lambda u: u ** 3, Field.from_mode(basis_pi, 1, a).coeffs)
     x = np.linspace(0, PI, 20001)
     e = lambda j: np.sqrt(2 / PI) * np.sin(j * x)
     for k in range(1, 6):
         expected = np.trapezoid((a * e(1)) ** 3 * e(k), x)
-        assert out.coeffs[k - 1] == pytest.approx(expected, abs=1e-9)
+        assert out[k - 1] == pytest.approx(expected, abs=1e-9)
 
 
 def test_energy_zero_and_free(basis_pi):
-    nl = Nonlinearity.klein_gordon(1.0)
-    assert energy(PhaseState.zero(basis_pi, 0.25), nl) == 0.0
+    energy = make_energy_fn(basis_pi, Nonlinearity.klein_gordon(1.0), 0.25)
+    assert energy(PhaseState.zero(basis_pi, 0.25).as_array()) == 0.0
     rng = np.random.default_rng(3)
     y = PhaseState.from_coeffs(basis_pi, rng.standard_normal(16) / np.arange(1, 17) ** 2,
                                rng.standard_normal(16) / np.arange(1, 17), 0.25)
-    free = Nonlinearity.zero()
-    assert energy(y, free) == pytest.approx(phase_norm(y) ** 2, rel=1e-12)
+    free = make_energy_fn(basis_pi, Nonlinearity.zero(), 0.25)
+    assert free(y.as_array()) == pytest.approx(phase_norm(y) ** 2, rel=1e-12)
 
 
 def test_energy_klein_gordon_against_quadrature(basis_pi):
     a = 1.3
-    y = PhaseState(Field.from_mode(basis_pi, 1, a, 1.0), Field.zero(basis_pi), 0.25)
-    nl = Nonlinearity.klein_gordon(1.0, 0.0)
+    y = PhaseState(Field.from_mode(basis_pi, 1, a), Field.zero(basis_pi), 0.25)
+    energy = make_energy_fn(basis_pi, Nonlinearity.klein_gordon(1.0, 0.0), 0.25)
     x = np.linspace(0, PI, 20001)
     u = a * np.sqrt(2 / PI) * np.sin(x)
     expected = phase_norm(y) ** 2 + (2.0 / 3.0) * np.trapezoid(np.abs(u) ** 3, x)
-    assert energy(y, nl) == pytest.approx(expected, rel=1e-6)
+    assert energy(y.as_array()) == pytest.approx(expected, rel=1e-6)
 
 
 def test_energy_lower_bound_random_states(basis_pi):
@@ -249,12 +225,13 @@ def test_energy_lower_bound_random_states(basis_pi):
     from wavemix.nlw import check_dissipativity
     nl = Nonlinearity.klein_gordon(1.0, lam=0.5, nu=0.12)
     rep = check_dissipativity(nl)
+    energy = make_energy_fn(basis_pi, nl, 0.25)
     rng = np.random.default_rng(4)
     for _ in range(50):
         c1 = 3 * rng.standard_normal(16) / np.arange(1, 17) ** 2
         c2 = 3 * rng.standard_normal(16) / np.arange(1, 17)
         y = PhaseState.from_coeffs(basis_pi, c1, c2, 0.25)
-        assert energy(y, nl) >= 0.5 * phase_norm(y) ** 2 - 2 * rep.c_lower * PI - 1e-9
+        assert energy(y.as_array()) >= 0.5 * phase_norm(y) ** 2 - 2 * rep.c_lower * PI - 1e-9
 
 
 def test_norm_equivalence_constant(basis_pi):
@@ -272,7 +249,8 @@ def test_norm_equivalence_constant(basis_pi):
 
 
 def test_sobolev_phase_norm(basis_pi):
-    y = PhaseState(Field.from_mode(basis_pi, 2, 1.0, 1.0), Field.zero(basis_pi), 0.0)
+    y = PhaseState(Field.from_mode(basis_pi, 2, 1.0), Field.zero(basis_pi), 0.0)
     s = 0.4
-    lam2 = basis_pi.eigenvalues[1]
-    assert sobolev_phase_norm(y, s) == pytest.approx(np.sqrt(lam2 ** (s + 1)), rel=1e-12)
+    lam = basis_pi.eigenvalues
+    got = np.sqrt(sobolev_phase_norm_sq_arr(y.as_array(), lam, y.alpha, s))
+    assert got == pytest.approx(np.sqrt(lam[1] ** (s + 1)), rel=1e-12)
