@@ -129,8 +129,6 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "radii": (_floats, [0.15, 0.2, 0.3, 0.45, 0.6],
                   (lambda v: len(v) == 5 and _increasing([0.0, *v]),
                    "five values 0 < rho1' < rho0' < rho1 < rho0 < rho*")),
-        "chain_variant": (str, "i-graph", (lambda v: v in ("i-graph", "chain"),
-                                           "i-graph or chain")),
         "use_solver": (_bool, False, None),
         "replicas": (int, 64, _POSITIVE),
         "rep_horizon": (float, 1500.0, _POSITIVE),
@@ -172,17 +170,20 @@ class RunConfig:
 
 
 def parse_config(path: str | None = None, overrides: list[str] | None = None,
-                 seed: int = 12345) -> RunConfig:
+                 seed: int = 12345, command: str | None = None) -> RunConfig:
     """Read the key-value config file and apply ``section.key=value`` overrides.
 
     Unknown sections or keys are configuration errors; there are no silent
     defaults for misspellings.  The output directory is ``out`` unless the
-    file's ``[run]`` section names another.
+    file's ``[run]`` section names another.  ``model.kind`` defaults to the
+    first kind ``command`` runs, else to ``nlw``.
     """
     out = "out"
     values = {s: {k: (v[1] if not isinstance(v[1], list) else list(v[1]))
                   for k, v in keys.items()}
               for s, keys in SCHEMA.items()}
+    if command is not None and COMMANDS[command][1] is not None:
+        values["model"]["kind"] = COMMANDS[command][1][0]
     if path is not None:
         cp = configparser.ConfigParser(interpolation=None)
         read = cp.read(path)
@@ -363,14 +364,16 @@ def _finish(cfg: RunConfig, out: _RunDir, status: str, metrics: dict,
             tolerances: dict) -> int:
     out.write_text("manifest.ini", cfg.emit())
     artifacts = sorted(out.written)
+    result = {"status": status, "metrics": _jsonify(metrics),
+              "tolerances": _jsonify(tolerances)}
     h = hashlib.sha256()
     for p in artifacts:
         h.update(p.name.encode())
         h.update(p.read_bytes())
+    # and the verdict's body: a run that writes only its manifest pins it too
+    h.update(json.dumps(result, sort_keys=True).encode())
     verdict = {
-        "status": status,
-        "metrics": _jsonify(metrics),
-        "tolerances": _jsonify(tolerances),
+        **result,
         "seed": cfg.seed,
         "config_hash": cfg.content_hash(),
         "artifact_hash": h.hexdigest()[:16],
@@ -682,38 +685,26 @@ def _cmd_quasipotential(cfg: RunConfig, out: _RunDir) -> int:
 def _cmd_fw_graph(cfg: RunConfig, out: _RunDir) -> int:
     model = _build_toy(cfg)
     net = rates.toy_equilibrium_network(model)
+    pts = np.asarray(net.points)
     if cfg["experiment"]["use_solver"]:
-        pts = model.equilibria()[0]
-        n = pts.size
-        V = np.zeros((n, n))
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    V[i, j] = rates.toy_quasipotential(
-                        model, pts[i], pts[j], eta=0.03).value
+        # from a node to itself the solver returns 0 without solving
+        V = np.array([[rates.toy_quasipotential(model, a, b, eta=0.03).value for b in pts]
+                      for a in pts])
         net = rates.EquilibriumNetwork(net.kind, net.points, net.stable, V)
-    variant = cfg["experiment"]["chain_variant"]
-    stable_net = net.restrict_to_stable()
-    W = rates.w_graph_weights(stable_net, variant=variant)
-    queries = {}
-    for k, p in enumerate(net.points):
-        v_vec = [net.V[i_s, k] for i_s in np.flatnonzero(net.stable)]
-        q = rates.fw_rate(net, v_to_point=v_vec, variant=variant)
-        queries[repr(float(np.atleast_1d(p)[0]))] = q.value
-    payload = net.to_json_dict()
-    payload["W"] = W.tolist()
-    payload["rate"] = queries
+    W = rates.w_graph_weights(net.restrict_to_stable())
+    rate = rates.fw_rate(net, net.V[net.stable])
+    oracle = rates.gradient_rate_oracle(model, pts)
+    keys = [repr(float(p)) for p in pts]
+    queries = dict(zip(keys, rate.tolist()))
+    payload = {**net.to_json_dict(), "W": W.tolist(), "rate": queries}
     out.write_text("network.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    status = "pass"
-    tol = {}
-    if cfg["model"]["kind"] == "cubic":
-        v0 = queries.get("0.0")
-        target = 4.5
-        tol = {"rate_at_0": target,
-               "rel_error_max": 0.07 if cfg["experiment"]["use_solver"] else 1e-9}
-        if v0 is None or abs(v0 - target) / target > tol["rel_error_max"]:
-            status = "fail"
-    return _finish(cfg, out, status, {"W": W.tolist(), "rate": queries}, tol)
+    # every node against the gradient closed form, relative to max(I, 1)
+    rel_error = float(np.max(np.abs(rate - oracle) / np.maximum(oracle, 1.0)))
+    tol = 0.07 if cfg["experiment"]["use_solver"] else 1e-9
+    return _finish(cfg, out, "pass" if rel_error <= tol else "fail",
+                   {"W": W.tolist(), "rate": queries,
+                    "oracle": dict(zip(keys, oracle.tolist())), "rel_error": rel_error},
+                   {"rel_error_max": tol})
 
 
 def _cmd_stationary_smallnoise(cfg: RunConfig, out: _RunDir) -> int:
@@ -820,7 +811,9 @@ def _cmd_selftest(cfg: RunConfig, out: _RunDir) -> int:
     return _finish(cfg, out, status, results, {})
 
 
-# subcommand -> (its run, the model kinds it runs; None: it reads no model)
+# subcommand -> (its run, the model kinds it runs, the first its default; None:
+# it reads no model).  ldp1 defaults to chain2: on ou an N(0, 1/T) average puts
+# 34, 19 and 5 of 400 paths in [0.4, 0.6] at T = 8, 16, 32, under LDP1_MIN_HITS
 COMMANDS = {
     "simulate": (_cmd_simulate, ("nlw", "cubic", "doublewell", "ou")),
     "energy-audit": (_cmd_energy_audit, ("nlw",)),
@@ -829,7 +822,7 @@ COMMANDS = {
     "mix": (_cmd_mix, ("nlw",)),
     "occupation": (_cmd_occupation, ("nlw", "cubic", "doublewell", "ou")),
     "pressure": (_cmd_pressure, ("ou", "chain2")),
-    "ldp1": (_cmd_ldp1, ("ou", "chain2")),
+    "ldp1": (_cmd_ldp1, ("chain2", "ou")),
     "quasipotential": (_cmd_quasipotential, ("nlw", "cubic", "doublewell")),
     "fw-graph": (_cmd_fw_graph, ("cubic", "doublewell")),
     "stationary-smallnoise": (_cmd_stationary_smallnoise, ("cubic", "doublewell")),
@@ -888,7 +881,7 @@ def main(argv: list[str] | None = None) -> int:
                                   for target in FLAGS.values()
                                   if getattr(args, target) is not None]
     try:
-        cfg = parse_config(args.config, overrides)
+        cfg = parse_config(args.config, overrides, command=args.command)
         if args.seed is not None:
             cfg.seed = args.seed
         if args.out is not None:

@@ -106,16 +106,19 @@ def toy_equilibrium_network(model: GradientSDE) -> EquilibriumNetwork:
 # Gradient-case oracles
 
 
-def gradient_rate_oracle(model: GradientSDE, u: float) -> float:
-    """Rate value 2 (A(u) - min A) of a gradient toy.  The polynomial A is
-    bounded below when constant or of even degree with a positive lead; its
-    minimum then lies at a real root of its derivative, the drift."""
+def gradient_rate_oracle(model: GradientSDE, u: float | np.ndarray) -> float | np.ndarray:
+    """Rate value 2 (A(u) - min A) of a gradient toy, at a point or elementwise
+    over an array of points.  The polynomial A is bounded below when constant
+    or of even degree with a positive lead; its minimum then lies at a real
+    root of its derivative, the drift."""
     b = np.trim_zeros(np.asarray(model.drift_coeffs, float), "b")
     if b.size % 2 == 1 or (b.size and b[-1] < 0):
         raise ValueError("the potential is not bounded below")
+    A = model.potential(u)
     # a constant A has no root to evaluate; A(u) is then its minimum
-    low = np.min(model.potential(model.equilibria()[0]), initial=model.potential(u))
-    return 2.0 * float(model.potential(u) - low)
+    low = np.minimum(np.min(model.potential(model.equilibria()[0]), initial=math.inf), A)
+    rate = 2.0 * (A - low)
+    return float(rate) if np.ndim(rate) == 0 else rate
 
 
 def toy_quasipotential_oracle(model: GradientSDE, a: float, b: float) -> float:
@@ -354,20 +357,14 @@ def _nlw_action_and_grad(x, p1, v1, p2, v2, lam, gamma, alpha, inv_b2, nl, basis
 # Rooted-graph weights and the rate function
 
 
-def w_graph_weights(net: EquilibriumNetwork, variant: str = "i-graph") -> np.ndarray:
-    """W(i) = min over rooted graphs of the summed quasipotential costs.
+def w_graph_weights(net: EquilibriumNetwork) -> np.ndarray:
+    """W(i) = min over i-graphs of the summed quasipotential costs.
 
-    ``i-graph`` uses the standard construction (every node but the root keeps
-    exactly one outgoing arrow, no cycles, minimized by a rooted arborescence
-    on the reversed cost matrix); ``chain`` minimizes over Hamiltonian chains
-    ending at the root instead.
+    An i-graph gives every node but the root i exactly one outgoing arrow and
+    has no cycles; its minimum is a rooted arborescence on the reversed cost
+    matrix.
     """
-    n = len(net.points)
-    if variant == "chain":
-        return np.array([_chain_weight(net.V, i) for i in range(n)])
-    if variant != "i-graph":
-        raise ValueError(f"unknown graph variant {variant!r}")
-    return np.array([_arborescence_weight(net.V, i) for i in range(n)])
+    return np.array([_arborescence_weight(net.V, i) for i in range(len(net.points))])
 
 
 def _arborescence_weight(V: np.ndarray, root: int) -> float:
@@ -439,46 +436,20 @@ def w_graph_bruteforce(V: np.ndarray, root: int) -> float:
     return best
 
 
-def _chain_weight(V: np.ndarray, root: int) -> float:
-    n = V.shape[0]
-    others = [k for k in range(n) if k != root]
-    if not others:
-        return 0.0
-    best = math.inf
-    for perm in itertools.permutations(others):
-        seq = list(perm) + [root]
-        cost = sum(V[seq[k], seq[k + 1]] for k in range(len(seq) - 1))
-        best = min(best, cost)
-    return best
+def fw_rate(net: EquilibriumNetwork, v_to_point: np.ndarray) -> float | np.ndarray:
+    """Rate value min_i [W(i) + V(i, u)] - min_i W(i) over the stable nodes i.
 
-
-@dataclass
-class RateQuery:
-    value: float
-    weights: np.ndarray
-
-
-def fw_rate(net: EquilibriumNetwork, v_to_point: Sequence[float] | None = None,
-            node: int | None = None, variant: str = "i-graph") -> RateQuery:
-    """Rate value min_i [W(i) + V(i, u)] - min_i W(i).
-
-    Query either an arbitrary point through ``v_to_point`` (quasipotentials
-    from each stable node to the point, in node order) or one of the stable
-    network nodes by index.
+    ``v_to_point`` holds the quasipotentials V(i, u) from each stable node to
+    the point u, in node order; a 2D array holds one point per column and
+    gives one rate per column.  Node k of the network is the point
+    ``net.V[net.stable, k]``.
     """
-    base = net.restrict_to_stable()
-    W = w_graph_weights(base, variant=variant)
-    if node is not None:
-        idx_map = list(np.flatnonzero(net.stable))
-        if node not in idx_map:
-            raise ValueError("node queries on unstable points need v_to_point")
-        v_vec = base.V[:, idx_map.index(node)]
-    else:
-        v_vec = np.asarray(v_to_point, float)
-        if v_vec.size != len(base.points):
-            raise ValueError("need one quasipotential per (stable) node")
-    totals = W + v_vec
-    return RateQuery(float(totals.min() - W.min()), W)
+    W = w_graph_weights(net.restrict_to_stable())
+    v = np.asarray(v_to_point, float)
+    if v.shape[0] != W.size:
+        raise ValueError("need one quasipotential per stable node")
+    rate = (v.T + W).min(axis=-1) - W.min()
+    return float(rate) if v.ndim == 1 else rate
 
 
 # --------------------------------------------------------------------------
@@ -526,12 +497,8 @@ def smallnoise_stationary_probe(model: GradientSDE, eps_list: Sequence[float],
     agreement_ok = True
     eta = 0.1
 
-    targets = np.empty(n_sets)
-    inf_A = min(model.potential(p) for p in pts[stable])
-    for si, (lo, hi) in enumerate(sets):
-        sub = np.concatenate([np.linspace(lo, hi, 4001), [lo, hi]])
-        vals = 2.0 * (model.potential(sub) - inf_A)
-        targets[si] = float(np.min(vals))
+    targets = np.array([np.min(gradient_rate_oracle(model, np.concatenate(
+        [np.linspace(lo, hi, 4001), [lo, hi]]))) for lo, hi in sets])
 
     if mode == "exact":
         for ei, eps in enumerate(eps_arr):

@@ -254,22 +254,22 @@ def test_ac08_gradient_rates():
     down_ok = down.converged and abs(down.value - 16.0 / 3.0) / (16.0 / 3.0) <= 0.05
     # graph arithmetic with oracle V entries is exact
     net = rates.toy_equilibrium_network(cubic)
-    r0 = rates.fw_rate(net, node=0)
-    r3 = rates.fw_rate(net, node=2)
-    exact_ok = abs(r0.value - 4.5) <= 1e-6 and abs(r3.value) <= 1e-9
+    r0 = rates.fw_rate(net, net.V[net.stable, 0])
+    r3 = rates.fw_rate(net, net.V[net.stable, 2])
+    exact_ok = abs(r0 - 4.5) <= 1e-6 and abs(r3) <= 1e-9
     # end-to-end with solver-computed V entries
     pts = [0.0, 3.0]
     V = np.zeros((2, 2))
     V[0, 1] = up.value
     V[1, 0] = down.value
     net_solver = rates.EquilibriumNetwork("cubic", pts, np.array([True, True]), V)
-    q0 = rates.fw_rate(net_solver, node=0)
-    q3 = rates.fw_rate(net_solver, node=1)
-    e2e_ok = abs(q0.value - 4.5) / 4.5 <= 0.07 and abs(q3.value) <= 1e-9
+    q0 = rates.fw_rate(net_solver, net_solver.V[net_solver.stable, 0])
+    q3 = rates.fw_rate(net_solver, net_solver.V[net_solver.stable, 1])
+    e2e_ok = abs(q0 - 4.5) / 4.5 <= 0.07 and abs(q3) <= 1e-9
     ok = up_ok and down_ok and exact_ok and e2e_ok
     _report(8, "gradient-rates", ok, time.time() - t0, 300.0,
             f"V(0->3)={up.value:.4f} (5/6), V(3->0)={down.value:.4f} (16/3), "
-            f"rate(0)={q0.value:.3f} (4.5)")
+            f"rate(0)={q0:.3f} (4.5)")
 
 
 def test_ac09_w_graphs():

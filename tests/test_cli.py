@@ -167,11 +167,11 @@ def test_unsupported_model_kind_rejected(command, kind, tmp_path, capsys):
 
 
 def test_percent_values_never_crash(tmp_path):
-    # not a graph variant: rejected before any run instead of failing inside it
-    with pytest.raises(ConfigError, match="chain_variant"):
-        parse_config(overrides=["experiment.chain_variant=50%"])
-    assert main(["fw-graph", "--model", "cubic", "--out", str(tmp_path / "fw"),
-                 "--set", "experiment.chain_variant=50%"]) == EXIT_CONFIG
+    # not a model kind: rejected before any run instead of failing inside it
+    with pytest.raises(ConfigError, match="model.kind"):
+        parse_config(overrides=["model.kind=50%"])
+    assert main(["fw-graph", "--out", str(tmp_path / "fw"),
+                 "--set", "model.kind=50%"]) == EXIT_CONFIG
     # an accepted '%' is written and read back verbatim, in [run] too
     cfg = parse_config(overrides=["model.kind=cubic", "model.nonlinearity=50%"])
     path = tmp_path / "m.ini"
@@ -312,6 +312,22 @@ def test_fw_graph_cubic(tmp_path):
     assert "tolerances" in verdict
 
 
+@pytest.mark.parametrize("model", ["cubic", "doublewell"])
+def test_fw_graph_judges_every_node(tmp_path, model):
+    # each node's rate against the gradient closed form, by the oracle
+    # network and by the collocation solver
+    for solver, tol in (("0", 1e-9), ("1", 0.07)):
+        out = tmp_path / solver
+        assert main(["fw-graph", "--model", model, "--use-solver", solver,
+                     "--out", str(out)]) == EXIT_PASS
+        verdict = json.loads((out / "verdict.json").read_text())
+        assert verdict["tolerances"] == {"rel_error_max": tol}
+        rate, oracle = verdict["metrics"]["rate"], verdict["metrics"]["oracle"]
+        assert len(rate) == 3 and rate.keys() == oracle.keys()
+        for node, value in rate.items():
+            assert abs(value - oracle[node]) <= tol * max(oracle[node], 1.0), node
+
+
 def test_repeat_run_identical_artifact_hash(tmp_path):
     outs = []
     for name in ("a", "b"):
@@ -337,6 +353,61 @@ def test_earlier_run_files_stay_out_of_the_verdict(tmp_path):
     assert fresh["artifacts"] == ["manifest.ini", "network.json"]
     assert shared["artifacts"] == fresh["artifacts"]
     assert shared["artifact_hash"] == fresh["artifact_hash"]
+
+
+def test_reported_metric_moves_the_hash(tmp_path, monkeypatch):
+    # the wave quasipotential writes only its manifest; its hash still pins
+    # the values the verdict reports
+    real = cli.rates.nlw_quasipotential
+
+    def edited(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.grad_norm += 1.0
+        return res
+
+    verdicts = []
+    for name in ("plain", "edited"):
+        if name == "edited":
+            monkeypatch.setattr(cli.rates, "nlw_quasipotential", edited)
+        out = tmp_path / name
+        main(["quasipotential", "--set", "model.modes=2", "--out", str(out)])
+        verdicts.append(json.loads((out / "verdict.json").read_text()))
+    plain, changed = verdicts
+    assert plain["artifacts"] == changed["artifacts"] == ["manifest.ini"]
+    assert (tmp_path / "plain" / "manifest.ini").read_bytes() == \
+        (tmp_path / "edited" / "manifest.ini").read_bytes()
+    assert changed["metrics"]["grad_norm"] == plain["metrics"]["grad_norm"] + 1.0
+    assert plain["status"] == changed["status"]
+    assert plain["artifact_hash"] != changed["artifact_hash"]
+
+
+def test_default_model_kind_yields_to_a_set_one(tmp_path):
+    assert parse_config(command="ldp1")["model"]["kind"] == "chain2"
+    assert parse_config(command="fw-graph")["model"]["kind"] == "cubic"
+    assert parse_config(command="selftest")["model"]["kind"] == "nlw"
+    assert parse_config()["model"]["kind"] == "nlw"
+    path = tmp_path / "c.ini"
+    path.write_text("[model]\nkind = ou\n")
+    assert parse_config(str(path), command="ldp1")["model"]["kind"] == "ou"
+    assert parse_config(overrides=["model.kind=doublewell"],
+                        command="fw-graph")["model"]["kind"] == "doublewell"
+    assert main(["fw-graph", "--model", "nlw", "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+
+# caps that keep every subcommand small at its default model
+_TINY = ("--set", "model.modes=4", "--n-feedback", "2", "--horizon", "0.5",
+         "--n-traj", "4", "--horizons", "1,2", "--replicas", "4", "--rep-horizon", "2")
+
+
+def test_every_subcommand_runs_its_default_model(tmp_path):
+    # without --model each subcommand takes the first kind it runs, and no
+    # two subcommands share an artifact hash
+    hashes = {}
+    for command in cli.COMMANDS:
+        out = tmp_path / command
+        assert main([command, "--out", str(out), *_TINY]) in (0, 1, 2), command
+        hashes[command] = json.loads((out / "verdict.json").read_text())["artifact_hash"]
+    assert len(set(hashes.values())) == len(hashes), hashes
 
 
 def test_simulate_nlw_writes_trajectory(tmp_path):
