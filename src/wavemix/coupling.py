@@ -22,6 +22,7 @@ from wavemix.nlw import (
     NoiseModel,
     Nonlinearity,
     SimConfig,
+    _inv2x2,
     _path_blocks,
     _strang_drive,
     apply_modewise,  # noqa: F401  (re-exported; perfbench checks this binding)
@@ -43,9 +44,12 @@ class CoupledRun:
     a_j = (f(u)-f(v), e_j) / (sqrt(eps) b_j) at step midpoints.  ``log_lr`` is
     the exact log-likelihood ratio between the shifted and plain discrete noise
     laws, and ``h_energy`` is the exact discrete energy of that measure change
-    mapped to unweighted mode coordinates.  At this splitting a velocity kick
-    is represented through a half-step convolution, which costs a constant
-    shape factor above the naive quadrature of |P_N(f(u)-f(v))|^2; the
+    mapped to unweighted mode coordinates.  A velocity kick is represented
+    through the convolution of the step that closes it: the half-step before
+    a record step, the merged full step otherwise.  That costs a shape factor
+    above the naive quadrature of |P_N(f(u)-f(v))|^2 which depends on the
+    closing step, about 8 for a half-step and 4 for a full one, so the
+    stride moves ``h_energy`` and ``log_lr`` but not their meaning; the
     total-variation bound must therefore consume ``h_energy``, not the
     quadrature, to stay comparable with the likelihood-ratio estimate.
 
@@ -83,10 +87,10 @@ def _run_coupled(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
     t_rec = np.array(list(rec)) * dt
     nr = len(rec)
 
-    # inverse covariance of the half-step convolution on the feedback modes
-    inv_cov = np.stack([ops.cov_inverse(j) for j in range(n_feedback)]) \
-        if n_feedback else np.zeros((0, 2, 2))
-    P_half_fb = ops.P_half[:n_feedback]
+    # the propagator and inverse noise covariance of each closing step, on the
+    # feedback modes: the half-step on a record step, the full step otherwise
+    closing = {True: (ops.P_half[:n_feedback], _inv2x2(ops.cov_half[:n_feedback])),
+               False: (ops.P_full[:n_feedback], _inv2x2(ops.cov_full[:n_feedback]))}
 
     z0 = np.stack([z.as_array(), zprime.as_array()])  # u, v
 
@@ -126,15 +130,16 @@ def _run_coupled(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
             acc[:, 1, :n_feedback] -= d_n
             return acc
 
-        def girsanov(w2):
-            # the feedback kick shifts the second half-step convolution
+        def girsanov(w, close):
+            # the feedback kick shifts the convolution of the step that closes it
             nonlocal llr, nov, hen
+            P, inv_cov = closing[close]
             mv = np.empty((nb, 2, n_feedback))
-            mv[:, 0] = -dt * P_half_fb[:, 0, 1] * d_n
-            mv[:, 1] = -dt * P_half_fb[:, 1, 1] * d_n
-            w2f = w2[:, :, :n_feedback]
+            mv[:, 0] = -dt * P[:, 0, 1] * d_n
+            mv[:, 1] = -dt * P[:, 1, 1] * d_n
+            wf = w[:, :, :n_feedback]
             quad_mm = np.einsum("naj,jab,nbj->nj", mv, inv_cov, mv)
-            quad_mw = np.einsum("naj,jab,nbj->n", mv, inv_cov, w2f)
+            quad_mw = np.einsum("naj,jab,nbj->n", mv, inv_cov, wf)
             llr += -quad_mw - 0.5 * quad_mm.sum(axis=1)
             nov += dt * np.sum((d_n / b_eff[:n_feedback]) ** 2, axis=1)
             # exact discrete shift energy, mapped back to mode frame
@@ -146,7 +151,7 @@ def _run_coupled(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
 
         record(0, states)
         _strang_drive(states, ops, rngs, kick, n_steps, on_step,
-                      girsanov if n_feedback else None, offset=lo)
+                      girsanov if n_feedback else None, sync=rec, offset=lo)
 
     return CoupledRun(t_rec, diff_vu, lowmode, nov_run, hen_run, llr_run, states_out)
 

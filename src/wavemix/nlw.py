@@ -9,15 +9,16 @@ Trajectories are deterministic functions of (seed, config); ensembles split
 the master seed into per-trajectory counter-based streams.
 
 Both steppers of the package -- ``run_flow`` and the coupled pair in
-``coupling`` -- run the one driver ``_strang_drive`` on a block of paths.  The
-driver owns the chunked noise buffer and the per-chunk finiteness check; a
-caller supplies the kick, the sync steps after which it reads the state
-(every step unless it says otherwise) and two hooks: ``mid``, which sees the
-second half-step's noise increment (the Girsanov bookkeeping), and
-``on_step``, called after every sync step (integrands, recording on the grid
-of ``stats.record_steps``).  Between two sync steps the closing half-step of
-one step and the opening half-step of the next run as one exact full step,
-which leaves the law of the state at every sync step unchanged.
+``coupling`` -- run the one driver ``_strang_drive`` on a block of paths, by
+one rule.  The driver owns the chunked noise buffer and the per-chunk
+finiteness check; a caller supplies the kick, the sync steps after which it
+reads the state (every step unless it says otherwise) and two hooks: ``mid``,
+which sees each step's closing noise increment and whether a sync step closed
+it (the Girsanov bookkeeping), and ``on_step``, called after every sync step
+(integrands, recording on the grid of ``stats.record_steps``).  Between two
+sync steps the closing half-step of one step and the opening half-step of the
+next run as one exact full step, which leaves the law of the state at every
+sync step unchanged.
 """
 
 from __future__ import annotations
@@ -332,6 +333,13 @@ def _chol2x2(S: np.ndarray) -> np.ndarray:
     return L
 
 
+def _inv2x2(S: np.ndarray) -> np.ndarray:
+    """Inverses of stacked invertible 2x2 matrices, by the closed form."""
+    det = S[:, 0, 0] * S[:, 1, 1] - S[:, 0, 1] * S[:, 1, 0]
+    adj = np.stack([S[:, 1, 1], -S[:, 0, 1], -S[:, 1, 0], S[:, 0, 0]], axis=-1)
+    return adj.reshape(S.shape) / det[:, None, None]
+
+
 class LinearOps:
     """Per-mode half- and full-step propagators and noise convolution factors."""
 
@@ -359,27 +367,16 @@ class LinearOps:
         return _expm(self.A * self.dt)
 
     @functools.cached_property
+    def cov_full(self) -> np.ndarray:
+        return self.sig2[:, None, None] * _van_loan_covariance(self.A, self.dt)
+
+    @functools.cached_property
     def chol_full(self) -> np.ndarray:
-        return _chol2x2(self.sig2[:, None, None] * _van_loan_covariance(self.A, self.dt))
-
-    def cov_inverse(self, j: int) -> np.ndarray:
-        S = self.cov_half[j]
-        det = S[0, 0] * S[1, 1] - S[0, 1] * S[1, 0]
-        return np.array([[S[1, 1], -S[0, 1]], [-S[1, 0], S[0, 0]]]) / det
-
-
-_OPS_CACHE: dict = {}
+        return _chol2x2(self.cov_full)
 
 
 def linear_ops(cfg: SimConfig, noise: NoiseModel) -> LinearOps:
-    key = (cfg.basis, cfg.gamma, cfg.eps, cfg.dt, noise.coeffs.tobytes())
-    ops = _OPS_CACHE.get(key)
-    if ops is None:
-        ops = LinearOps(cfg.basis, cfg.gamma, cfg.eps, noise, cfg.dt)
-        if len(_OPS_CACHE) > 32:
-            _OPS_CACHE.clear()
-        _OPS_CACHE[key] = ops
-    return ops
+    return LinearOps(cfg.basis, cfg.gamma, cfg.eps, noise, cfg.dt)
 
 
 def apply_modewise(mats: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -496,21 +493,21 @@ def _strang_drive(states: np.ndarray, ops: LinearOps, rngs, kick: Callable,
     ``states`` has shape (n_paths, ..., 2, M); path ``i`` draws its noise from
     ``rngs[i]``, shared by every system of the path, and ``rngs=None`` runs the
     noiseless scheme without drawing.  One step is an exact linear half-step,
-    the velocity kick ``dt * kick(states)``, ``mid(w2)`` with the
-    (n_paths, 2, M) noise increment of the second half-step, and the second
-    exact half-step; ``on_step(step, states)`` follows.
+    the velocity kick ``dt * kick(states)`` and a closing exact linear step
+    with its (n_paths, 2, M) noise increment ``w``.
 
     ``sync`` holds the steps after which the caller reads the state; ``None``
-    (the default) makes every step one, and the last step always is one.
-    After any other step the second half-step and the next step's first one
-    run as one exact full step (``P_full``, ``chol_full``), and neither
-    ``mid`` nor ``on_step`` is called, so ``mid`` needs every step synced.
-    Each path draws one (2, M) increment per linear step, in the order the
-    steps use them: ``n_steps`` plus the number of sync steps in all.  A
+    (the default) makes every step one, and the last step always is one.  A
+    sync step closes with the half-step (``P_half``, ``chol_half``) and then
+    calls ``on_step(step, states)``.  Any other step closes with one exact
+    full step (``P_full``, ``chol_full``) that also opens the next step.
+    ``mid(w, close)`` sees every step's closing increment before it is
+    applied, with ``close`` true on a sync step, so the caller knows which
+    operator carries the kick.  Each path draws one (2, M) increment per
+    linear step, in the order the steps use them: ``n_steps`` plus the number
+    of sync steps in all.  A
     nonfinite block raises ``BlowupError`` once per chunk.
     """
-    if mid is not None and sync is not None:
-        raise ValueError("mid sees every second half-step: every step must sync")
     dt = ops.dt
     lift = (slice(None),) + (None,) * (states.ndim - 3)  # one increment per path
     normals = None
@@ -536,21 +533,18 @@ def _strang_drive(states: np.ndarray, ops: LinearOps, rngs, kick: Callable,
                     states += apply_modewise(ops.chol_half, normals[:, k])[lift]
                 k += 1
             states[..., 1, :] += dt * kick(states)
-            synced = close
-            if close:
-                w2 = None if normals is None else apply_modewise(ops.chol_half, normals[:, k])
-                if mid is not None:
-                    mid(w2)
-                states = apply_modewise(ops.P_half, states)
-                if w2 is not None:
-                    states += w2[lift]
-                if on_step is not None:
-                    on_step(s, states)
-            else:
-                states = apply_modewise(ops.P_full, states)
-                if normals is not None:
-                    states += apply_modewise(ops.chol_full, normals[:, k])[lift]
+            # a sync step closes with a half-step; any other merges into a full one
+            P, chol = (ops.P_half, ops.chol_half) if close else (ops.P_full, ops.chol_full)
+            w = None if normals is None else apply_modewise(chol, normals[:, k])
             k += 1
+            if mid is not None:
+                mid(w, close)
+            states = apply_modewise(P, states)
+            if w is not None:
+                states += w[lift]
+            synced = close
+            if close and on_step is not None:
+                on_step(s, states)
         step += chunk
         check_finite(states, step * dt, offset)
     return states

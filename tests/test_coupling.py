@@ -16,7 +16,8 @@ from wavemix.coupling import (
     tv_bound,
     tv_estimate_likelihood,
 )
-from wavemix.nlw import BlowupError, NoiseModel, Nonlinearity, SimConfig, simulate
+from wavemix import nlw, stats
+from wavemix.nlw import BlowupError, NoiseModel, Nonlinearity, SimConfig, draw_normals, run_flow
 from wavemix.spectral import PhaseState, SpectralBasis, phase_norm
 
 PI = np.pi
@@ -69,18 +70,39 @@ def test_same_start_gives_identical_processes(basis, noise):
 
 
 def test_marginal_preservation(basis, noise):
-    # the drive marginal of the coupled construction equals a plain run
+    # the drive marginal of the coupled construction equals a plain run that
+    # merges the same steps: run_flow without integrands
     cfg = make_cfg(basis, horizon=2.0)
     nl = Nonlinearity.klein_gordon(1.0)
     z = smooth_state(basis, 0.4, 2, cfg.alpha)
     zp = smooth_state(basis, 0.4, 3, cfg.alpha)
     run = couple_fp(cfg, nl, noise, z, zp, n_feedback=4)
-    plain = simulate(cfg, nl, noise, z)
-    np.testing.assert_allclose(run.states[0, :, 0], plain.states, rtol=0, atol=1e-13)
+    plain = run_flow(cfg, nl, noise, z, return_states=True).states[0]
+    np.testing.assert_allclose(run.states[0, :, 0], plain, rtol=0, atol=1e-13)
     # without feedback v is the plain flow from z'
     free_v = couple_fp(cfg, nl, noise, z, zp, n_feedback=0).states[0, :, 1]
-    plain_p = simulate(cfg, nl, noise, zp)
-    np.testing.assert_allclose(free_v, plain_p.states, rtol=0, atol=1e-13)
+    plain_p = run_flow(cfg, nl, noise, zp, return_states=True).states[0]
+    np.testing.assert_allclose(free_v, plain_p, rtol=0, atol=1e-13)
+
+
+def test_coupled_path_draws_as_many_normals_as_a_flow_path(basis, noise, monkeypatch):
+    # n_steps + n_sync increments of (2, M) normals per path, as in run_flow
+    cfg = make_cfg(basis, horizon=2.0)
+    z = smooth_state(basis, 0.4, 2, cfg.alpha)
+    drawn = []
+
+    def counted(rngs, buf, chunk):
+        drawn.append(chunk * buf[0, 0].size)
+        draw_normals(rngs, buf, chunk)
+
+    monkeypatch.setattr(nlw, "draw_normals", counted)
+    couple_fp(cfg, Nonlinearity.klein_gordon(1.0), noise, z, z, n_feedback=4)
+    n_sync = len(stats.record_steps(cfg.n_steps, cfg.stride)) - 1
+    assert n_sync < cfg.n_steps
+    assert sum(drawn) == (cfg.n_steps + n_sync) * 2 * basis.mode_count
+    drawn.clear()
+    run_flow(cfg, Nonlinearity.klein_gordon(1.0), noise, z)
+    assert sum(drawn) == (cfg.n_steps + n_sync) * 2 * basis.mode_count
 
 
 def test_linear_feedback_difference_is_free_wave(basis, noise):
@@ -228,6 +250,22 @@ def test_likelihood_ratio_is_unit_mean(basis, noise):
     batch = couple_fp_batch(cfg, nl, noise, z, zp, n_feedback=4, n_traj=400)
     lam = np.exp(batch.log_lr[:, -1])
     assert lam.mean() == pytest.approx(1.0, abs=4 * lam.std() / math.sqrt(lam.size))
+
+
+@pytest.mark.parametrize("stride", [1, 8])
+def test_likelihood_ratio_is_unit_mean_whichever_step_closes(basis, noise, stride):
+    # at stride 1 every kick closes through the half-step, at stride 8 most
+    # through the merged full step; both ratios are exact Gaussian densities
+    cfg = make_cfg(basis, horizon=1.0, stride=stride, seed=23)
+    z = smooth_state(basis, 0.3, 13, cfg.alpha)
+    d = unit_direction(basis, cfg.alpha)
+    # a small separation keeps the ratio's tail light enough that judging a
+    # merged step with the half-step operators is seen (about 4.6 standard errors)
+    zp = PhaseState.from_coeffs(basis, *(z.as_array() + 0.02 * d), cfg.alpha)
+    batch = couple_fp_batch(cfg, Nonlinearity.klein_gordon(1.0), noise, z, zp,
+                            n_feedback=4, n_traj=200)
+    mean, se = stats.mean_se(np.exp(batch.log_lr[:, -1]))
+    assert abs(mean - 1.0) <= 3 * se
 
 
 def test_tv_bound_monotone_and_zero(basis, noise):

@@ -496,8 +496,11 @@ def _per_step_reference(states, ops, xi, kick, n_steps):
     return seen
 
 
-def _merged_reference(states, ops, xi, kick, n_steps, sync):
-    """Strang steps whose half-steps merge into full steps between sync steps."""
+def _merged_reference(states, ops, xi, kick, n_steps, sync, closing=None):
+    """Strang steps whose half-steps merge into full steps between sync steps.
+
+    ``closing``, when a list, receives each step's (close, closing increment).
+    """
     seen = {}
     k = 0
     for s in range(1, n_steps + 1):
@@ -506,11 +509,14 @@ def _merged_reference(states, ops, xi, kick, n_steps, sync):
                       + _einsum_modewise(ops.chol_half, xi[:, k]))
             k += 1
         states[:, 1] += ops.dt * kick(states)
-        P, L = ((ops.P_half, ops.chol_half) if s in sync or s == n_steps
-                else (ops.P_full, ops.chol_full))
-        states = _einsum_modewise(P, states) + _einsum_modewise(L, xi[:, k])
+        close = s in sync or s == n_steps
+        P, L = (ops.P_half, ops.chol_half) if close else (ops.P_full, ops.chol_full)
+        w = _einsum_modewise(L, xi[:, k])
+        if closing is not None:
+            closing.append((close, w))
+        states = _einsum_modewise(P, states) + w
         k += 1
-        if P is ops.P_half:
+        if close:
             seen[s] = states
     assert k == xi.shape[1]
     return seen
@@ -549,12 +555,28 @@ def test_strang_drive_matches_textbook_loops_bitwise(n_steps, stride, n_paths, c
     assert np.array_equal(final, ref[n_steps])
 
 
-def test_strang_drive_mid_needs_every_step_synced(basis16, noise16):
-    # mid reads each step's second half-step increment, which a merged step lacks
-    ops = linear_ops(make_cfg(basis16), noise16)
-    with pytest.raises(ValueError, match="every step must sync"):
-        nlw._strang_drive(np.zeros((1, 2, 16)), ops, None, lambda st: st[:, 0] * 0,
-                          4, mid=lambda w2: None, sync={0: 0, 4: 1})
+@pytest.mark.parametrize("n_steps, stride", [(1, 3), (7, 1), (13, 4), (20, 7)])
+def test_strang_drive_mid_sees_each_closing_increment(n_steps, stride):
+    # mid(w, close) runs on every step, before the closing step applies w:
+    # close is false exactly on the merged steps, and w is that step's chol @ xi
+    basis = SpectralBasis((PI,), 8)
+    ops = nlw.LinearOps(basis, 0.5, 1.0, NoiseModel.power_law(basis, 0.5, 2.5),
+                        0.5 / np.sqrt(basis.eigenvalues[-1]))
+    kick_fn = nlw.make_kick_fn(basis, Nonlinearity.klein_gordon(1.0), np.zeros(8))
+    kick = lambda st: kick_fn(st[:, 0, :])  # noqa: E731
+    y0 = np.stack([smooth_state(basis, seed=i).as_array() for i in range(2)])
+    sync = stats.record_steps(n_steps, stride)
+    seen = []
+    nlw._strang_drive(y0.copy(), ops, trajectory_streams(5, 2), kick, n_steps,
+                      mid=lambda w, close: seen.append((close, w.copy())), sync=sync)
+    xi = np.stack([r.standard_normal((n_steps + len(sync) - 1, 2, 8))
+                   for r in trajectory_streams(5, 2)])
+    ref = []
+    _merged_reference(y0.copy(), ops, xi, kick, n_steps, sync, closing=ref)
+    assert [c for c, _ in seen] == [s in sync for s in range(1, n_steps + 1)]
+    assert [c for c, _ in seen] == [c for c, _ in ref]
+    for (_, w), (_, w_ref) in zip(seen, ref):
+        assert np.array_equal(w, w_ref)
 
 
 def test_noiseless_merged_steps_match_per_step_run(basis16, noise16):
