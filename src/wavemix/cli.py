@@ -27,6 +27,7 @@ from wavemix import coupling as cpl
 from wavemix import ergodic as erg
 from wavemix import nlw
 from wavemix import rates
+from wavemix import stats
 from wavemix import toys
 from wavemix.observables import default_observables
 from wavemix.spectral import (Field, PhaseState, SpectralBasis, phase_norm_sq_arr,
@@ -309,16 +310,13 @@ def _start(cfg: RunConfig, sim: nlw.SimConfig, k: int,
            scale: float | None = None) -> PhaseState:
     """Smooth random start state number ``k`` of a run.
 
-    It is drawn from ``SeedSequence(entropy=seed, spawn_key=(_START_STREAM,
-    k))``, so no two (seed, k) pairs share a stream: seed s + 1 does not
-    start where seed s put its second state.
+    It is drawn from ``stats.generator(seed, (_START_STREAM, k))``, so no two
+    (seed, k) pairs share a stream: seed s + 1 does not start where seed s
+    put its second state.
     """
     if scale is None:
         scale = cfg["experiment"]["state_scale"]
-    # PCG64, the one stream not from stats.generator: moving it to Philox
-    # would move every wave start state and so every wave hash
-    rng = np.random.default_rng(np.random.SeedSequence(
-        entropy=cfg.seed, spawn_key=(_START_STREAM, k)))
+    rng = stats.generator(cfg.seed, (_START_STREAM, k))
     m = sim.basis.mode_count
     decay = 1.0 / np.arange(1, m + 1) ** 2
     return PhaseState.from_coeffs(sim.basis, scale * rng.standard_normal(m) * decay,
@@ -886,6 +884,8 @@ def main(argv: list[str] | None = None) -> int:
             cfg.seed = args.seed
         if args.out is not None:
             cfg.out = args.out
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be at least 1, got {args.threads}")
         cfg.threads = args.threads
         return dispatch(cfg, args.command)
     except ConfigError as e:

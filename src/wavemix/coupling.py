@@ -45,11 +45,9 @@ class CoupledRun:
     the exact log-likelihood ratio between the shifted and plain discrete noise
     laws, and ``h_energy`` is the exact discrete energy of that measure change
     mapped to unweighted mode coordinates.  A velocity kick is represented
-    through the convolution of the step that closes it: the half-step before
-    a record step, the merged full step otherwise.  That costs a shape factor
-    above the naive quadrature of |P_N(f(u)-f(v))|^2 which depends on the
-    closing step, about 8 for a half-step and 4 for a full one, so the
-    stride moves ``h_energy`` and ``log_lr`` but not their meaning; the
+    through the convolution of the step that closes it, which costs a shape
+    factor above the naive quadrature of |P_N(f(u)-f(v))|^2: about 8 for the
+    half-step before a record step, 4 for a merged full step; the
     total-variation bound must therefore consume ``h_energy``, not the
     quadrature, to stay comparable with the likelihood-ratio estimate.
 

@@ -9,16 +9,15 @@ Trajectories are deterministic functions of (seed, config); ensembles split
 the master seed into per-trajectory counter-based streams.
 
 Both steppers of the package -- ``run_flow`` and the coupled pair in
-``coupling`` -- run the one driver ``_strang_drive`` on a block of paths, by
-one rule.  The driver owns the chunked noise buffer and the per-chunk
-finiteness check; a caller supplies the kick, the sync steps after which it
-reads the state (every step unless it says otherwise) and two hooks: ``mid``,
-which sees each step's closing noise increment and whether a sync step closed
-it (the Girsanov bookkeeping), and ``on_step``, called after every sync step
-(integrands, recording on the grid of ``stats.record_steps``).  Between two
-sync steps the closing half-step of one step and the opening half-step of the
-next run as one exact full step, which leaves the law of the state at every
-sync step unchanged.
+``coupling`` -- run the one driver ``_strang_drive`` on a block of paths.  The
+driver owns the chunked noise buffer and the per-chunk finiteness check; a
+caller supplies the kick, the sync steps after which it reads the state
+(every step unless it says otherwise) and two hooks: ``mid``, which sees each
+step's closing noise increment and whether a sync step closed it (the
+Girsanov bookkeeping), and ``on_step``, called after every sync step.
+Between two sync steps the closing half-step of one step and the opening
+half-step of the next run as one exact full step, which leaves the law of the
+state at every sync step unchanged.
 """
 
 from __future__ import annotations
@@ -493,17 +492,15 @@ def _strang_drive(states: np.ndarray, ops: LinearOps, rngs, kick: Callable,
     ``states`` has shape (n_paths, ..., 2, M); path ``i`` draws its noise from
     ``rngs[i]``, shared by every system of the path, and ``rngs=None`` runs the
     noiseless scheme without drawing.  One step is an exact linear half-step,
-    the velocity kick ``dt * kick(states)`` and a closing exact linear step
-    with its (n_paths, 2, M) noise increment ``w``.
+    the velocity kick ``dt * kick(states)`` and a closing exact linear step.
 
     ``sync`` holds the steps after which the caller reads the state; ``None``
     (the default) makes every step one, and the last step always is one.  A
-    sync step closes with the half-step (``P_half``, ``chol_half``) and then
-    calls ``on_step(step, states)``.  Any other step closes with one exact
-    full step (``P_full``, ``chol_full``) that also opens the next step.
-    ``mid(w, close)`` sees every step's closing increment before it is
-    applied, with ``close`` true on a sync step, so the caller knows which
-    operator carries the kick.  Each path draws one (2, M) increment per
+    sync step closes with a half-step (``P_half``, ``chol_half``), then calls
+    ``on_step(step, states)``; any other closes with an exact full step
+    (``P_full``, ``chol_full``) that also opens the next step.  Before the
+    closing step, ``mid(w, close)`` sees its (n_paths, 2, M) noise increment
+    and whether a sync step closes.  Each path draws one (2, M) increment per
     linear step, in the order the steps use them: ``n_steps`` plus the number
     of sync steps in all.  A
     nonfinite block raises ``BlowupError`` once per chunk.

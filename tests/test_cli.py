@@ -203,6 +203,13 @@ def test_consecutive_calls_do_not_share_arguments(monkeypatch):
     assert second.values == parse_config().values and t2 == 1
 
 
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_is_a_config_error(threads, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "dispatch", lambda cfg, command: pytest.fail("dispatched"))
+    assert main(["mix", "--threads", threads]) == EXIT_CONFIG
+    assert "--threads" in capsys.readouterr().err
+
+
 _HEAVY = ("concurrent.futures", "logging", "networkx", "numpy.ma", "scipy", "scipy.linalg",
           "scipy.optimize", "scipy.sparse", "scipy.stats")
 
@@ -905,9 +912,8 @@ def test_locals_are_read():
 
 
 def test_streams_come_from_stats_generator():
-    # every ensemble stream is stats.generator's Philox; cli._start keeps the
-    # PCG64 start states, which every wave hash depends on
-    allowed = {("stats", "generator"), ("cli", "_start")}
+    # every stream, the wave start states included, is stats.generator's Philox
+    allowed = {("stats", "generator")}
     named = []
     for p, tree in _parsed("src").items():
         inside = {id(n) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
