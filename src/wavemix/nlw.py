@@ -374,8 +374,18 @@ class LinearOps:
         return _chol2x2(self.cov_full)
 
 
+_OPS_CACHE: dict = {}
+
+
 def linear_ops(cfg: SimConfig, noise: NoiseModel) -> LinearOps:
-    return LinearOps(cfg.basis, cfg.gamma, cfg.eps, noise, cfg.dt)
+    key = (cfg.basis, cfg.gamma, cfg.eps, cfg.dt, noise.coeffs.tobytes())
+    ops = _OPS_CACHE.get(key)
+    if ops is None:
+        ops = LinearOps(cfg.basis, cfg.gamma, cfg.eps, noise, cfg.dt)
+        if len(_OPS_CACHE) > 32:
+            _OPS_CACHE.clear()
+        _OPS_CACHE[key] = ops
+    return ops
 
 
 def apply_modewise(mats: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -502,8 +512,8 @@ def _strang_drive(states: np.ndarray, ops: LinearOps, rngs, kick: Callable,
     closing step, ``mid(w, close)`` sees its (n_paths, 2, M) noise increment
     and whether a sync step closes.  Each path draws one (2, M) increment per
     linear step, in the order the steps use them: ``n_steps`` plus the number
-    of sync steps in all.  A
-    nonfinite block raises ``BlowupError`` once per chunk.
+    of sync steps in all.  A nonfinite block raises ``BlowupError`` once per
+    chunk.
     """
     dt = ops.dt
     lift = (slice(None),) + (None,) * (states.ndim - 3)  # one increment per path
