@@ -127,9 +127,9 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "from_point": (float, 0.0, None),
         "to_point": (float, 3.0, None),
         "eta": (float, 0.05, _POSITIVE),
-        "radii": (_floats, [0.15, 0.2, 0.3, 0.45, 0.6],
-                  (lambda v: len(v) == 5 and _increasing([0.0, *v]),
-                   "five values 0 < rho1' < rho0' < rho1 < rho0 < rho*")),
+        "radii": (_floats, [0.3, 0.45],
+                  (lambda v: len(v) == 2 and _increasing([0.0, *v]),
+                   "two values 0 < rho1 < rho0")),
         "use_solver": (_bool, False, None),
         "replicas": (int, 64, _POSITIVE),
         "rep_horizon": (float, 1500.0, _POSITIVE),
@@ -438,11 +438,11 @@ def _cmd_energy_audit(cfg: RunConfig, out: _RunDir) -> int:
     # without noise every path is the same: one path is the pathwise audit
     res = nlw.run_flow(sim, nl, noise, _start(cfg, sim, 1),
                        n_traj=1 if cfg["noise"]["eps"] == 0 else cfg["experiment"]["n_traj"],
-                       probes={"energy": nlw.make_energy_fn(basis, nl, sim.alpha)},
-                       integrands={"normH2": lambda s: phase_norm_sq_arr(
-                           s, basis.eigenvalues, sim.alpha)},
+                       probes={"energy": nlw.make_energy_fn(basis, nl, sim.alpha),
+                               "normH2": lambda s: phase_norm_sq_arr(
+                                   s, basis.eigenvalues, sim.alpha)},
                        threads=cfg.threads)
-    audit = nlw.energy_audit(res.t, res.probes["energy"], res.integrals["normH2"], sim.alpha)
+    audit = nlw.energy_audit(res.t, res.probes["energy"], res.probes["normH2"], sim.alpha)
     out.write_csv("energy.csv", ["t", "E"],
                   [[audit.t[i], audit.series[i]] for i in range(audit.t.size)])
     min_rate = 0.9 * sim.alpha
@@ -546,13 +546,13 @@ def _cmd_mix(cfg: RunConfig, out: _RunDir) -> int:
 def _cmd_occupation(cfg: RunConfig, out: _RunDir) -> int:
     kind = cfg["model"]["kind"]
     horizon = cfg["integrator"]["horizon"]
-    # running integrals int_0^t psi of path 0, trapezoid over every step
+    # running integrals int_0^t psi of path 0; the wave's over its records
     if kind == "nlw":
         basis, nl, noise, sim = _wave(cfg)
         obs = {o.name: o for o in default_observables(basis, sim.alpha, (1, 2))}
-        res = nlw.run_flow(sim, nl, noise, _start(cfg, sim, 1), n_traj=1,
-                           integrands=obs, threads=cfg.threads)
-        t, series = res.t, {k: v[0] for k, v in res.integrals.items()}
+        res = nlw.run_flow(sim, nl, noise, _start(cfg, sim, 1), probes=obs)
+        t, series = res.t, {k: stats.running_trapezoid(res.t, v[0])
+                            for k, v in res.probes.items()}
     else:
         eps = None if kind == "ou" else cfg["model"]["toy_eps"]
         t, _, ints = toys.simulate_toy(_build_toy(cfg), eps, cfg["integrator"]["toy_dt"],
@@ -745,12 +745,15 @@ def _cmd_stationary_smallnoise(cfg: RunConfig, out: _RunDir) -> int:
 
 def _cmd_boundary_chain(cfg: RunConfig, out: _RunDir) -> int:
     model = _build_toy(cfg)
-    bc = rates.BoundaryChainConfig(*cfg["experiment"]["radii"])
+    radii = cfg["experiment"]["radii"]
     eps = cfg["experiment"]["eps_list"][0]
-    rep = rates.boundary_chain(model, bc, eps, seed=cfg.seed,
-                               n_replicas=cfg["experiment"]["replicas"],
-                               horizon_per_replica=cfg["experiment"]["rep_horizon"],
-                               dt=cfg["integrator"]["toy_dt"])
+    try:  # the chain checks its radii against the model before any path runs
+        rep = rates.boundary_chain(model, rates.BoundaryChainConfig(*radii), eps,
+                                   seed=cfg.seed, n_replicas=cfg["experiment"]["replicas"],
+                                   horizon_per_replica=cfg["experiment"]["rep_horizon"],
+                                   dt=cfg["integrator"]["toy_dt"])
+    except ValueError as e:
+        raise ConfigError(f"experiment.radii={radii} rejected: {e}")
     rows = []
     n = rep.nodes.size
     for i in range(n):

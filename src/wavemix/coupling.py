@@ -108,7 +108,8 @@ def _run_coupled(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
         llr = np.zeros(nb)
         d_n = np.zeros((nb, n_feedback))  # this step's feedback P_N[f(u) - f(v)]
 
-        def record(i, states):
+        def record(step, states):
+            i = rec[step]
             dvu = states[:, 1] - states[:, 0]
             diff_vu[lo:hi, i] = np.sqrt(phase_norm_sq_arr(dvu, lam, alpha))
             low = dvu[:, :, :n_feedback]
@@ -143,12 +144,8 @@ def _run_coupled(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
             # exact discrete shift energy, mapped back to mode frame
             hen += quad_mm @ (b_eff[:n_feedback] ** 2)
 
-        def on_step(step, states):
-            if step in rec:
-                record(rec[step], states)
-
         record(0, states)
-        _strang_drive(states, ops, rngs, kick, n_steps, on_step,
+        _strang_drive(states, ops, rngs, kick, n_steps, record,
                       girsanov if n_feedback else None, sync=rec, offset=lo)
 
     return CoupledRun(t_rec, diff_vu, lowmode, nov_run, hen_run, llr_run, states_out)
@@ -278,6 +275,7 @@ def girsanov_tv_experiment(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
     """TV estimate versus bound across a ladder of initial separations.
 
     ``direction`` is a unit-|.|_H phase-space direction (2, M); z' = z + d*dir.
+    Distance k runs on streams ``k * n_traj + i``, so no two share a stream.
     """
     ests, bnds, med = [], [], []
     b_eff = np.sqrt(cfg.eps) * noise.coeffs
@@ -285,7 +283,7 @@ def girsanov_tv_experiment(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
         zp = PhaseState.from_coeffs(cfg.basis, *(z.as_array() + d * direction),
                                     cfg.alpha)
         run = couple_fp_batch(cfg, nl, noise, z, zp, n_feedback,
-                              n_traj=n_traj, seed_offset=1000 * k)
+                              n_traj=n_traj, seed_offset=k * n_traj)
         ests.append(tv_estimate_likelihood(run))
         bnds.append(tv_bound(run, b_eff, n_feedback))
         med.append(stats.median(run.novikov_energy[:, -1]))

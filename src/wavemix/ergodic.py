@@ -1,7 +1,9 @@
 """Ergodic limit theorems, Feynman-Kac pressures and level-1 large deviations.
 
-The limit theorems judge time averages integral / t, where the integral is
-the per-step trapezoid that the simulators accumulate along each path.
+The limit theorems judge time averages integral / t, where the integral is a
+trapezoid along each path: over every step for a toy (``simulate_toy``'s
+integrand), over the recorded probes for the wave
+(``stats.running_trapezoid``; stride 1 records every step).
 
 The Feynman-Kac pressure Q(V) = lim (1/t) log E exp(int_0^t V) is estimated by
 Monte Carlo on simulators and computed exactly on finite-state chains, where

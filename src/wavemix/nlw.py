@@ -11,13 +11,13 @@ the master seed into per-trajectory counter-based streams.
 Both steppers of the package -- ``run_flow`` and the coupled pair in
 ``coupling`` -- run the one driver ``_strang_drive`` on a block of paths.  The
 driver owns the chunked noise buffer and the per-chunk finiteness check; a
-caller supplies the kick, the sync steps after which it reads the state
-(every step unless it says otherwise) and two hooks: ``mid``, which sees each
-step's closing noise increment and whether a sync step closed it (the
-Girsanov bookkeeping), and ``on_step``, called after every sync step.
-Between two sync steps the closing half-step of one step and the opening
-half-step of the next run as one exact full step, which leaves the law of the
-state at every sync step unchanged.
+caller supplies the kick, its record grid (the sync steps after which it reads
+the state) and two hooks: ``mid``, which sees each step's closing noise
+increment and whether a sync step closed it (the Girsanov bookkeeping), and
+``on_step``, the caller's record, called after every sync step.  Between two
+sync steps the two linear half-steps run as one exact full step, which leaves
+the law of the state at every sync step unchanged.  A running integral along a
+path is the trapezoid of its records (``stats.running_trapezoid``).
 """
 
 from __future__ import annotations
@@ -445,20 +445,17 @@ class FlowResult:
 
     t: np.ndarray
     probes: dict[str, np.ndarray]      # name -> (n_traj, n_rec)
-    integrals: dict[str, np.ndarray]   # running trapezoid integrals
     final_states: np.ndarray           # (n_traj, 2, M)
     states: np.ndarray | None          # (n_traj, n_rec, 2, M) when requested
 
 
 @dataclass
 class Trajectory:
-    """One recorded path of ``simulate``: states and energies on the grid ``t``,
-    with the running integrals it accumulated."""
+    """One recorded path of ``simulate``: states and energies on the grid ``t``."""
 
     t: np.ndarray
     states: np.ndarray                 # (n_rec, 2, M)
     energy: np.ndarray
-    integrals: dict[str, np.ndarray]
 
 
 def make_energy_fn(basis: SpectralBasis, nl: Nonlinearity, alpha: float) -> Callable:
@@ -495,7 +492,7 @@ def _path_blocks(n_traj: int) -> list[tuple[int, int]]:
 
 def _strang_drive(states: np.ndarray, ops: LinearOps, rngs, kick: Callable,
                   n_steps: int, on_step: Callable | None = None,
-                  mid: Callable | None = None, *, sync=None,
+                  mid: Callable | None = None, *, sync,
                   offset: int = 0) -> np.ndarray:
     """Advance a block of states ``n_steps`` Strang steps and return it.
 
@@ -504,8 +501,8 @@ def _strang_drive(states: np.ndarray, ops: LinearOps, rngs, kick: Callable,
     noiseless scheme without drawing.  One step is an exact linear half-step,
     the velocity kick ``dt * kick(states)`` and a closing exact linear step.
 
-    ``sync`` holds the steps after which the caller reads the state; ``None``
-    (the default) makes every step one, and the last step always is one.  A
+    ``sync`` holds the steps after which the caller reads the state, a record
+    grid such as ``stats.record_steps`` gives; the last step always is one.  A
     sync step closes with a half-step (``P_half``, ``chol_half``), then calls
     ``on_step(step, states)``; any other closes with an exact full step
     (``P_full``, ``chol_full``) that also opens the next step.  Before the
@@ -529,7 +526,7 @@ def _strang_drive(states: np.ndarray, ops: LinearOps, rngs, kick: Callable,
     while step < n_steps:
         chunk = min(chunk_steps, n_steps - step)
         steps = range(step + 1, step + chunk + 1)
-        closes = [sync is None or s in sync or s == n_steps for s in steps]
+        closes = [s in sync or s == n_steps for s in steps]
         k = 0  # the block's next increment: one per linear step
         if normals is not None:
             draw_normals(rngs, normals, chunk + synced + sum(closes[:-1]))
@@ -559,26 +556,22 @@ def _strang_drive(states: np.ndarray, ops: LinearOps, rngs, kick: Callable,
 
 def run_flow(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel, y0: PhaseState,
              *, n_traj: int = 1, probes: dict[str, Callable] | None = None,
-             integrands: dict[str, Callable] | None = None,
              return_states: bool = False, seed_offset: int = 0,
              threads: int = 1) -> FlowResult:
     """Advance ``n_traj`` independent trajectories from ``y0``.
 
-    ``probes`` are evaluated at recorded times; ``integrands`` are accumulated
-    by the trapezoid rule at every step and reported at recorded times.
-    Without integrands the linear half-steps between recorded steps merge (see
-    ``_strang_drive``), so ``cfg.stride`` decides which path a seed gives;
-    its law at the recorded times does not depend on the stride.
+    ``probes`` are evaluated at the recorded times, every ``cfg.stride``-th
+    step and the last.  The linear half-steps between recorded steps merge
+    (see ``_strang_drive``), so ``cfg.stride`` decides which path a seed
+    gives; its law at the recorded times does not depend on the stride.
     """
     probes = dict(probes or {})
-    integrands = dict(integrands or {})
     ops = linear_ops(cfg, noise)
     kick = make_kick_fn(cfg.basis, nl, cfg.h_coeffs())
     rec = stats.record_steps(cfg.n_steps, cfg.stride)
     t_rec = np.array(list(rec)) * cfg.dt
 
     out_probes = {k: np.empty((n_traj, len(rec))) for k in probes}
-    out_ints = {k: np.empty((n_traj, len(rec))) for k in integrands}
     finals = np.empty((n_traj, 2, cfg.basis.mode_count))
     all_states = (np.empty((n_traj, len(rec), 2, cfg.basis.mode_count))
                   if return_states else None)
@@ -591,30 +584,17 @@ def run_flow(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel, y0: PhaseState
         # a noiseless run (eps = 0) draws nothing
         rngs = (trajectory_streams(cfg.seed, nb, offset=seed_offset + lo)
                 if ops.noisy.any() else None)
-        acc = {k: np.zeros(nb) for k in integrands}
-        prev = {k: fn(states) for k, fn in integrands.items()}
 
-        def record(i: int, states: np.ndarray):
+        def record(step: int, states: np.ndarray):
+            i = rec[step]
             for k, fn in probes.items():
                 out_probes[k][lo:hi, i] = fn(states)
-            for k in integrands:
-                out_ints[k][lo:hi, i] = acc[k]
             if all_states is not None:
                 all_states[lo:hi, i] = states
 
-        def on_step(step: int, states: np.ndarray):
-            for k, fn in integrands.items():
-                cur = fn(states)
-                acc[k] += 0.5 * cfg.dt * (prev[k] + cur)
-                prev[k] = cur
-            if step in rec:
-                record(rec[step], states)
-
         record(0, states)
-        # integrands read every step; probes alone only the recorded ones
         finals[lo:hi] = _strang_drive(states, ops, rngs, lambda s: kick(s[:, 0, :]),
-                                      cfg.n_steps, on_step,
-                                      sync=None if integrands else rec, offset=lo)
+                                      cfg.n_steps, record, sync=rec, offset=lo)
 
     blocks = _path_blocks(n_traj)
     if threads > 1 and len(blocks) > 1:
@@ -626,20 +606,15 @@ def run_flow(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel, y0: PhaseState
         for b in blocks:
             run_block(*b)
 
-    return FlowResult(t_rec, out_probes, out_ints, finals, all_states)
+    return FlowResult(t_rec, out_probes, finals, all_states)
 
 
 def simulate(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
              y0: PhaseState) -> Trajectory:
-    """Single trajectory with recorded states, energies, and |y|_H^2 integral."""
+    """Single trajectory with its states and energies recorded."""
     energy_fn = make_energy_fn(cfg.basis, nl, cfg.alpha)
-    lam = cfg.basis.eigenvalues
-    res = run_flow(cfg, nl, noise, y0, n_traj=1,
-                   probes={"energy": energy_fn},
-                   integrands={"normH2": lambda s: phase_norm_sq_arr(s, lam, cfg.alpha)},
-                   return_states=True)
-    return Trajectory(res.t, res.states[0], res.probes["energy"][0],
-                      {k: v[0] for k, v in res.integrals.items()})
+    res = run_flow(cfg, nl, noise, y0, probes={"energy": energy_fn}, return_states=True)
+    return Trajectory(res.t, res.states[0], res.probes["energy"][0])
 
 
 # --------------------------------------------------------------------------
@@ -661,13 +636,15 @@ class EnergyAudit:
         return -self.decay.slope if self.decay is not None else math.nan
 
 
-def energy_audit(t: np.ndarray, series: np.ndarray, int_norm: np.ndarray,
+def energy_audit(t: np.ndarray, series: np.ndarray, norm_sq: np.ndarray,
                  alpha: float) -> EnergyAudit:
     """Audit an energy series on the grid ``t`` against E(0) e^{-alpha t} + C.
 
-    ``series`` and ``int_norm``, the running integral of |y|_H^2, hold one
-    path (a pathwise audit) or a leading path axis, averaged over first.
+    ``series`` and ``norm_sq``, the |y|_H^2 series, hold one path (a
+    pathwise audit) or a leading path axis, averaged over first.  The running
+    integral of |y|_H^2 that ``k_fit`` reads is the trapezoid on ``t``.
     """
+    int_norm = stats.running_trapezoid(t, norm_sq)
     if series.ndim > 1:
         series, int_norm = np.mean(series, axis=0), np.mean(int_norm, axis=0)
 

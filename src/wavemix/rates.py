@@ -566,22 +566,19 @@ def smallnoise_stationary_probe(model: GradientSDE, eps_list: Sequence[float],
 
 @dataclass(frozen=True)
 class BoundaryChainConfig:
-    """Radii of the nested neighborhoods: rho1p < rho0p < rho1 < rho0 < rho_star.
+    """Radii of the nested neighborhoods of each node: 0 < rho1 < rho0.
 
     The theory fixes only the ordering; at finite noise the prefactors shift
     the measured exponents, so the defaults come from a sweep of
     ``boundary_chain`` over a ladder of radii at the desk scale eps ~ 0.1.
     """
 
-    rho1p: float = 0.15
-    rho0p: float = 0.2
     rho1: float = 0.3
     rho0: float = 0.45
-    rho_star: float = 0.6
 
     def __post_init__(self):
-        if not (0 < self.rho1p < self.rho0p < self.rho1 < self.rho0 < self.rho_star):
-            raise ValueError("radii must satisfy rho1' < rho0' < rho1 < rho0 < rho*")
+        if not 0 < self.rho1 < self.rho0:
+            raise ValueError("radii must satisfy 0 < rho1 < rho0")
 
 
 # Transitions every off-diagonal cell of the boundary chain needs before its
@@ -617,11 +614,16 @@ def boundary_chain(model: GradientSDE, bc: BoundaryChainConfig, eps: float,
     ``toys._em_drive`` runs the steps and hands each chunk of paths to the
     first-passage scan, so the chain keeps no second copy of them; a
     nonfinite state raises ``BlowupError`` naming its earliest step and,
-    within it, the lowest replica.
+    within it, the lowest replica.  Overlapping rho0-neighborhoods of the
+    nodes raise ``ValueError`` before any path runs.
     """
     pts, stable = model.equilibria()
     nodes = pts[stable]
     n = nodes.size
+    gap = np.diff(nodes).min(initial=math.inf)
+    if not bc.rho0 < gap / 2:
+        raise ValueError(f"rho0={bc.rho0} must lie below half the smallest gap "
+                         f"{gap:.6g} between stable equilibria")
     # avoid-others quasipotentials between chain nodes: another chain node
     # strictly between the endpoints blocks every 1D path
     vtilde = np.zeros((n, n))

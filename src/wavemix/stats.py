@@ -65,6 +65,15 @@ def mean_se(samples, axis=0) -> tuple[np.ndarray, np.ndarray]:
     return m, se
 
 
+def running_trapezoid(t, values) -> np.ndarray:
+    """Trapezoid integrals of ``values`` over ``t`` from ``t[0]`` to each point,
+    along the last axis: 0 first, then one step's trapezoid added at a time."""
+    values = np.asarray(values, float)
+    out = np.zeros(values.shape)
+    np.cumsum(0.5 * np.diff(t) * (values[..., 1:] + values[..., :-1]), axis=-1, out=out[..., 1:])
+    return out
+
+
 def jackknife_log_mean(values) -> tuple[float, float]:
     """log(mean(values)) with a delete-one jackknife standard error.
 

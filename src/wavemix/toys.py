@@ -103,9 +103,6 @@ class OrnsteinUhlenbeck:
     def drift(self, u):
         return self.theta * np.asarray(u, float)
 
-    def potential(self, u):
-        return 0.5 * self.theta * np.asarray(u, float) ** 2
-
     @property
     def eps(self) -> float:
         return self.sigma ** 2

@@ -16,7 +16,7 @@ from wavemix import ergodic as erg
 from wavemix import nlw
 from wavemix import rates
 from wavemix import toys
-from wavemix.spectral import Field, PhaseState, SpectralBasis, phase_norm
+from wavemix.spectral import Field, PhaseState, SpectralBasis, phase_norm, phase_norm_sq_arr
 
 PI = np.pi
 
@@ -84,7 +84,8 @@ def test_ac02_energy_dissipation():
     nl = nlw.Nonlinearity.klein_gordon(1.0)
     y0 = smooth_state(basis, 0.8, 4, cfg.alpha)
     traj = nlw.simulate(cfg, nl, noise, y0)
-    audit = nlw.energy_audit(traj.t, traj.energy, traj.integrals["normH2"], cfg.alpha)
+    norm_sq = phase_norm_sq_arr(traj.states, basis.eigenvalues, cfg.alpha)
+    audit = nlw.energy_audit(traj.t, traj.energy, norm_sq, cfg.alpha)
     envelope = traj.energy[0] * np.exp(-cfg.alpha * traj.t) + audit.c_fit
     pathwise = bool(np.all(traj.energy <= envelope * (1 + 1e-12) + 1e-12))
     slope_ok = audit.decay is not None and audit.decay.slope <= -0.9 * cfg.alpha

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import wavemix.cli as cli
 import wavemix.toys as toys
+from wavemix import nlw, stats
 from wavemix.cli import (
     EXIT_CONFIG,
     EXIT_PASS,
@@ -120,8 +121,8 @@ def test_bad_counts_and_steps_rejected(command, override, tmp_path, capsys):
 @pytest.mark.parametrize("command, override", [
     (["ldp1", "--model", "ou"], "experiment.interval=0.5"),
     (["ldp1", "--model", "ou"], "experiment.interval=0.6,0.4"),
-    (["boundary-chain", "--model", "doublewell"], "experiment.radii=0.1,0.2"),
-    (["boundary-chain", "--model", "doublewell"], "experiment.radii=0.2,0.15,0.3,0.45,0.6"),
+    (["boundary-chain", "--model", "doublewell"], "experiment.radii=0.3"),
+    (["boundary-chain", "--model", "doublewell"], "experiment.radii=0.45,0.3"),
     (["boundary-chain", "--model", "doublewell"], "experiment.eps_list="),
     (["girsanov-tv"], "experiment.distances=0.04"),
     (["ldp1", "--model", "chain2"], "experiment.horizons=8"),
@@ -139,6 +140,9 @@ def test_bad_counts_and_steps_rejected(command, override, tmp_path, capsys):
     (["pressure", "--model", "chain2"], "experiment.betas=-0.5,0,0"),
     (["pressure", "--model", "chain2"], "experiment.betas=0.5,0.5"),
     (["girsanov-tv"], "experiment.distances=0.02,0.02"),
+    # two radii, and the double well's stable nodes 0 and 2 leave rho0 below 1
+    (["boundary-chain", "--model", "doublewell"], "experiment.radii=0.15,0.2,0.3,0.45,0.6"),
+    (["boundary-chain", "--model", "doublewell"], "experiment.radii=0.5,1"),
 ])
 def test_bad_list_values_rejected(command, override, tmp_path, capsys):
     out = tmp_path / "run"
@@ -417,6 +421,44 @@ def test_every_subcommand_runs_its_default_model(tmp_path):
     assert len(set(hashes.values())) == len(hashes), hashes
 
 
+@pytest.mark.parametrize("command, kind", [
+    (c, k) for c, (_, kinds) in cli.COMMANDS.items() for k in kinds or ()])
+def test_every_subcommand_runs_each_of_its_models(command, kind, tmp_path):
+    out = tmp_path / "o"
+    assert main([command, "--model", kind, "--out", str(out), *_TINY]) in (0, 1, 2)
+    assert (out / "verdict.json").exists()
+    assert_numeric_csvs(out)
+
+
+@pytest.mark.parametrize("command, paths", [("simulate", 1), ("energy-audit", 3), ("mix", 6)])
+def test_wave_paths_draw_one_increment_per_linear_step(command, paths, tmp_path,
+                                                       monkeypatch):
+    # a path draws one (2, M) increment per step and one more per recorded
+    # step after t = 0: every wave run merges the half-steps between records
+    streams = []
+    real = nlw.trajectory_streams
+
+    class Counted:
+        def __init__(self, gen):
+            self.gen, self.drawn = gen, 0
+            streams.append(self)
+
+        def standard_normal(self, *, out):
+            self.drawn += out.size
+            return self.gen.standard_normal(out=out)
+
+    monkeypatch.setattr(nlw, "trajectory_streams",
+                        lambda *a, **kw: [Counted(g) for g in real(*a, **kw)])
+    overrides = ["model.modes=4", "integrator.horizon=3", "experiment.n_traj=3"]
+    sim = cli._wave(parse_config(None, overrides))[3]
+    n_rec = len(stats.record_steps(sim.n_steps, sim.stride))
+    assert sim.n_steps == 24 and n_rec == 4
+    main([command, "--out", str(tmp_path / "o"),
+          *[a for item in overrides for a in ("--set", item)]])
+    assert len(streams) == paths
+    assert [c.drawn for c in streams] == [(sim.n_steps + n_rec - 1) * 2 * 4] * paths
+
+
 def test_simulate_nlw_writes_trajectory(tmp_path):
     out = tmp_path / "sim"
     code = main(["simulate", "--out", str(out), "--seed", "2",
@@ -548,6 +590,38 @@ def test_boundary_chain_inconclusive_exit(tmp_path):
     assert code == 2
     verdict = json.loads((out / "verdict.json").read_text())
     assert verdict["status"] == "inconclusive"
+
+
+def test_boundary_chain_judges_the_benchmark_leg(tmp_path):
+    # the benchmark leg's config fills every cell and passes the gap judge
+    out = tmp_path / "bc"
+    code = main(["boundary-chain", "--model", "doublewell", "--out", str(out),
+                 "--eps-list", "0.15", "--rep-horizon", "400",
+                 "--set", "integrator.toy_dt=0.002"])
+    verdict = json.loads((out / "verdict.json").read_text())
+    assert code == EXIT_PASS and verdict["status"] == "pass"
+    assert min(c for i, row in enumerate(verdict["metrics"]["counts"])
+               for j, c in enumerate(row) if i != j) >= cli.rates.MIN_CELL
+
+
+def test_boundary_chain_gap_above_the_limit_fails(tmp_path, monkeypatch):
+    # full cells whose eps log P misses vtilde = 0.5 by 30% of it, above 0.25
+    nodes = np.array([0.0, 2.0])
+    vtilde = np.array([[0.0, 0.5], [0.5, 0.0]])
+    report = cli.rates.BoundaryChainReport(
+        0.1, nodes, np.full((2, 2), 100), np.full((2, 2), 0.5),
+        np.array([[np.nan, -0.65], [-0.5, np.nan]]), vtilde, False)
+    monkeypatch.setattr(cli.rates, "boundary_chain", lambda *a, **kw: report)
+    out = tmp_path / "bc"
+    assert main(["boundary-chain", "--model", "doublewell", "--out", str(out)]) == 1
+    assert json.loads((out / "verdict.json").read_text())["status"] == "fail"
+
+
+def test_boundary_chain_takes_two_radii(tmp_path):
+    out = tmp_path / "bc"
+    assert main(["boundary-chain", "--model", "doublewell", "--radii", "0.1,0.2",
+                 "--out", str(out), "--replicas", "4", "--rep-horizon", "2"]) == 2
+    assert "radii = 0.1 0.2" in (out / "manifest.ini").read_text()
 
 
 def test_mix_undersampled_gap_is_inconclusive(tmp_path):

@@ -16,7 +16,7 @@ from wavemix.coupling import (
     tv_bound,
     tv_estimate_likelihood,
 )
-from wavemix import nlw, stats
+from wavemix import coupling, nlw, stats
 from wavemix.nlw import BlowupError, NoiseModel, Nonlinearity, SimConfig, draw_normals, run_flow
 from wavemix.spectral import PhaseState, SpectralBasis, phase_norm
 
@@ -71,7 +71,7 @@ def test_same_start_gives_identical_processes(basis, noise):
 
 def test_marginal_preservation(basis, noise):
     # the drive marginal of the coupled construction equals a plain run that
-    # merges the same steps: run_flow without integrands
+    # merges the same steps: run_flow
     cfg = make_cfg(basis, horizon=2.0)
     nl = Nonlinearity.klein_gordon(1.0)
     z = smooth_state(basis, 0.4, 2, cfg.alpha)
@@ -299,6 +299,26 @@ def test_tv_experiment_bound_dominates(basis, noise):
     # both go to zero with the distance
     assert exp.tv_estimates[-1].value < exp.tv_estimates[0].value + 3 * exp.tv_estimates[0].stderr
     assert exp.bounds[-1].value < exp.bounds[0].value
+
+
+def test_tv_experiment_distances_share_no_stream(basis, noise, monkeypatch):
+    # above 1000 paths per distance, path 1000 + j of one distance and path j
+    # of the next must still draw from different streams
+    keys = []
+    real = coupling.trajectory_streams
+
+    def recorded(seed, n, offset=0):
+        keys.extend((seed, offset + i) for i in range(n))
+        return real(seed, n, offset)
+
+    monkeypatch.setattr(coupling, "trajectory_streams", recorded)
+    cfg = make_cfg(basis, horizon=2 * 0.5 / np.sqrt(basis.eigenvalues[-1]))
+    assert cfg.n_steps == 2
+    z = smooth_state(basis, 0.3, 15, cfg.alpha)
+    girsanov_tv_experiment(cfg, Nonlinearity.klein_gordon(1.0), noise, z,
+                           unit_direction(basis, cfg.alpha), distances=(0.04, 0.02),
+                           n_feedback=4, n_traj=1001)
+    assert len(keys) == 2 * 1001 and len(set(keys)) == len(keys)
 
 
 

@@ -21,7 +21,7 @@ from wavemix.nlw import (
     make_energy_fn,
     trajectory_streams,
 )
-from wavemix.spectral import PhaseState, SpectralBasis
+from wavemix.spectral import PhaseState, SpectralBasis, phase_norm_sq_arr
 
 PI = np.pi
 
@@ -349,7 +349,9 @@ def test_energy_audit_free_wave(basis16, noise16):
     nl = Nonlinearity.zero()
     y = smooth_state(basis16, alpha=cfg.alpha)
     traj = simulate(cfg, nl, noise16, y)
-    audit = energy_audit(traj.t, traj.energy, traj.integrals["normH2"], cfg.alpha)
+    audit = energy_audit(traj.t, traj.energy,
+                         phase_norm_sq_arr(traj.states, basis16.eigenvalues, cfg.alpha),
+                         cfg.alpha)
     # noiseless free wave: fitted decay rate at least alpha within 10%
     assert audit.decay_rate >= 0.9 * cfg.alpha
     assert audit.c_fit <= 1e-8 * traj.energy[0] + 1e-12
@@ -523,18 +525,18 @@ def _merged_reference(states, ops, xi, kick, n_steps, sync, closing=None):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(n_steps=st.integers(1, 24), stride=st.integers(0, 6),
+@given(n_steps=st.integers(1, 24), stride=st.integers(1, 6),
        n_paths=st.integers(1, 4), cap_steps=st.integers(1, 8))
 def test_strang_drive_matches_textbook_loops_bitwise(n_steps, stride, n_paths, cap_steps):
-    # stride 0 syncs every step (sync=None); otherwise _strang_drive syncs on the
-    # recording grid, and with stride 1 that again is every step
+    # _strang_drive syncs on the recording grid, and with stride 1 that is
+    # every step
     basis = SpectralBasis((PI,), 8)
     dt = 0.5 / np.sqrt(basis.eigenvalues[-1])
     ops = nlw.LinearOps(basis, 0.5, 1.0, NoiseModel.power_law(basis, 0.5, 2.5), dt)
     kick_fn = nlw.make_kick_fn(basis, Nonlinearity.klein_gordon(1.0), np.zeros(8))
     kick = lambda st: kick_fn(st[:, 0, :])  # noqa: E731
     y0 = np.stack([smooth_state(basis, seed=i).as_array() for i in range(n_paths)])
-    sync = None if stride == 0 else stats.record_steps(n_steps, stride)
+    sync = stats.record_steps(n_steps, stride)
     seen = {}
 
     def on_step(step, states):
@@ -544,7 +546,7 @@ def test_strang_drive_matches_textbook_loops_bitwise(n_steps, stride, n_paths, c
         mp.setattr(nlw, "_NOISE_BLOCK_BYTES", cap_steps * 8 * n_paths * 4 * 8)
         final = nlw._strang_drive(y0.copy(), ops, trajectory_streams(3, n_paths), kick,
                                   n_steps, on_step, sync=sync)
-    every = sync is None or len(sync) == n_steps + 1
+    every = len(sync) == n_steps + 1
     n_inc = n_steps + (n_steps if every else len(sync) - 1)
     xi = np.stack([r.standard_normal((n_inc, 2, 8)) for r in trajectory_streams(3, n_paths)])
     ref = (_per_step_reference(y0.copy(), ops, xi, kick, n_steps) if every
@@ -585,10 +587,13 @@ def test_noiseless_merged_steps_match_per_step_run(basis16, noise16):
     cfg = make_cfg(basis16, eps=0.0, horizon=5.0, stride=8)
     nl = Nonlinearity.klein_gordon(1.0)
     y0 = smooth_state(basis16, alpha=cfg.alpha)
-    merged = run_flow(cfg, nl, noise16, y0, return_states=True)  # probes only
-    per_step = simulate(cfg, nl, noise16, y0)  # its integrand reads every step
-    np.testing.assert_allclose(merged.states[0], per_step.states, rtol=0, atol=1e-12)
-    assert not np.array_equal(merged.states[0], per_step.states)
+    merged = run_flow(cfg, nl, noise16, y0, return_states=True)
+    # stride 1 syncs on every step: the per-step scheme, read at the stride-8 records
+    every = run_flow(make_cfg(basis16, eps=0.0, horizon=5.0, stride=1), nl, noise16, y0,
+                     return_states=True)
+    per_step = every.states[0][list(stats.record_steps(cfg.n_steps, cfg.stride))]
+    np.testing.assert_allclose(merged.states[0], per_step, rtol=0, atol=1e-12)
+    assert not np.array_equal(merged.states[0], per_step)
 
 
 def test_run_flow_nonfinite_start_raises_at_first_chunk(basis16, noise16):

@@ -425,7 +425,14 @@ def test_smallnoise_mc_streams_distinct(monkeypatch):
 
 def test_boundary_chain_radii_validation():
     with pytest.raises(ValueError):
-        BoundaryChainConfig(rho1p=0.2, rho0p=0.1, rho1=0.3, rho0=0.4, rho_star=0.5)
+        BoundaryChainConfig(rho1=0.4, rho0=0.3)
+    with pytest.raises(ValueError):
+        BoundaryChainConfig(rho1=0.0, rho0=0.3)
+    # the double well's nodes 0 and 2 are 2 apart: rho0-neighborhoods of
+    # radius 1 touch, and the chain refuses them before any path runs
+    with pytest.raises(ValueError, match="half the smallest gap"):
+        boundary_chain(builtin_doublewell(), BoundaryChainConfig(rho1=0.5, rho0=1.0),
+                       eps=0.1, n_replicas=0)
 
 
 def test_boundary_chain_large_eps_visits_everything():

@@ -67,3 +67,23 @@ def test_median_leaves_its_input_unsorted():
     a = np.array([3.0, 1.0, 2.0, 0.0])
     assert stats.median(a) == 1.5
     assert a.tolist() == [3.0, 1.0, 2.0, 0.0]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(1, 40), paths=st.integers(1, 3), dt=st.sampled_from([2.0 ** -5, 0.1]))
+def test_running_trapezoid_matches_trapezoid_prefixes(n, paths, dt):
+    # entry i is np.trapezoid over the first i + 1 samples, along the last
+    # axis and path by path; stepping by an exact dt it is the step-by-step
+    # sum 0.5 * dt * (prev + cur), bit for bit
+    t = np.arange(n) * dt
+    values = np.cos(3.0 * t) + np.arange(paths)[:, None]
+    out = stats.running_trapezoid(t, values)
+    assert out.shape == values.shape and np.all(out[:, 0] == 0.0)
+    for i in range(1, n):
+        np.testing.assert_allclose(out[:, i], np.trapezoid(values[:, :i + 1], t[:i + 1]),
+                                   rtol=1e-12, atol=1e-14)
+    if dt == 2.0 ** -5:
+        acc = np.zeros(paths)
+        for i in range(1, n):
+            acc += 0.5 * dt * (values[:, i - 1] + values[:, i])
+            assert np.array_equal(out[:, i], acc)
