@@ -246,12 +246,11 @@ def two_state_chain(rate_up: float = 1.0, rate_down: float = 1.0,
 class EigenTriple:
     """Principal eigentriple of the tilted generator G + diag(V).
 
-    ``lam`` is the per-unit-time multiplicative eigenvalue exp(top eigenvalue);
+    ``log_lam`` is the top eigenvalue, the log of the per-unit-time growth;
     ``h`` and ``mu`` satisfy <h, mu> = 1 with mu a probability vector.
     """
 
     log_lam: float
-    lam: float
     h: np.ndarray
     mu: np.ndarray
     residual_h: float
@@ -289,7 +288,7 @@ def fk_eigen_exact(chain: FiniteChain, check_times: Sequence[float] = (1, 2, 4, 
         P_t = _expm((T * float(t))[None])[0]
         conv[float(t)] = float(np.max(np.abs(
             math.exp(-log_lam * t) * (P_t @ ones) - float(ones @ mu) * h)))
-    return EigenTriple(log_lam, math.exp(log_lam), h, mu, res_h, res_mu, conv)
+    return EigenTriple(log_lam, h, mu, res_h, res_mu, conv)
 
 
 def chain_pressure_curve(chain: FiniteChain, betas: Sequence[float]) -> PressureCurve:

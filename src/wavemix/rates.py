@@ -591,7 +591,6 @@ MAX_TRANSITIONS = 100000
 
 @dataclass
 class BoundaryChainReport:
-    eps: float
     nodes: np.ndarray
     counts: np.ndarray
     probabilities: np.ndarray
@@ -662,8 +661,7 @@ def boundary_chain(model: GradientSDE, bc: BoundaryChainConfig, eps: float,
                 inconclusive = True
             elif probs[i, j] > 0:
                 eps_log[i, j] = eps * math.log(probs[i, j])
-    return BoundaryChainReport(eps, nodes, counts, probs, eps_log, vtilde,
-                               inconclusive)
+    return BoundaryChainReport(nodes, counts, probs, eps_log, vtilde, inconclusive)
 
 
 def _first_passages(path, nodes, rho0, rho1, resident, waiting_exit, counts):

@@ -98,7 +98,6 @@ class OrnsteinUhlenbeck:
 
     theta: float = 1.0
     sigma: float = 1.0
-    name: str = "ou"
 
     def drift(self, u):
         return self.theta * np.asarray(u, float)

@@ -143,6 +143,9 @@ def test_bad_counts_and_steps_rejected(command, override, tmp_path, capsys):
     # two radii, and the double well's stable nodes 0 and 2 leave rho0 below 1
     (["boundary-chain", "--model", "doublewell"], "experiment.radii=0.15,0.2,0.3,0.45,0.6"),
     (["boundary-chain", "--model", "doublewell"], "experiment.radii=0.5,1"),
+    # the boundary chain runs at one noise level, the ladder at two horizons
+    (["boundary-chain", "--model", "doublewell"], "experiment.eps_list=0.1,0.2"),
+    (["ldp1", "--model", "chain2"], "experiment.horizons="),
 ])
 def test_bad_list_values_rejected(command, override, tmp_path, capsys):
     out = tmp_path / "run"
@@ -361,13 +364,13 @@ def test_earlier_run_files_stay_out_of_the_verdict(tmp_path):
         assert main(fw + ["--out", str(tmp_path / name)]) == EXIT_PASS
         verdicts.append(json.loads((tmp_path / name / "verdict.json").read_text()))
     shared, fresh = verdicts
-    assert fresh["artifacts"] == ["manifest.ini", "network.json"]
+    assert fresh["artifacts"] == ["network.json"]
     assert shared["artifacts"] == fresh["artifacts"]
     assert shared["artifact_hash"] == fresh["artifact_hash"]
 
 
 def test_reported_metric_moves_the_hash(tmp_path, monkeypatch):
-    # the wave quasipotential writes only its manifest; its hash still pins
+    # the wave quasipotential writes no result file; its hash still pins
     # the values the verdict reports
     real = cli.rates.nlw_quasipotential
 
@@ -384,7 +387,7 @@ def test_reported_metric_moves_the_hash(tmp_path, monkeypatch):
         main(["quasipotential", "--set", "model.modes=2", "--out", str(out)])
         verdicts.append(json.loads((out / "verdict.json").read_text()))
     plain, changed = verdicts
-    assert plain["artifacts"] == changed["artifacts"] == ["manifest.ini"]
+    assert plain["artifacts"] == changed["artifacts"] == []
     assert (tmp_path / "plain" / "manifest.ini").read_bytes() == \
         (tmp_path / "edited" / "manifest.ini").read_bytes()
     assert changed["metrics"]["grad_norm"] == plain["metrics"]["grad_norm"] + 1.0
@@ -428,6 +431,34 @@ def test_every_subcommand_runs_each_of_its_models(command, kind, tmp_path):
     assert main([command, "--model", kind, "--out", str(out), *_TINY]) in (0, 1, 2)
     assert (out / "verdict.json").exists()
     assert_numeric_csvs(out)
+
+
+@pytest.mark.parametrize("command, key, default, reads", [
+    ("mix", "radii", [0.31, 0.45], False), ("simulate", "state_scale", 0.5, True)])
+def test_artifact_hash_moves_only_with_what_the_run_reads(command, key, default, reads,
+                                                          tmp_path, monkeypatch):
+    # manifest.ini is not hashed: a default the run never reads moves only
+    # its config_hash, and one it reads moves what it writes
+    verdicts = []
+    for name in ("plain", "patched"):
+        if name == "patched":
+            kind, _, rule = SCHEMA["experiment"][key]
+            monkeypatch.setitem(SCHEMA["experiment"], key, (kind, default, rule))
+        out = tmp_path / name
+        assert main([command, "--out", str(out), *_TINY]) in (0, 1, 2)
+        verdicts.append(json.loads((out / "verdict.json").read_text()))
+    plain, patched = verdicts
+    assert patched["config_hash"] != plain["config_hash"]
+    assert (patched["artifact_hash"] != plain["artifact_hash"]) is reads
+
+
+@pytest.mark.parametrize("args, listed", [((), False), (("--noise-eps", "0"), True)])
+def test_energy_audit_lists_the_rate_limit_only_where_it_judges(args, listed, tmp_path):
+    # a noisy run passes on a finite fit; only a noiseless one is held to 0.9 alpha
+    out = tmp_path / "o"
+    assert main(["energy-audit", *args, "--out", str(out), *_TINY]) in (0, 1)
+    tolerances = json.loads((out / "verdict.json").read_text())["tolerances"]
+    assert ("min_decay_rate" in tolerances) is listed
 
 
 @pytest.mark.parametrize("command, paths", [("simulate", 1), ("energy-audit", 3), ("mix", 6)])
@@ -609,7 +640,7 @@ def test_boundary_chain_gap_above_the_limit_fails(tmp_path, monkeypatch):
     nodes = np.array([0.0, 2.0])
     vtilde = np.array([[0.0, 0.5], [0.5, 0.0]])
     report = cli.rates.BoundaryChainReport(
-        0.1, nodes, np.full((2, 2), 100), np.full((2, 2), 0.5),
+        nodes, np.full((2, 2), 100), np.full((2, 2), 0.5),
         np.array([[np.nan, -0.65], [-0.5, np.nan]]), vtilde, False)
     monkeypatch.setattr(cli.rates, "boundary_chain", lambda *a, **kw: report)
     out = tmp_path / "bc"
