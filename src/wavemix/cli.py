@@ -670,10 +670,21 @@ def _cmd_quasipotential(cfg: RunConfig, out: _RunDir) -> int:
     eta = max(eta, 0.05)
     res = rates.nlw_quasipotential(basis, nl, cfg["model"]["gamma"], noise, z1,
                                    z2, eta=eta, h_coeffs=sim.h_coeffs())
-    return _finish(cfg, out, "pass" if res.converged else "fail",
-                   {"value": res.value, "endpoint_error": res.endpoint_error,
-                    "grad_norm": res.grad_norm},
-                   {"eta": eta})
+    metrics = {"value": res.value, "endpoint_error": res.endpoint_error,
+               "grad_norm": res.grad_norm}
+    tolerances = {"eta": eta}
+    ok = res.converged
+    # the free wave from rest, forced by live noise only, has a closed form
+    if (cfg["model"]["nonlinearity"] == "zero" and cfg["model"]["h_amplitude"] == 0
+            and np.all(noise.coeffs > 0)):
+        oracle = rates.linear_wave_oracle(basis, cfg["model"]["gamma"], noise, z2,
+                                          res.horizon)
+        rel_error = abs(res.value - oracle) / oracle
+        tol = 1e-3
+        metrics.update(oracle=oracle, rel_error=rel_error)
+        tolerances["rel_error_max"] = tol
+        ok = ok and rel_error <= tol
+    return _finish(cfg, out, "pass" if ok else "fail", metrics, tolerances)
 
 
 def _cmd_fw_graph(cfg: RunConfig, out: _RunDir) -> int:

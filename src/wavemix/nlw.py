@@ -301,6 +301,16 @@ def _expm(A: np.ndarray) -> np.ndarray:
     return E
 
 
+def mode_generators(eigenvalues: np.ndarray, gamma: float) -> np.ndarray:
+    """Generators [[0, 1], [-lambda_j, -gamma]] of the noiseless linear flow of
+    each mode's (position, velocity), shape (M, 2, 2)."""
+    A = np.zeros((eigenvalues.size, 2, 2))
+    A[:, 0, 1] = 1.0
+    A[:, 1, 0] = -eigenvalues
+    A[:, 1, 1] = -gamma
+    return A
+
+
 def _van_loan_covariance(A: np.ndarray, tau: float) -> np.ndarray:
     """int_0^tau e^{As} Q e^{A^T s} ds for Q = diag(0, 1), batched over modes."""
     m = A.shape[0]
@@ -344,12 +354,7 @@ class LinearOps:
 
     def __init__(self, basis: SpectralBasis, gamma: float, eps: float,
                  noise: NoiseModel, dt: float):
-        lam = basis.eigenvalues
-        m = lam.size
-        A = np.zeros((m, 2, 2))
-        A[:, 0, 1] = 1.0
-        A[:, 1, 0] = -lam
-        A[:, 1, 1] = -gamma
+        A = mode_generators(basis.eigenvalues, gamma)
         self.A = A
         self.P_half = _expm(A * (dt / 2.0))
         sig2 = eps * noise.coeffs ** 2

@@ -3,9 +3,10 @@
 The quasipotential V(z1, z2) is minimized by direct collocation: the state
 path is the optimization variable, the control is recovered from the equation
 residual, and the endpoint constraint enters through a penalty with weight
-continuation.  Scalar toys use banded Newton collocation (``newton.minimize``:
-damped Newton steps on the exact tridiagonal Hessian of the action, in plain
-NumPy); wave states use SciPy's L-BFGS-B.
+continuation.  Every solve is banded Newton collocation (``newton.minimize``:
+damped Newton steps, in plain NumPy), on the exact tridiagonal Hessian of a
+scalar toy's action or on the block-pentadiagonal Gauss-Newton Hessian of a
+wave path's.
 Gradient toys carry exact oracles (positive variation of the potential) that
 guard the solver, and the rate function over equilibria uses minimum-cost
 rooted graphs with a brute-force cross-check.
@@ -22,7 +23,7 @@ import numpy as np
 
 from wavemix import stats
 from wavemix.newton import minimize
-from wavemix.nlw import NoiseModel, Nonlinearity
+from wavemix.nlw import NoiseModel, Nonlinearity, _van_loan_covariance, mode_generators
 from wavemix.spectral import PhaseState, SpectralBasis
 from wavemix.toys import GradientSDE, _em_drive, autocorrelation_time, \
     gradient_sde_exact_density, simulate_toy
@@ -265,10 +266,12 @@ def nlw_quasipotential(basis: SpectralBasis, nl: Nonlinearity, gamma: float,
     second-order equation residual weighted by the noise coefficients.  Dead
     noise modes get a large finite weight and any residual action they carry
     beyond tolerance turns the reported value into the +inf sentinel.  Each
-    horizon T gets max(24 T, 12) nodes and each endpoint penalty weight of
-    the ladder 1e2, 1e3, 1e4 at most 400 L-BFGS-B iterations.
+    horizon T gets max(24 T, 12) nodes, and each endpoint penalty weight of
+    the ladder 1e2, 1e3, 1e4 is solved by damped Newton steps on the
+    Gauss-Newton Hessian (``_nlw_hessian``), as the toys are.  ``converged``
+    needs the endpoint within ``eta`` and every solve of the reported horizon
+    ended on its stopping rule.
     """
-    from scipy import optimize
     m = basis.mode_count
     lam = basis.eigenvalues
     h = np.zeros(m) if h_coeffs is None else np.asarray(h_coeffs, float)
@@ -293,14 +296,14 @@ def nlw_quasipotential(basis: SpectralBasis, nl: Nonlinearity, gamma: float,
         X = (1 - ramp) * p1 + ramp * p2
         X[1] = p1 + dt * v1
         x = X[2:].ravel().copy()
+        stopped = True
         for w_pen in (1e2, 1e3, 1e4):
-            res = optimize.minimize(
-                _nlw_action_and_grad, x, method="L-BFGS-B", jac=True,
-                args=(p1, v1, p2, v2, lam, gamma, alpha, inv_b2, nl, basis, h,
-                      dt, K, m, w_pen / eta ** 2),
-                options={"maxiter": 400, "ftol": 1e-14, "gtol": 1e-9})
+            res = minimize(_nlw_action_and_grad, x, hess=_nlw_hessian,
+                           args=(p1, v1, p2, v2, lam, gamma, alpha, inv_b2, nl,
+                                 basis, h, dt, K, m, w_pen / eta ** 2))
             x = res.x
-        X = np.vstack([p1[None], (p1 + dt * v1)[None], x.reshape(K - 1, m)])
+            stopped = stopped and res.success
+        X = _nlw_nodes(x, p1, v1, dt, K, m)
         phi = _nlw_controls(X, lam, gamma, nl, basis, h, dt)
         live_sq = np.sum(phi ** 2 * np.where(dead, 0.0, inv_b2), axis=1)
         dead_action = 0.5 * dt * float(np.sum(phi[:, dead] ** 2)) if dead.any() else 0.0
@@ -311,11 +314,33 @@ def nlw_quasipotential(basis: SpectralBasis, nl: Nonlinearity, gamma: float,
         if dead.any() and dead_action > 1e-6:
             val = math.inf
         t_mid = (np.arange(1, K)) * dt
-        cand = (val, dist, t_mid, phi, T, float(np.max(np.abs(res.jac))))
+        cand = (val, dist, t_mid, phi, T, float(np.max(np.abs(res.jac))), stopped)
         best = _better_candidate(best, cand, eta)
-    val, dist, t_mid, phi, T, grad_norm = best
+    val, dist, t_mid, phi, T, grad_norm, stopped = best
     return QuasipotentialResult(val, ControlPath(t_mid, phi), dist, T,
-                                converged=dist <= eta, grad_norm=grad_norm)
+                                converged=dist <= eta and stopped, grad_norm=grad_norm)
+
+
+def linear_wave_oracle(basis: SpectralBasis, gamma: float, noise: NoiseModel,
+                       z: PhaseState, T: float) -> float:
+    """Exact minimal action from rest to ``z`` over the horizon T at f = 0,
+    h = 0, with every noise mode live.
+
+    The modes decouple into controlled linear pairs (u_j, v_j), each driven
+    through its velocity by b_j times the control, so the minimal action is
+    the sum over modes of 1/2 x_j^T S_j^-1 x_j, with x_j = (u_j, v_j) of ``z``
+    and S_j = b_j^2 int_0^T e^{A_j s} Q e^{A_j^T s} ds the controllability
+    Gramian of the mode.
+    """
+    S = noise.coeffs[:, None, None] ** 2 * _van_loan_covariance(
+        mode_generators(basis.eigenvalues, gamma), T)
+    x = z.as_array().T[..., None]            # (M, 2, 1)
+    return float(0.5 * np.sum(x * np.linalg.solve(S, x)))
+
+
+def _nlw_nodes(x, p1, v1, dt, K, m):
+    """All K + 1 nodes: the two the start state fixes, then the variables."""
+    return np.vstack([p1[None], (p1 + dt * v1)[None], x.reshape(K - 1, m)])
 
 
 def _nlw_controls(X, lam, gamma, nl, basis, h, dt):
@@ -328,7 +353,7 @@ def _nlw_controls(X, lam, gamma, nl, basis, h, dt):
 
 def _nlw_action_and_grad(x, p1, v1, p2, v2, lam, gamma, alpha, inv_b2, nl, basis,
                          h, dt, K, m, pen):
-    X = np.vstack([p1[None], (p1 + dt * v1)[None], x.reshape(K - 1, m)])
+    X = _nlw_nodes(x, p1, v1, dt, K, m)
     phi = _nlw_controls(X, lam, gamma, nl, basis, h, dt)
     psi = phi * inv_b2                       # (K-1, m)
     J = 0.5 * dt * float(np.sum(phi * psi))
@@ -338,10 +363,9 @@ def _nlw_action_and_grad(x, p1, v1, p2, v2, lam, gamma, alpha, inv_b2, nl, basis
     c_minus = 1.0 / dt ** 2 - gamma / (2 * dt)
     grad[2:] += dt * c_plus * psi            # phi_k wrt X_{k+1}
     grad[:-2] += dt * c_minus * psi          # phi_k wrt X_{k-1}
-    u_mid = X[1:-1]
-    E, w = basis.eigenfunctions, basis.weights
-    fp = nl.fprime(u_mid @ E.T)
-    nl_term = ((psi @ E.T) * (w * fp)) @ E
+    # the Galerkin Jacobian of f at X_k applied to psi_k
+    fp = nl.fprime(basis.synthesize(X[1:-1]))
+    nl_term = basis.analyze(fp * basis.synthesize(psi))
     grad[1:-1] += dt * ((-2.0 / dt ** 2) * psi + lam * psi + nl_term)
     # endpoint penalty in the alpha-weighted phase norm
     dp = X[-1] - p2
@@ -351,6 +375,45 @@ def _nlw_action_and_grad(x, p1, v1, p2, v2, lam, gamma, alpha, inv_b2, nl, basis
     grad[-1] += pen * (2 * lam * dp + 2 * g * (alpha + 1.0 / dt))
     grad[-2] += pen * (-2 * g / dt)
     return J, grad[2:].ravel()
+
+
+def _nlw_hessian(x, p1, v1, p2, v2, lam, gamma, alpha, inv_b2, nl, basis,
+                 h, dt, K, m, pen):
+    """Gauss-Newton Hessian dt sum_k J_k^T B^-1 J_k of ``_nlw_action_and_grad``
+    plus the exact Hessian of its endpoint penalty, in the upper block-banded
+    form ``newton.block_banded_solve`` reads, one block per variable node.
+
+    phi_k has the Jacobian c_- I, D_k, c_+ I on X_{k-1}, X_k, X_{k+1}, with
+    D_k = diag(lam - 2/dt^2) + E^T diag(w f'(u_k)) E, the Galerkin Jacobian of
+    f at node k.  The term phi_k^T B^-1 f''(u_k) is left out: without it the
+    matrix is positive definite and needs only f', and at f = 0 it is exact.
+    """
+    X = _nlw_nodes(x, p1, v1, dt, K, m)
+    n = K - 1
+    c_plus = 1.0 / dt ** 2 + gamma / (2 * dt)
+    c_minus = 1.0 / dt ** 2 - gamma / (2 * dt)
+    modes = basis.synthesize(np.eye(m))      # row j: the values of mode j
+    fp = nl.fprime(basis.synthesize(X[1:-1]))
+    D = np.empty((n, m, m))                  # D[k - 1] = D_k, k = 1 .. K-1
+    for k in range(n):
+        D[k] = basis.analyze(fp[k] * modes)
+    idx = np.arange(m)
+    D[:, idx, idx] += lam - 2.0 / dt ** 2
+    BD = inv_b2[:, None] * D                 # B^-1 D_k
+    # variable j is node j + 2; phi_k reaches nodes k - 1 .. k + 1
+    ab = np.zeros((3, n, m, m))
+    second, first, diag = ab                 # blocks (j-2, j), (j-1, j), (j, j)
+    diag[:n - 1] = dt * (D[1:] @ BD[1:])     # phi_k at node k
+    diag[:, idx, idx] += dt * c_plus ** 2 * inv_b2          # phi_{k-1}, every node
+    diag[:n - 2, idx, idx] += dt * c_minus ** 2 * inv_b2    # phi_{k+1}
+    first[1:] = dt * c_plus * np.swapaxes(BD[1:], 1, 2)     # phi_{k-1}: (k-1, k)
+    first[1:n - 1] += dt * c_minus * BD[2:]                 # phi_k: (k-1, k)
+    second[2:, idx, idx] = dt * c_plus * c_minus * inv_b2   # phi_{k-1}: (k-2, k)
+    # endpoint penalty on X_{K-1} and X_K
+    diag[-1, idx, idx] += 2 * pen * (lam + (alpha + 1.0 / dt) ** 2)
+    diag[-2, idx, idx] += 2 * pen / dt ** 2
+    first[-1, idx, idx] -= 2 * pen * (alpha + 1.0 / dt) / dt
+    return ab
 
 
 # --------------------------------------------------------------------------

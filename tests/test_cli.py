@@ -15,6 +15,7 @@ import wavemix.toys as toys
 from wavemix import nlw, stats
 from wavemix.cli import (
     EXIT_CONFIG,
+    EXIT_FAIL,
     EXIT_PASS,
     SCHEMA,
     ConfigError,
@@ -257,11 +258,10 @@ def test_import_leaves_heavy_libraries_unloaded(tmp_path):
                  # chain irreducibility by breadth-first search, the rate
                  # oracle at the drift's roots
                  ("pressure", "--set", "model.kind=chain2"),
-                 ("selftest",)):
+                 ("selftest",),
+                 # the wave quasipotential solves by block-banded Newton
+                 ("quasipotential", "--set", "model.modes=4")):
         assert run(*argv)[1] == "[]", argv
-    # the wave solver still finds scipy.optimize when a run first needs it
-    exit_code, loaded = run("quasipotential", "--set", "model.modes=4")
-    assert exit_code == EXIT_PASS and "'scipy.optimize'" in loaded
 
 
 def test_start_states_of_neighbouring_seeds_share_nothing():
@@ -533,6 +533,30 @@ def test_quasipotential_nlw_reports_grad_norm(tmp_path):
           "--to-point", "0.3"])
     metrics = json.loads((out / "verdict.json").read_text())["metrics"]
     assert metrics["grad_norm"] >= 0.0
+
+
+def test_quasipotential_nlw_judges_the_linear_oracle(tmp_path, monkeypatch):
+    # at f = 0 the verdict carries the closed form and fails off it
+    args = ["quasipotential", "--set", "model.modes=8", "--set", "model.nonlinearity=zero"]
+    verdicts = []
+    for name in ("plain", "shifted"):
+        if name == "shifted":
+            real = cli.rates.linear_wave_oracle
+            monkeypatch.setattr(cli.rates, "linear_wave_oracle",
+                                lambda *a: real(*a) * (1 + 2e-3))
+        code = main(args + ["--out", str(tmp_path / name)])
+        verdicts.append((code, json.loads((tmp_path / name / "verdict.json").read_text())))
+    (code, plain), (shifted_code, shifted) = verdicts
+    assert code == EXIT_PASS and plain["status"] == "pass"
+    assert plain["tolerances"] == {"eta": 0.05, "rel_error_max": 1e-3}
+    metrics = plain["metrics"]
+    assert metrics["rel_error"] <= 1e-3
+    assert metrics["rel_error"] == abs(metrics["value"] - metrics["oracle"]) / metrics["oracle"]
+    assert shifted_code == EXIT_FAIL and shifted["status"] == "fail"
+    # a nonlinear run has no closed form to report
+    main(["quasipotential", "--set", "model.modes=2", "--out", str(tmp_path / "kg")])
+    kg = json.loads((tmp_path / "kg" / "verdict.json").read_text())
+    assert "oracle" not in kg["metrics"] and "rel_error_max" not in kg["tolerances"]
 
 
 def test_quasipotential_nlw_feels_the_forcing(tmp_path):

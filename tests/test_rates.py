@@ -11,12 +11,15 @@ from wavemix.rates import (
     BoundaryChainConfig,
     EquilibriumNetwork,
     _first_passages,
+    _nlw_action_and_grad,
+    _nlw_hessian,
     _toy_action_and_grad,
     _toy_hessian,
     action_value,
     boundary_chain,
     fw_rate,
     gradient_rate_oracle,
+    linear_wave_oracle,
     nlw_quasipotential,
     smallnoise_stationary_probe,
     toy_equilibrium_network,
@@ -192,6 +195,97 @@ def test_tridiagonal_solve_flags_indefinite_and_nonfinite():
             newton.tridiagonal_solve(H, g, damping)
 
 
+def _block_banded(A, m):
+    """Upper block-banded form (3, n, m, m) of a dense block-pentadiagonal A."""
+    n = A.shape[0] // m
+    ab = np.zeros((3, n, m, m))
+    for j in range(n):
+        for r, i in ((2, j), (1, j - 1), (0, j - 2)):
+            if i >= 0:
+                ab[r, j] = A[i * m:(i + 1) * m, j * m:(j + 1) * m]
+    return ab
+
+
+def _dense(ab):
+    """The dense symmetric matrix of an upper block-banded form."""
+    n, m = ab.shape[1], ab.shape[-1]
+    A = np.zeros((n * m, n * m))
+    for j in range(n):
+        for r, i in ((2, j), (1, j - 1), (0, j - 2)):
+            if i >= 0:
+                A[i * m:(i + 1) * m, j * m:(j + 1) * m] = ab[r, j]
+                A[j * m:(j + 1) * m, i * m:(i + 1) * m] = ab[r, j].T
+    return A
+
+
+def _block_pentadiagonal_spd(n, m, rng):
+    """J^T J for a random block-tridiagonal J: SPD and block-pentadiagonal."""
+    J = rng.standard_normal((n * m, n * m))
+    node = np.arange(n * m) // m
+    J[np.abs(node[:, None] - node[None, :]) > 1] = 0.0
+    return J.T @ J + 0.1 * np.eye(n * m)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_block_banded_solve_matches_dense(n):
+    rng = np.random.default_rng(n)
+    m = 3
+    A = _block_pentadiagonal_spd(n, m, rng)
+    ab = _block_banded(A, m)
+    assert np.array_equal(_dense(ab), A)
+    b = rng.standard_normal(n * m)
+    for damping in (None, rng.uniform(0.0, 2.0, n * m)):
+        full = A if damping is None else A + np.diag(damping)
+        ref = np.linalg.solve(full, b)
+        got = newton.block_banded_solve(ab, b, damping)
+        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def test_block_banded_solve_flags_indefinite_and_nonfinite():
+    rng = np.random.default_rng(7)
+    m, n = 2, 5
+    A = _block_pentadiagonal_spd(n, m, rng)
+    shift = np.linalg.eigvalsh(A)[1]             # two eigenvalues fall below 0
+    ab = _block_banded(A - shift * np.eye(n * m), m)
+    b = rng.standard_normal(n * m)
+    assert newton.block_banded_solve(ab, b) is None
+    damping = np.full(n * m, 2 * shift)          # positive definite again
+    ref = np.linalg.solve(A + shift * np.eye(n * m), b)
+    got = newton.block_banded_solve(ab, b, damping)
+    assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+    spd = _block_banded(A, m)
+    bad_ab = spd.copy()
+    bad_ab[1, 3, 0, 1] = np.inf
+    for H, g, d in ((spd, np.where(np.arange(n * m) == 4, np.nan, b), None),
+                    (bad_ab, b, None),
+                    (spd, b, np.where(np.arange(n * m) == 2, np.nan, 1.0))):
+        with pytest.raises(ValueError):
+            newton.block_banded_solve(H, g, d)
+
+
+def test_nlw_hessian_is_exact_at_f_zero():
+    # at f = 0 the action is quadratic and its Gauss-Newton Hessian exact
+    basis = SpectralBasis((PI,), 3)
+    rng = np.random.default_rng(3)
+    K, m = 9, 3
+    dt = 2.0 / K
+    args = (0.1 * rng.standard_normal(m), 0.1 * rng.standard_normal(m),
+            rng.standard_normal(m), 0.1 * rng.standard_normal(m),
+            basis.eigenvalues, 1.0, 0.25, rng.uniform(1.0, 20.0, m),
+            Nonlinearity.zero(), basis, 0.1 * rng.standard_normal(m), dt, K, m, 40.0)
+    x = rng.standard_normal((K - 1) * m)
+    H = _dense(_nlw_hessian(x, *args))
+    h = 1e-5
+    fd = np.empty_like(H)
+    for j in range(x.size):
+        e = np.zeros(x.size)
+        e[j] = h
+        fd[:, j] = (_nlw_action_and_grad(x + e, *args)[1]
+                    - _nlw_action_and_grad(x - e, *args)[1]) / (2 * h)
+    scale = 1.0 + np.abs(H).max(axis=1, keepdims=True)
+    assert np.all(np.abs(fd - H) <= 1e-6 * scale)
+
+
 def test_newton_raises_on_a_nan_gradient():
     # a NaN must not read as an indefinite Hessian (status 2); it aborts
     def fun(x):
@@ -351,6 +445,67 @@ def test_nlw_quasipotential_linear_exact(nlw_setup):
                              eta=0.08, horizons=(4.0, 8.0))
     assert res.converged
     assert 0 < res.value < 10.0
+
+
+@pytest.mark.parametrize("T", [4.0, 8.0])
+def test_nlw_quasipotential_linear_oracle(nlw_setup, T):
+    # at f = 0 the modes decouple, and the minimal action is the Gramian
+    # form; the target is the CLI's, 3 in the first mode
+    basis, _, noise = nlw_setup
+    alpha = 0.25
+    z1 = PhaseState.zero(basis, alpha)
+    z2 = PhaseState(Field.from_mode(basis, 1, 3.0), Field.zero(basis), alpha)
+    res = nlw_quasipotential(basis, Nonlinearity.zero(), 1.0, noise, z1, z2,
+                             eta=0.05, horizons=(T,))
+    assert res.converged and res.horizon == T
+    oracle = linear_wave_oracle(basis, 1.0, noise, z2, T)
+    assert abs(res.value - oracle) <= 1e-3 * oracle
+
+
+@pytest.mark.parametrize("rho, a", [(1.0, 0.5), (1.9, 1.0)])
+def test_nlw_quasipotential_gibbs_oracle(monkeypatch, rho, a):
+    # uniform noise b: V_T >= (2 gamma / b^2) (U(z) - U(0)), with equality as
+    # T grows; at T = 8 the finite-horizon excess is about 6e-4
+    solves = []
+    real = rates_module.minimize
+
+    def record(*args, **kwargs):
+        solves.append(real(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(rates_module, "minimize", record)
+    basis = SpectralBasis((PI,), 8)
+    nl = Nonlinearity.klein_gordon(rho)
+    c = np.zeros(8)
+    c[0] = a
+    gibbs = 2.0 * (0.5 * basis.eigenvalues[0] * a ** 2 + float(basis.integrate(nl.F, c)))
+    alpha = 0.25
+    res = nlw_quasipotential(basis, nl, 1.0, NoiseModel(basis, np.ones(8)),
+                             PhaseState.zero(basis, alpha),
+                             PhaseState.from_coeffs(basis, c, np.zeros(8), alpha),
+                             eta=0.05, horizons=(8.0,))
+    assert len(solves) == 3 and all(s.status == 0 for s in solves)
+    assert res.converged
+    assert -1e-4 <= res.value / gibbs - 1 <= 2e-3
+
+
+def test_nlw_quasipotential_noise_cutoff():
+    # modes 3 and 4 carry no noise: a target in mode 1 costs a finite action;
+    # at f = 0 nothing couples mode 3 to the noise, so its target costs inf
+    basis = SpectralBasis((PI,), 4)
+    noise = NoiseModel.power_law(basis, amplitude=0.25, q=2.0, cutoff=2)
+    alpha = 0.25
+    z1 = PhaseState.zero(basis, alpha)
+    live = nlw_quasipotential(basis, Nonlinearity.klein_gordon(1.0), 1.0, noise, z1,
+                              PhaseState(Field.from_mode(basis, 1, 0.5),
+                                         Field.zero(basis), alpha),
+                              eta=0.05, horizons=(8.0,))
+    assert live.converged and math.isfinite(live.value) and live.value > 0
+    dead = nlw_quasipotential(basis, Nonlinearity.zero(), 1.0, noise, z1,
+                              PhaseState(Field.from_mode(basis, 3, 0.3),
+                                         Field.zero(basis), alpha),
+                              eta=0.05, horizons=(8.0,))
+    assert dead.value == math.inf
 
 
 def test_nlw_quasipotential_nonlinear_runs(nlw_setup):
