@@ -531,12 +531,15 @@ def _cmd_mix(cfg: RunConfig, out: _RunDir) -> int:
                   [[rep.t[i], rep.delta[i]] for i in range(rep.t.size)])
     status = ("inconclusive" if rep.inconclusive
               else "pass" if rep.passed else "fail")
+    # a record is above the floor when its gap exceeds floor_paired_se of its
+    # own paired standard errors; the verdict reports the median floor
     return _finish(cfg, out, status,
                    {"kappa": rep.kappa, "kappa_ci": list(rep.kappa_ci),
-                    "noise_floor": rep.noise_floor,
+                    "noise_floor": stats.median(rep.noise_floor),
                     "points_above_floor": rep.n_above_floor},
                    {"kappa_positive_at": 0.95,
-                    "min_points_above_floor": cpl.MIN_FIT_POINTS})
+                    "min_points_above_floor": cpl.MIN_FIT_POINTS,
+                    "floor_paired_se": cpl.FLOOR_SE})
 
 
 def _cmd_occupation(cfg: RunConfig, out: _RunDir) -> int:

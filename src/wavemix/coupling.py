@@ -347,13 +347,16 @@ class MaximalCoupling:
 
 # Record points of Delta(t) above the noise floor that the rate fit needs.
 MIN_FIT_POINTS = 5
+# A record counts towards the fit when its gap exceeds this many of its own
+# paired standard errors.
+FLOOR_SE = 2.0
 
 
 @dataclass
 class MixingReport:
     t: np.ndarray
     delta: np.ndarray
-    noise_floor: float
+    noise_floor: np.ndarray         # per record: FLOOR_SE paired standard errors
     kappa: float
     kappa_ci: tuple[float, float]
     passed: bool
@@ -368,40 +371,38 @@ class MixingReport:
 def mixing_rate(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
                 z: PhaseState, zprime: PhaseState,
                 n_traj: int = 400, threads: int = 1) -> MixingReport:
-    """Decay rate of the worst-case observable gap between two ensembles.
+    """Decay rate of the worst-case observable gap between two starts.
 
-    Delta(t) = max_psi |E_z psi(y_t) - E_z' psi(y_t)| is fitted log-linearly on
-    the window above the Monte Carlo noise floor; the report passes when the
-    95% interval of the fitted rate stays positive, and is inconclusive when
-    fewer than ``MIN_FIT_POINTS`` record points lie above the floor.
+    Delta(t) = max_psi |E_z psi(y_t) - E_z' psi(y_t)|.  Path i runs from z and
+    from z' on one noise stream (common random numbers), which leaves each
+    mean's law unchanged, and each probe records the paired difference
+    psi(y_t^z) - psi(y_t^z') of a path; a gap is the mean of those
+    differences.  The floor is per record: ``FLOOR_SE`` times the worst paired
+    standard error over the observables at that record, since Delta is a max
+    over observables and under common noise the error shrinks with the gap.
+    The fit is log-linear on the records whose gap exceeds their floor; the
+    report passes when the 95% interval of the fitted rate stays positive,
+    and is inconclusive when fewer than ``MIN_FIT_POINTS`` records lie above
+    the floor.
     """
     from wavemix.nlw import run_flow
 
-    probes = {o.name: o for o in default_observables(cfg.basis, cfg.alpha)}
-
-    def moments(y0: PhaseState, seed_offset: int):
-        # each ensemble's probes are dropped once reduced to (mean, se) pairs
-        res = run_flow(cfg, nl, noise, y0, n_traj=n_traj, probes=probes,
-                       seed_offset=seed_offset, threads=threads)
-        return res.t, [stats.mean_se(res.probes[name], axis=0) for name in probes]
-
-    t, mom_a = moments(z, 0)
-    _, mom_b = moments(zprime, n_traj)
-    gaps = [np.abs(ma - mb) for (ma, _), (mb, _) in zip(mom_a, mom_b)]
-    floors = [np.sqrt(sa ** 2 + sb ** 2) for (_, sa), (_, sb) in zip(mom_a, mom_b)]
-    delta = np.max(gaps, axis=0)
-    # the gap statistic is a max over observables, so its noise level is the
-    # worst per-observable standard error
-    floor = 2.0 * stats.median(np.max(floors, axis=0))
+    # one probe per observable, reduced to a path's paired difference
+    probes = {o.name: (lambda o: lambda s: o(s[:, 0]) - o(s[:, 1]))(o)
+              for o in default_observables(cfg.basis, cfg.alpha)}
+    res = run_flow(cfg, nl, noise, (z, zprime), n_traj=n_traj, probes=probes,
+                   threads=threads)
+    moments = [stats.mean_se(res.probes[name], axis=0) for name in probes]
+    delta = np.max([np.abs(m) for m, _ in moments], axis=0)
+    floor = FLOOR_SE * np.max([se for _, se in moments], axis=0)
     mask = delta > floor
-    mask[0] = delta[0] > 0
     kappa = math.nan
     ci = (math.nan, math.nan)
     passed = False
     n_above = int(mask.sum())
     if n_above >= MIN_FIT_POINTS:
-        fit = stats.line_fit(t[mask], np.log(delta[mask]))
+        fit = stats.line_fit(res.t[mask], np.log(delta[mask]))
         kappa = -fit.slope
         ci = (kappa - 1.96 * fit.slope_se, kappa + 1.96 * fit.slope_se)
         passed = ci[0] > 0
-    return MixingReport(t, delta, floor, kappa, ci, passed, n_above)
+    return MixingReport(res.t, delta, floor, kappa, ci, passed, n_above)

@@ -6,7 +6,8 @@ damped-oscillator SDE (matrix exponential plus an exactly sampled Gaussian
 stochastic convolution), the nonlinearity kicks the velocity explicitly over
 the full step, and a second exact linear half-step closes the update.
 Trajectories are deterministic functions of (seed, config); ensembles split
-the master seed into per-trajectory counter-based streams.
+the master seed into per-trajectory counter-based streams, and a run from
+several starts drives each path from all of them on its one stream.
 
 Both steppers of the package -- ``run_flow`` and the coupled pair in
 ``coupling`` -- run the one driver ``_strang_drive`` on a block of paths.  The
@@ -450,8 +451,8 @@ class FlowResult:
 
     t: np.ndarray
     probes: dict[str, np.ndarray]      # name -> (n_traj, n_rec)
-    final_states: np.ndarray           # (n_traj, 2, M)
-    states: np.ndarray | None          # (n_traj, n_rec, 2, M) when requested
+    final_states: np.ndarray           # (n_traj, 2, M), or (n_traj, starts, 2, M)
+    states: np.ndarray | None          # (n_traj, n_rec, ...) of those, when requested
 
 
 @dataclass
@@ -559,16 +560,23 @@ def _strang_drive(states: np.ndarray, ops: LinearOps, rngs, kick: Callable,
     return states
 
 
-def run_flow(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel, y0: PhaseState,
-             *, n_traj: int = 1, probes: dict[str, Callable] | None = None,
-             return_states: bool = False, seed_offset: int = 0,
-             threads: int = 1) -> FlowResult:
+def run_flow(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel,
+             y0: PhaseState | Sequence[PhaseState], *, n_traj: int = 1,
+             probes: dict[str, Callable] | None = None,
+             return_states: bool = False, threads: int = 1) -> FlowResult:
     """Advance ``n_traj`` independent trajectories from ``y0``.
 
     ``probes`` are evaluated at the recorded times, every ``cfg.stride``-th
-    step and the last.  The linear half-steps between recorded steps merge
-    (see ``_strang_drive``), so ``cfg.stride`` decides which path a seed
-    gives; its law at the recorded times does not depend on the stride.
+    step and the last, and give one value per path.  The linear half-steps
+    between recorded steps merge (see ``_strang_drive``), so ``cfg.stride``
+    decides which path a seed gives; its law at the recorded times does not
+    depend on the stride.
+
+    A sequence of start states runs path i from every start on the one
+    stream of path i (common random numbers): the states a probe sees, the
+    final states and the recorded states gain a start axis after the path
+    axis.  The kick runs once per start, so each start's path is bit for bit
+    the plain run from that start.
     """
     probes = dict(probes or {})
     ops = linear_ops(cfg, noise)
@@ -576,19 +584,25 @@ def run_flow(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel, y0: PhaseState
     rec = stats.record_steps(cfg.n_steps, cfg.stride)
     t_rec = np.array(list(rec)) * cfg.dt
 
-    out_probes = {k: np.empty((n_traj, len(rec))) for k in probes}
-    finals = np.empty((n_traj, 2, cfg.basis.mode_count))
-    all_states = (np.empty((n_traj, len(rec), 2, cfg.basis.mode_count))
-                  if return_states else None)
+    y0_arr = (y0.as_array() if isinstance(y0, PhaseState)
+              else np.stack([y.as_array() for y in y0]))
 
-    y0_arr = y0.as_array()
+    def kick_states(s):
+        # one kick per start, each on the (paths, M) positions of a plain run
+        if s.ndim == 3:
+            return kick(s[:, 0, :])
+        return np.stack([kick(s[:, j, 0, :]) for j in range(s.shape[1])], axis=1)
+
+    out_probes = {k: np.empty((n_traj, len(rec))) for k in probes}
+    finals = np.empty((n_traj,) + y0_arr.shape)
+    all_states = (np.empty((n_traj, len(rec)) + y0_arr.shape)
+                  if return_states else None)
 
     def run_block(lo: int, hi: int):
         nb = hi - lo
         states = np.broadcast_to(y0_arr, (nb,) + y0_arr.shape).copy()
         # a noiseless run (eps = 0) draws nothing
-        rngs = (trajectory_streams(cfg.seed, nb, offset=seed_offset + lo)
-                if ops.noisy.any() else None)
+        rngs = trajectory_streams(cfg.seed, nb, offset=lo) if ops.noisy.any() else None
 
         def record(step: int, states: np.ndarray):
             i = rec[step]
@@ -598,8 +612,8 @@ def run_flow(cfg: SimConfig, nl: Nonlinearity, noise: NoiseModel, y0: PhaseState
                 all_states[lo:hi, i] = states
 
         record(0, states)
-        finals[lo:hi] = _strang_drive(states, ops, rngs, lambda s: kick(s[:, 0, :]),
-                                      cfg.n_steps, record, sync=rec, offset=lo)
+        finals[lo:hi] = _strang_drive(states, ops, rngs, kick_states, cfg.n_steps,
+                                      record, sync=rec, offset=lo)
 
     blocks = _path_blocks(n_traj)
     if threads > 1 and len(blocks) > 1:

@@ -461,7 +461,7 @@ def test_energy_audit_lists_the_rate_limit_only_where_it_judges(args, listed, tm
     assert ("min_decay_rate" in tolerances) is listed
 
 
-@pytest.mark.parametrize("command, paths", [("simulate", 1), ("energy-audit", 3), ("mix", 6)])
+@pytest.mark.parametrize("command, paths", [("simulate", 1), ("energy-audit", 3), ("mix", 3)])
 def test_wave_paths_draw_one_increment_per_linear_step(command, paths, tmp_path,
                                                        monkeypatch):
     # a path draws one (2, M) increment per step and one more per recorded

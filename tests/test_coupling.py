@@ -18,6 +18,7 @@ from wavemix.coupling import (
 )
 from wavemix import coupling, nlw, stats
 from wavemix.nlw import BlowupError, NoiseModel, Nonlinearity, SimConfig, draw_normals, run_flow
+from wavemix.observables import default_observables
 from wavemix.spectral import PhaseState, SpectralBasis, phase_norm
 
 PI = np.pi
@@ -390,8 +391,34 @@ def test_mixing_same_start_inside_noise_band(basis, noise):
     nl = Nonlinearity.klein_gordon(1.0)
     z = smooth_state(basis, 0.4, 16, cfg.alpha)
     rep = mixing_rate(cfg, nl, noise, z, z, n_traj=60)
-    # independent ensembles from the same point: gap stays in the noise band
+    # both starts share each path's stream, so every paired difference is 0
     assert np.all(rep.delta <= 3 * rep.noise_floor)
+    assert np.all(rep.delta == 0)
+    assert rep.inconclusive and np.all(np.isfinite(rep.noise_floor))
+
+
+@pytest.mark.parametrize("nl", [Nonlinearity.zero(), Nonlinearity.klein_gordon(1.0)],
+                         ids=["f0", "kg1"])
+def test_common_noise_gap_agrees_with_independent_ensembles(basis, noise, nl):
+    # the reference runs z and z' on disjoint streams, at two other seeds.
+    # Delta is a max over 12 observables of their gaps, so the two estimates
+    # of Delta differ by at most the worst gap difference; 4.5 joint standard
+    # errors bounds all 12 x 21 of those at a family-wise level of about 0.2%
+    cfg = make_cfg(basis, horizon=5.0, stride=8, seed=101)
+    assert len(stats.record_steps(cfg.n_steps, cfg.stride)) == 21
+    z = smooth_state(basis, 1.2, 17, cfg.alpha)
+    zp = smooth_state(basis, 1.2, 18, cfg.alpha)
+    n_traj = 300
+    rep = mixing_rate(cfg, nl, noise, z, zp, n_traj=n_traj)
+    probes = {o.name: o for o in default_observables(basis, cfg.alpha)}
+    moments = [[stats.mean_se(run_flow(dataclasses.replace(cfg, seed=seed), nl, noise, y0,
+                                       n_traj=n_traj, probes=probes).probes[k], axis=0)
+                for k in probes] for seed, y0 in ((102, z), (103, zp))]
+    gaps = [np.abs(ma - mb) for (ma, _), (mb, _) in zip(*moments)]
+    se_ind = np.max([np.hypot(sa, sb) for (_, sa), (_, sb) in zip(*moments)], axis=0)
+    joint = np.hypot(rep.noise_floor / coupling.FLOOR_SE, se_ind)
+    # 1e-12: at t = 0 both sides are exact, up to the rounding of a mean
+    assert np.all(np.abs(rep.delta - np.max(gaps, axis=0)) <= 4.5 * joint + 1e-12)
 
 
 def test_mixing_linear_rate(basis, noise):

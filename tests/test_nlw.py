@@ -21,6 +21,7 @@ from wavemix.nlw import (
     make_energy_fn,
     trajectory_streams,
 )
+from wavemix.observables import default_observables
 from wavemix.spectral import PhaseState, SpectralBasis, phase_norm_sq_arr
 
 PI = np.pi
@@ -388,6 +389,30 @@ def test_streams_are_independent_of_batching(basis16, noise16, monkeypatch):
     monkeypatch.setattr(nlw, "_PATH_BLOCK", 5)
     b = run_flow(cfg, nl, noise16, y0, n_traj=5, return_states=True)
     np.testing.assert_allclose(a.states, b.states, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("lengths, m", [((PI,), 32), ((PI, PI), 144)])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_stacked_starts_equal_plain_runs_bitwise(lengths, m, threads):
+    # path i runs from z and from z' on stream i; 130 paths span two path
+    # blocks, and each start's path is the plain run from that start
+    basis = SpectralBasis(lengths, m)
+    noise = NoiseModel.power_law(basis, amplitude=0.25, q=2.0 if len(lengths) == 1 else 3.0)
+    cfg = make_cfg(basis, horizon=8.5 * 0.5 / np.sqrt(basis.eigenvalues[-1]), stride=3)
+    assert cfg.n_steps == 8
+    nl = Nonlinearity.klein_gordon(1.0)
+    z, zp = (smooth_state(basis, 0.8, seed, cfg.alpha) for seed in (1, 2))
+    obs = default_observables(basis, cfg.alpha, (1, 2))
+    stacked = run_flow(cfg, nl, noise, (z, zp), n_traj=130, threads=threads,
+                       probes={f"{o.name}/{j}": (lambda o, j: lambda s: o(s[:, j]))(o, j)
+                               for o in obs for j in range(2)})
+    assert stacked.final_states.shape == (130, 2, 2, m)
+    for j, y0 in enumerate((z, zp)):
+        plain = run_flow(cfg, nl, noise, y0, n_traj=130, threads=threads,
+                         probes={o.name: o for o in obs})
+        assert np.array_equal(stacked.final_states[:, j], plain.final_states)
+        for o in obs:
+            assert np.array_equal(stacked.probes[f"{o.name}/{j}"], plain.probes[o.name])
 
 
 def test_2d_rectangle_smoke():
