@@ -25,6 +25,7 @@ import numpy as np
 
 from wavemix import coupling as cpl
 from wavemix import ergodic as erg
+from wavemix import newton
 from wavemix import nlw
 from wavemix import rates
 from wavemix import stats
@@ -126,7 +127,6 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "mc": (_bool, False, None),
         "from_point": (float, 0.0, None),
         "to_point": (float, 3.0, None),
-        "eta": (float, 0.05, _POSITIVE),
         "radii": (_floats, [0.3, 0.45],
                   (lambda v: len(v) == 2 and _increasing([0.0, *v]),
                    "two values 0 < rho1 < rho0")),
@@ -644,7 +644,8 @@ def _cmd_ldp1(cfg: RunConfig, out: _RunDir) -> int:
 
 def _cmd_quasipotential(cfg: RunConfig, out: _RunDir) -> int:
     kind = cfg["model"]["kind"]
-    eta = cfg["experiment"]["eta"]
+    # the constants ``converged`` reads: each solve must stop on its rule
+    stopping = {"newton_rtol": newton.RTOL, "newton_maxiter": newton.MAXITER}
     if kind in ("cubic", "doublewell"):
         model = _build_toy(cfg)
         a, b = cfg["experiment"]["from_point"], cfg["experiment"]["to_point"]
@@ -652,8 +653,7 @@ def _cmd_quasipotential(cfg: RunConfig, out: _RunDir) -> int:
         if np.min(np.abs(model.equilibria()[0] - a)) > 1e-6:
             raise ConfigError(f"experiment.from_point={a} is not an equilibrium of "
                               f"the {kind} model")
-        res = rates.toy_quasipotential(model, a, b, eta=eta,
-                                       eta_ladder=(eta / 2, eta / 4))
+        res = rates.toy_quasipotential(model, a, b)
         oracle = rates.toy_quasipotential_oracle(model, a, b)
         out.write_csv("quasipotential.csv", ["t", "phi"],
                       [[res.path.t[i], res.path.phis[i]]
@@ -662,20 +662,16 @@ def _cmd_quasipotential(cfg: RunConfig, out: _RunDir) -> int:
         ok = res.converged and (oracle == 0 or abs(res.value - oracle) / max(oracle, 1e-12) <= tol)
         return _finish(cfg, out, "pass" if ok else "fail",
                        {"value": res.value, "oracle": oracle,
-                        "endpoint_error": res.endpoint_error,
-                        "grad_norm": res.grad_norm,
-                        "eta_ladder": res.eta_ladder},
-                       {"rel_error_max": tol})
+                        "grad_norm": res.grad_norm},
+                       {**stopping, "rel_error_max": tol})
     basis, nl, noise, sim = _wave(cfg)
     z1 = PhaseState.zero(basis, sim.alpha)
     z2 = PhaseState(Field.from_mode(basis, 1, cfg["experiment"]["to_point"]),
                     Field.zero(basis), sim.alpha)
-    eta = max(eta, 0.05)
     res = rates.nlw_quasipotential(basis, nl, cfg["model"]["gamma"], noise, z1,
-                                   z2, eta=eta, h_coeffs=sim.h_coeffs())
-    metrics = {"value": res.value, "endpoint_error": res.endpoint_error,
-               "grad_norm": res.grad_norm}
-    tolerances = {"eta": eta}
+                                   z2, h_coeffs=sim.h_coeffs())
+    metrics = {"value": res.value, "grad_norm": res.grad_norm}
+    tolerances = dict(stopping)
     ok = res.converged
     # the free wave from rest, forced by live noise only, has a closed form
     if (cfg["model"]["nonlinearity"] == "zero" and cfg["model"]["h_amplitude"] == 0
@@ -696,7 +692,7 @@ def _cmd_fw_graph(cfg: RunConfig, out: _RunDir) -> int:
     pts = np.asarray(net.points)
     if cfg["experiment"]["use_solver"]:
         # from a node to itself the solver returns 0 without solving
-        V = np.array([[rates.toy_quasipotential(model, a, b, eta=0.03).value for b in pts]
+        V = np.array([[rates.toy_quasipotential(model, a, b).value for b in pts]
                       for a in pts])
         net = rates.EquilibriumNetwork(net.kind, net.points, net.stable, V)
     W = rates.w_graph_weights(net.restrict_to_stable())

@@ -36,8 +36,8 @@ def minimize(fun, x0, args=(), hess=None):
 
     The run stops when the predicted remaining decrease, half the Newton
     decrement g^T H^-1 g, is at most ``RTOL`` max(|J|, 1).  The rule is
-    relative because the endpoint penalty scales the gradient far above its
-    roundoff; the floor of 1 covers downhill transitions, whose J tends to 0.
+    relative because the roundoff of J and g scales with J; the floor of 1
+    covers downhill transitions, whose J tends to 0.
     Where H is singular at the optimum (a path that ends on a saddle), the
     rule is met instead when no damping lowers J and g^T D^-1 g obeys the
     same bound.

@@ -1,12 +1,12 @@
 """Equilibria, action functionals, quasipotentials, and small-noise rates.
 
 The quasipotential V(z1, z2) is minimized by direct collocation: the state
-path is the optimization variable, the control is recovered from the equation
-residual, and the endpoint constraint enters through a penalty with weight
-continuation.  Every solve is banded Newton collocation (``newton.minimize``:
-damped Newton steps, in plain NumPy), on the exact tridiagonal Hessian of a
-scalar toy's action or on the block-pentadiagonal Gauss-Newton Hessian of a
-wave path's.
+path is the optimization variable with both end states pinned, and the
+control is recovered from the equation residual.  Each horizon is one banded
+Newton solve (``newton.minimize``: damped Newton steps, in plain NumPy), on
+the exact tridiagonal Hessian of a scalar toy's action or on the
+block-pentadiagonal Gauss-Newton Hessian of a wave path's, and the value is
+the least action over the horizons.
 Gradient toys carry exact oracles (positive variation of the potential) that
 guard the solver, and the rate function over equilibria uses minimum-cost
 rooted graphs with a brute-force cross-check.
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -148,107 +148,72 @@ def toy_quasipotential_oracle(model: GradientSDE, a: float, b: float) -> float:
 class QuasipotentialResult:
     value: float
     path: ControlPath
-    endpoint_error: float
     horizon: float
-    eta_ladder: list[tuple[float, float]] = field(default_factory=list)
     converged: bool = True
     grad_norm: float = 0.0  # final max |dJ/dx| of the reported solve, 0 if none
 
 
-def toy_quasipotential(model: GradientSDE, z1: float, z2: float, eta: float = 0.05,
-                       horizons: Sequence[float] = (2.0, 4.0, 8.0, 16.0),
-                       eta_ladder: Sequence[float] = ()) -> QuasipotentialResult:
-    """Banded Newton collocation of the 1D action with endpoint penalty.
+def toy_quasipotential(model: GradientSDE, z1: float, z2: float,
+                       horizons: Sequence[float] = (2.0, 4.0, 8.0, 16.0)
+                       ) -> QuasipotentialResult:
+    """Banded Newton collocation of the 1D action between two pinned ends.
 
-    The path itself is the variable; the control phi = du/dt + b(u) is
-    recovered from the residual.  Each phi_k touches two neighbouring nodes,
-    so the Hessian is tridiagonal and every penalty weight is solved by
-    damped Newton steps in O(K) work (the minimum-action method of E, Ren and
-    Vanden-Eijnden), starting from the straight line at each horizon with
-    max(40 T, 16) nodes, through the endpoint penalty weights 1e2 ... 1e5.
-    ``converged`` needs the endpoint within ``eta`` and every solve of the
-    reported horizon ended on its stopping rule.
+    The path itself is the variable, with its first node fixed at z1 and its
+    last at z2; the control phi = du/dt + b(u) is recovered from the
+    residual.  Each phi_k touches two neighbouring nodes, so the Hessian is
+    tridiagonal and each horizon is one solve by damped Newton steps in O(K)
+    work (the minimum-action method of E, Ren and Vanden-Eijnden), starting
+    from the straight line with max(40 T, 16) nodes.  The value is the least
+    action over the horizons; ``converged`` needs its solve to have ended on
+    the stopping rule.
     """
-    if abs(z2 - z1) <= eta:
-        # the target ball already contains the start: V = 0 at T -> 0
-        empty = ControlPath(np.zeros(1), np.zeros(1))
-        ladder = [(e2, 0.0) for e2 in eta_ladder]
-        return QuasipotentialResult(0.0, empty, abs(z2 - z1), 0.0, ladder)
+    if z1 == z2:
+        # V(z, z) = 0, reached as T -> 0
+        return QuasipotentialResult(0.0, ControlPath(np.zeros(1), np.zeros(1)), 0.0)
     best = None
     for T in horizons:
         K = max(int(40 * T), 16)
         dt = T / K
-        x = np.linspace(z1, z2, K + 1)[1:]
-        stopped = True
-        for w_pen in (1e2, 1e3, 1e4, 1e5):
-            res = minimize(_toy_action_and_grad, x, hess=_toy_hessian,
-                           args=(model, z1, z2, dt, w_pen / eta ** 2))
-            x = res.x
-            stopped = stopped and res.success
-        u, _, phi, _, _ = _toy_controls(x, model, z1, dt)
-        t_mid = (np.arange(K) + 0.5) * dt
+        res = minimize(_toy_action_and_grad, np.linspace(z1, z2, K + 1)[1:-1],
+                       hess=_toy_hessian, args=(model, z1, z2, dt))
+        phi = _toy_controls(res.x, model, z1, z2, dt)[2]
         val = float(0.5 * dt * np.sum(phi ** 2))
-        err = abs(u[-1] - z2)
-        cand = (val, err, t_mid, phi, T, float(np.max(np.abs(res.jac))), stopped)
-        best = _better_candidate(best, cand, eta)
-    val, err, t_mid, phi, T, grad_norm, stopped = best
-    ladder = []
-    for e2 in eta_ladder:
-        sub = toy_quasipotential(model, z1, z2, eta=e2, horizons=(T,))
-        ladder.append((e2, sub.value))
-    return QuasipotentialResult(val, ControlPath(t_mid, phi), err, T,
-                                ladder, converged=err <= eta and stopped,
-                                grad_norm=grad_norm)
-
-
-def _better_candidate(best, cand, eta):
-    """Prefer converged candidates by action; otherwise by endpoint error."""
-    if best is None:
-        return cand
-    best_ok = best[1] <= eta
-    cand_ok = cand[1] <= eta
-    if cand_ok and (not best_ok or cand[0] < best[0]):
-        return cand
-    if not best_ok and not cand_ok and cand[1] < best[1]:
-        return cand
+        if best is None or val < best.value:
+            best = QuasipotentialResult(val, ControlPath((np.arange(K) + 0.5) * dt, phi),
+                                        T, res.success, float(np.max(np.abs(res.jac))))
     return best
 
 
-def _toy_controls(x, model, z1, dt):
+def _toy_controls(x, model, z1, z2, dt):
     """Nodes u, midpoints, controls phi_k = (u_{k+1} - u_k)/dt + b(mid_k) and
     their slopes a_k = d phi_k / d u_{k+1} and c_k = d phi_k / d u_k."""
-    u = np.concatenate([[z1], x])
+    u = np.concatenate([[z1], x, [z2]])
     mids = 0.5 * (u[1:] + u[:-1])
     bp = model.drift_prime(mids)
     phi = np.diff(u) / dt + model.drift(mids)
     return u, mids, phi, 1.0 / dt + 0.5 * bp, -1.0 / dt + 0.5 * bp
 
 
-def _toy_action_and_grad(x, model, z1, z2, dt, pen):
-    u, _, phi, a, c = _toy_controls(x, model, z1, dt)
-    J = 0.5 * dt * np.sum(phi ** 2)
+def _toy_action_and_grad(x, model, z1, z2, dt):
+    u, _, phi, a, c = _toy_controls(x, model, z1, z2, dt)
     grad_u = np.zeros_like(u)
     core = dt * phi
     grad_u[1:] += core * a
     grad_u[:-1] += core * c
-    err = u[-1] - z2
-    J += pen * err ** 2
-    grad_u[-1] += 2 * pen * err
-    return float(J), grad_u[1:]
+    return float(0.5 * dt * np.sum(phi ** 2)), grad_u[1:-1]
 
 
-def _toy_hessian(x, model, z1, z2, dt, pen):
+def _toy_hessian(x, model, z1, z2, dt):
     """Exact Hessian of ``_toy_action_and_grad``, tridiagonal, in upper banded
     form: row 0 the superdiagonal (its first entry 0), row 1 the diagonal."""
-    u, mids, phi, a, c = _toy_controls(x, model, z1, dt)
+    u, mids, phi, a, c = _toy_controls(x, model, z1, z2, dt)
     curv = 0.25 * phi * model.drift_second(mids)  # phi_k d2 phi_k / du du
     diag = np.zeros_like(u)
     diag[1:] += dt * (a * a + curv)
     diag[:-1] += dt * (c * c + curv)
-    diag[-1] += 2 * pen
     ab = np.zeros((2, x.size))
-    ab[0, 1:] = dt * (a * c + curv)[1:]
-    ab[1] = diag[1:]
+    ab[0, 1:] = dt * (a * c + curv)[1:-1]
+    ab[1] = diag[1:-1]
     return ab
 
 
@@ -258,67 +223,51 @@ def _toy_hessian(x, model, z1, z2, dt, pen):
 
 def nlw_quasipotential(basis: SpectralBasis, nl: Nonlinearity, gamma: float,
                        noise: NoiseModel, z1: PhaseState, z2: PhaseState,
-                       eta: float = 0.1, horizons: Sequence[float] = (2.0, 4.0, 8.0),
+                       horizons: Sequence[float] = (2.0, 4.0, 8.0),
                        h_coeffs: np.ndarray | None = None) -> QuasipotentialResult:
     """Collocation quasipotential for the damped wave dynamics.
 
     The position coefficient path is the variable; the control is the
-    second-order equation residual weighted by the noise coefficients.  Dead
-    noise modes get a large finite weight and any residual action they carry
-    beyond tolerance turns the reported value into the +inf sentinel.  Each
-    horizon T gets max(24 T, 12) nodes, and each endpoint penalty weight of
-    the ladder 1e2, 1e3, 1e4 is solved by damped Newton steps on the
-    Gauss-Newton Hessian (``_nlw_hessian``), as the toys are.  ``converged``
-    needs the endpoint within ``eta`` and every solve of the reported horizon
-    ended on its stopping rule.
+    second-order equation residual weighted by the noise coefficients.  Both
+    end states are pinned, each by two nodes: X_0 = p1 and X_1 = p1 + dt v1
+    at the start, X_{K-1} = p2 - dt v2 and X_K = p2 at the end.  Dead noise
+    modes get a large finite weight and any residual action they carry beyond
+    tolerance turns the reported value into the +inf sentinel.  Each horizon
+    T gets max(24 T, 12) nodes and one solve by damped Newton steps on the
+    Gauss-Newton Hessian (``_nlw_hessian``), as the toys do.  The value is the
+    least action over the horizons; ``converged`` needs its solve to have
+    ended on the stopping rule.
     """
     m = basis.mode_count
     lam = basis.eigenvalues
     h = np.zeros(m) if h_coeffs is None else np.asarray(h_coeffs, float)
-    alpha = z1.alpha
     b2 = noise.coeffs ** 2
     dead = b2 == 0
     inv_b2 = np.where(dead, 1e8, np.divide(1.0, np.where(dead, 1.0, b2)))
 
     p1, v1 = z1.as_array()
     p2, v2 = z2.as_array()
-    d0 = math.sqrt(float(np.sum(lam * (p1 - p2) ** 2)
-                         + np.sum((v1 - v2 + alpha * (p1 - p2)) ** 2)))
-    if d0 <= eta:
-        empty = ControlPath(np.zeros(1), np.zeros((1, m)))
-        return QuasipotentialResult(0.0, empty, d0, 0.0)
+    if np.array_equal(p1, p2) and np.array_equal(v1, v2):
+        # V(z, z) = 0, reached as T -> 0
+        return QuasipotentialResult(0.0, ControlPath(np.zeros(1), np.zeros((1, m))), 0.0)
 
     best = None
     for T in horizons:
         K = max(int(24 * T), 12)
         dt = T / K
         ramp = np.linspace(0, 1, K + 1)[:, None]
-        X = (1 - ramp) * p1 + ramp * p2
-        X[1] = p1 + dt * v1
-        x = X[2:].ravel().copy()
-        stopped = True
-        for w_pen in (1e2, 1e3, 1e4):
-            res = minimize(_nlw_action_and_grad, x, hess=_nlw_hessian,
-                           args=(p1, v1, p2, v2, lam, gamma, alpha, inv_b2, nl,
-                                 basis, h, dt, K, m, w_pen / eta ** 2))
-            x = res.x
-            stopped = stopped and res.success
-        X = _nlw_nodes(x, p1, v1, dt, K, m)
+        x = ((1 - ramp) * p1 + ramp * p2)[2:-2].ravel()
+        res = minimize(_nlw_action_and_grad, x, hess=_nlw_hessian,
+                       args=(p1, v1, p2, v2, lam, gamma, inv_b2, nl, basis, h, dt, K, m))
+        X = _nlw_nodes(res.x, p1, v1, p2, v2, dt, K, m)
         phi = _nlw_controls(X, lam, gamma, nl, basis, h, dt)
         live_sq = np.sum(phi ** 2 * np.where(dead, 0.0, inv_b2), axis=1)
         dead_action = 0.5 * dt * float(np.sum(phi[:, dead] ** 2)) if dead.any() else 0.0
-        val = float(0.5 * dt * np.sum(live_sq))
-        vel_K = (X[-1] - X[-2]) / dt
-        dist = math.sqrt(float(np.sum(lam * (X[-1] - p2) ** 2)
-                               + np.sum((vel_K - v2 + alpha * (X[-1] - p2)) ** 2)))
-        if dead.any() and dead_action > 1e-6:
-            val = math.inf
-        t_mid = (np.arange(1, K)) * dt
-        cand = (val, dist, t_mid, phi, T, float(np.max(np.abs(res.jac))), stopped)
-        best = _better_candidate(best, cand, eta)
-    val, dist, t_mid, phi, T, grad_norm, stopped = best
-    return QuasipotentialResult(val, ControlPath(t_mid, phi), dist, T,
-                                converged=dist <= eta and stopped, grad_norm=grad_norm)
+        val = math.inf if dead_action > 1e-6 else float(0.5 * dt * np.sum(live_sq))
+        if best is None or val < best.value:
+            best = QuasipotentialResult(val, ControlPath(np.arange(1, K) * dt, phi), T,
+                                        res.success, float(np.max(np.abs(res.jac))))
+    return best
 
 
 def linear_wave_oracle(basis: SpectralBasis, gamma: float, noise: NoiseModel,
@@ -338,9 +287,11 @@ def linear_wave_oracle(basis: SpectralBasis, gamma: float, noise: NoiseModel,
     return float(0.5 * np.sum(x * np.linalg.solve(S, x)))
 
 
-def _nlw_nodes(x, p1, v1, dt, K, m):
-    """All K + 1 nodes: the two the start state fixes, then the variables."""
-    return np.vstack([p1[None], (p1 + dt * v1)[None], x.reshape(K - 1, m)])
+def _nlw_nodes(x, p1, v1, p2, v2, dt, K, m):
+    """All K + 1 nodes: the two the start state fixes, the variables, and the
+    two the end state fixes."""
+    return np.vstack([p1[None], (p1 + dt * v1)[None], x.reshape(K - 3, m),
+                      (p2 - dt * v2)[None], p2[None]])
 
 
 def _nlw_controls(X, lam, gamma, nl, basis, h, dt):
@@ -351,9 +302,8 @@ def _nlw_controls(X, lam, gamma, nl, basis, h, dt):
     return d2 + gamma * d1 + lam * u_mid + fcoef - h
 
 
-def _nlw_action_and_grad(x, p1, v1, p2, v2, lam, gamma, alpha, inv_b2, nl, basis,
-                         h, dt, K, m, pen):
-    X = _nlw_nodes(x, p1, v1, dt, K, m)
+def _nlw_action_and_grad(x, p1, v1, p2, v2, lam, gamma, inv_b2, nl, basis, h, dt, K, m):
+    X = _nlw_nodes(x, p1, v1, p2, v2, dt, K, m)
     phi = _nlw_controls(X, lam, gamma, nl, basis, h, dt)
     psi = phi * inv_b2                       # (K-1, m)
     J = 0.5 * dt * float(np.sum(phi * psi))
@@ -367,52 +317,40 @@ def _nlw_action_and_grad(x, p1, v1, p2, v2, lam, gamma, alpha, inv_b2, nl, basis
     fp = nl.fprime(basis.synthesize(X[1:-1]))
     nl_term = basis.analyze(fp * basis.synthesize(psi))
     grad[1:-1] += dt * ((-2.0 / dt ** 2) * psi + lam * psi + nl_term)
-    # endpoint penalty in the alpha-weighted phase norm
-    dp = X[-1] - p2
-    dv = (X[-1] - X[-2]) / dt - v2
-    g = dv + alpha * dp
-    J += pen * float(np.sum(lam * dp ** 2) + np.sum(g ** 2))
-    grad[-1] += pen * (2 * lam * dp + 2 * g * (alpha + 1.0 / dt))
-    grad[-2] += pen * (-2 * g / dt)
-    return J, grad[2:].ravel()
+    return J, grad[2:-2].ravel()
 
 
-def _nlw_hessian(x, p1, v1, p2, v2, lam, gamma, alpha, inv_b2, nl, basis,
-                 h, dt, K, m, pen):
-    """Gauss-Newton Hessian dt sum_k J_k^T B^-1 J_k of ``_nlw_action_and_grad``
-    plus the exact Hessian of its endpoint penalty, in the upper block-banded
-    form ``newton.block_banded_solve`` reads, one block per variable node.
+def _nlw_hessian(x, p1, v1, p2, v2, lam, gamma, inv_b2, nl, basis, h, dt, K, m):
+    """Gauss-Newton Hessian dt sum_k J_k^T B^-1 J_k of ``_nlw_action_and_grad``,
+    in the upper block-banded form ``newton.block_banded_solve`` reads, one
+    block per variable node.
 
     phi_k has the Jacobian c_- I, D_k, c_+ I on X_{k-1}, X_k, X_{k+1}, with
     D_k = diag(lam - 2/dt^2) + E^T diag(w f'(u_k)) E, the Galerkin Jacobian of
-    f at node k.  The term phi_k^T B^-1 f''(u_k) is left out: without it the
-    matrix is positive definite and needs only f', and at f = 0 it is exact.
+    f at node k.  Every variable node X_k, k = 2 .. K-2, meets phi_{k-1},
+    phi_k and phi_{k+1}, so one stencil fills every block row.  The term
+    phi_k^T B^-1 f''(u_k) is left out: without it the matrix is positive
+    definite and needs only f', and at f = 0 it is exact.
     """
-    X = _nlw_nodes(x, p1, v1, dt, K, m)
-    n = K - 1
+    X = _nlw_nodes(x, p1, v1, p2, v2, dt, K, m)
     c_plus = 1.0 / dt ** 2 + gamma / (2 * dt)
     c_minus = 1.0 / dt ** 2 - gamma / (2 * dt)
     modes = basis.synthesize(np.eye(m))      # row j: the values of mode j
     fp = nl.fprime(basis.synthesize(X[1:-1]))
-    D = np.empty((n, m, m))                  # D[k - 1] = D_k, k = 1 .. K-1
-    for k in range(n):
+    D = np.empty((K - 1, m, m))              # D[k - 1] = D_k, k = 1 .. K-1
+    for k in range(K - 1):
         D[k] = basis.analyze(fp[k] * modes)
     idx = np.arange(m)
     D[:, idx, idx] += lam - 2.0 / dt ** 2
     BD = inv_b2[:, None] * D                 # B^-1 D_k
-    # variable j is node j + 2; phi_k reaches nodes k - 1 .. k + 1
-    ab = np.zeros((3, n, m, m))
+    # variable j is node j + 2
+    ab = np.zeros((3, K - 3, m, m))
     second, first, diag = ab                 # blocks (j-2, j), (j-1, j), (j, j)
-    diag[:n - 1] = dt * (D[1:] @ BD[1:])     # phi_k at node k
-    diag[:, idx, idx] += dt * c_plus ** 2 * inv_b2          # phi_{k-1}, every node
-    diag[:n - 2, idx, idx] += dt * c_minus ** 2 * inv_b2    # phi_{k+1}
-    first[1:] = dt * c_plus * np.swapaxes(BD[1:], 1, 2)     # phi_{k-1}: (k-1, k)
-    first[1:n - 1] += dt * c_minus * BD[2:]                 # phi_k: (k-1, k)
-    second[2:, idx, idx] = dt * c_plus * c_minus * inv_b2   # phi_{k-1}: (k-2, k)
-    # endpoint penalty on X_{K-1} and X_K
-    diag[-1, idx, idx] += 2 * pen * (lam + (alpha + 1.0 / dt) ** 2)
-    diag[-2, idx, idx] += 2 * pen / dt ** 2
-    first[-1, idx, idx] -= 2 * pen * (alpha + 1.0 / dt) / dt
+    diag[:] = dt * (D[1:-1] @ BD[1:-1])      # phi_k at node k
+    diag[:, idx, idx] += dt * (c_plus ** 2 + c_minus ** 2) * inv_b2  # phi_{k-1}, phi_{k+1}
+    first[1:] = dt * (c_plus * np.swapaxes(BD[1:-2], 1, 2)           # phi_{k-1}
+                      + c_minus * BD[2:-1])                          # phi_k
+    second[2:, idx, idx] = dt * c_plus * c_minus * inv_b2           # phi_{k-1}
     return ab
 
 

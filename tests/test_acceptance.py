@@ -249,8 +249,8 @@ def test_ac07_feynman_kac():
 def test_ac08_gradient_rates():
     t0 = time.time()
     cubic = toys.builtin_cubic()
-    up = rates.toy_quasipotential(cubic, 0.0, 3.0, eta=0.03)
-    down = rates.toy_quasipotential(cubic, 3.0, 0.0, eta=0.03)
+    up = rates.toy_quasipotential(cubic, 0.0, 3.0)
+    down = rates.toy_quasipotential(cubic, 3.0, 0.0)
     up_ok = up.converged and abs(up.value - 5.0 / 6.0) / (5.0 / 6.0) <= 0.05
     down_ok = down.converged and abs(down.value - 16.0 / 3.0) / (16.0 / 3.0) <= 0.05
     # graph arithmetic with oracle V entries is exact

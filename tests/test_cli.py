@@ -100,7 +100,8 @@ def test_bad_integrator_rejected(command, override, tmp_path, capsys):
     (["couple-fp"], "experiment.n_feedback=33"),  # M = 32
     # no feedback leaves no measure change to fit a scaling exponent to
     (["girsanov-tv"], "experiment.n_feedback=0"),
-    # a penalty weight, a noise level and an OU drift and diffusion, each > 0
+    # a key the schema no longer has (the endpoint is pinned, not penalized);
+    # then a noise level and an OU drift and diffusion, each > 0
     (["quasipotential", "--model", "cubic"], "experiment.eta=0"),
     (["simulate", "--model", "cubic"], "model.toy_eps=-1"),
     (["simulate", "--model", "ou"], "model.theta=-1"),
@@ -548,7 +549,8 @@ def test_quasipotential_nlw_judges_the_linear_oracle(tmp_path, monkeypatch):
         verdicts.append((code, json.loads((tmp_path / name / "verdict.json").read_text())))
     (code, plain), (shifted_code, shifted) = verdicts
     assert code == EXIT_PASS and plain["status"] == "pass"
-    assert plain["tolerances"] == {"eta": 0.05, "rel_error_max": 1e-3}
+    assert plain["tolerances"] == {"newton_maxiter": 1000, "newton_rtol": 1e-9,
+                                   "rel_error_max": 1e-3}
     metrics = plain["metrics"]
     assert metrics["rel_error"] <= 1e-3
     assert metrics["rel_error"] == abs(metrics["value"] - metrics["oracle"]) / metrics["oracle"]
