@@ -279,11 +279,13 @@ def linear_wave_oracle(basis: SpectralBasis, gamma: float, noise: NoiseModel,
     through its velocity by b_j times the control, so the minimal action is
     the sum over modes of 1/2 x_j^T S_j^-1 x_j, with x_j = (u_j, v_j) of ``z``
     and S_j = b_j^2 int_0^T e^{A_j s} Q e^{A_j^T s} ds the controllability
-    Gramian of the mode.
+    Gramian of the mode.  Rest to rest costs 0, at T = 0 (singular S_j) too.
     """
+    x = z.as_array().T[..., None]            # (M, 2, 1)
+    if not x.any():
+        return 0.0
     S = noise.coeffs[:, None, None] ** 2 * _van_loan_covariance(
         mode_generators(basis.eigenvalues, gamma), T)
-    x = z.as_array().T[..., None]            # (M, 2, 1)
     return float(0.5 * np.sum(x * np.linalg.solve(S, x)))
 
 

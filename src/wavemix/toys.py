@@ -201,25 +201,20 @@ def gradient_sde_exact_density(model, eps: float) -> ExactDensity:
     return ExactDensity(u, logw, math.log(Z))
 
 
-def simulate_toy(model, eps: float | None, dt: float, horizon: float, seed: int,
+def simulate_toy(model, eps: float, dt: float, horizon: float, seed: int,
                  n_traj: int = 1, u0: float | np.ndarray | None = None,
-                 record_stride: int = 1,
-                 integrand=None, stream: tuple[int, ...] = ()
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+                 record_stride: int = 1, stream: tuple[int, ...] = ()
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Euler-Maruyama paths of du = -b(u) dt + sqrt(eps) dW.
 
-    Returns (times, paths, integrals) where paths has shape (n_traj, n_rec)
-    and integrals is the running trapezoid integral of ``integrand(u)`` when
-    one is supplied.  The noise is one lane of width ``n_traj``, drawn
-    step-major from the stream ``stats.generator(seed, stream)``, so callers
-    that run several estimates from one seed give each its own ``stream``.
-    ``_em_drive`` runs the steps; a nonfinite path raises ``BlowupError``
-    naming its earliest step and the lowest such path.
+    Returns (times, paths, integrals): the states and the running trapezoid
+    integral of u over every step, both (n_traj, n_rec) at the record steps;
+    callers scale the integral.  The noise is one lane of width ``n_traj``,
+    drawn step-major from the stream ``stats.generator(seed, stream)``, so
+    callers that run several estimates from one seed give each its own
+    ``stream``.  ``_em_drive`` runs the steps; a nonfinite path raises
+    ``BlowupError`` naming its earliest step and the lowest such path.
     """
-    if eps is None:
-        if not isinstance(model, OrnsteinUhlenbeck):
-            raise ValueError("eps is required for gradient toys")
-        eps = model.eps
     n_steps = max(int(round(horizon / dt)), 1)
     rec = record_steps(n_steps, record_stride)
     t = np.array(list(rec)) * dt
@@ -228,23 +223,18 @@ def simulate_toy(model, eps: float | None, dt: float, horizon: float, seed: int,
     u = np.broadcast_to(np.asarray(0.0 if u0 is None else u0, float), (n_traj,)).copy()
     out = np.empty((n_traj, len(rec)))
     out[:, 0] = u
-    acc = np.zeros(n_traj)
-    prev = integrand(u) if integrand is not None else None
-    out_int = np.zeros((n_traj, len(rec))) if integrand is not None else None
+    out_int = np.zeros((n_traj, len(rec)))
+    acc, prev = np.zeros(n_traj), u
 
     def on_chunk(done, path):
         nonlocal acc, prev
         for step, u in enumerate(path, done + 1):
-            if integrand is not None:
-                cur = integrand(u)
-                acc += 0.5 * dt * (prev + cur)
-                prev = cur
+            acc += 0.5 * dt * (prev + u)
+            prev = u
             if step in rec:
                 out[:, rec[step]] = u
-                if integrand is not None:
-                    out_int[:, rec[step]] = acc
-        if integrand is not None:
-            prev = np.array(prev)  # it may view the block the next chunk overwrites
+                out_int[:, rec[step]] = acc
+        prev = prev.copy()  # a row of the block the next chunk's draws overwrite
 
     _em_drive(model, u, eps, dt, n_steps, [rng], on_chunk)
     return t, out, out_int

@@ -178,9 +178,8 @@ def test_ac06_clt_slln():
     t0 = time.time()
     ou = toys.OrnsteinUhlenbeck(1.0, 1.0)
     horizon = 100.0
-    t, _, ints = toys.simulate_toy(ou, None, dt=0.01, horizon=horizon, seed=31,
-                                   n_traj=4000, record_stride=100,
-                                   integrand=lambda u: u)
+    t, _, ints = toys.simulate_toy(ou, ou.eps, dt=0.01, horizon=horizon, seed=31,
+                                   n_traj=4000, record_stride=100)
     clt = erg.clt_check(horizon, ints[:, -1], centering=0.0)
     sigma_ok = abs(clt.sigma ** 2 - 1.0) <= 0.1
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -208,10 +207,9 @@ def test_ac07_feynman_kac():
     ou = toys.OrnsteinUhlenbeck(1.0, 1.0)
     ou_integrals = {}
     for T in (15.0, 30.0):
-        _, _, ints = toys.simulate_toy(ou, None, dt=0.01, horizon=T,
+        _, _, ints = toys.simulate_toy(ou, ou.eps, dt=0.01, horizon=T,
                                        seed=2003 + int(T), n_traj=30000,
-                                       record_stride=10 ** 9,
-                                       integrand=lambda u: u)
+                                       record_stride=10 ** 9)
         ou_integrals[T] = ints[:, -1]
     pressure_ok = True
     pressure_detail = []
@@ -233,9 +231,8 @@ def test_ac07_feynman_kac():
     horizons = [8.0, 16.0, 32.0]
     avgs = []
     for k, T in enumerate(horizons):
-        _, _, iT = toys.simulate_toy(ou, None, dt=0.01, horizon=T, seed=61 + k,
-                                     n_traj=6000, record_stride=10 ** 9,
-                                     integrand=lambda u: u)
+        _, _, iT = toys.simulate_toy(ou, ou.eps, dt=0.01, horizon=T, seed=61 + k,
+                                     n_traj=6000, record_stride=10 ** 9)
         avgs.append(iT[:, -1] / T)
     ou_curve = erg.PressureCurve(betas, np.array([ou.pressure(b) for b in betas]),
                                  np.zeros(betas.size), 0.0)

@@ -561,6 +561,40 @@ def test_quasipotential_nlw_judges_the_linear_oracle(tmp_path, monkeypatch):
     assert "oracle" not in kg["metrics"] and "rel_error_max" not in kg["tolerances"]
 
 
+def test_quasipotential_toy_judges_a_zero_oracle(tmp_path, monkeypatch):
+    # a downhill target costs nothing, V(1, 0) = 0 on the cubic, so a solve
+    # that converges to 0.5 misses the oracle by 0.5 absolute and fails
+    args = ["quasipotential", "--model", "cubic", "--from-point", "1", "--to-point", "0"]
+    real = cli.rates.toy_quasipotential
+
+    def edited(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.value = 0.5
+        return res
+
+    verdicts = []
+    for name in ("plain", "edited"):
+        if name == "edited":
+            monkeypatch.setattr(cli.rates, "toy_quasipotential", edited)
+        code = main(args + ["--out", str(tmp_path / name)])
+        verdicts.append((code, json.loads((tmp_path / name / "verdict.json").read_text())))
+    (code, plain), (edited_code, changed) = verdicts
+    assert code == EXIT_PASS and plain["metrics"]["oracle"] == 0.0
+    assert edited_code == EXIT_FAIL and changed["status"] == "fail"
+    assert changed["metrics"]["value"] == 0.5
+
+
+def test_quasipotential_nlw_judges_a_zero_oracle(tmp_path):
+    # at f = 0 a target at rest is the start: the oracle is 0 without a solve
+    out = tmp_path / "qp"
+    code = main(["quasipotential", "--set", "model.modes=8", "--set",
+                 "model.nonlinearity=zero", "--set", "experiment.to_point=0",
+                 "--out", str(out)])
+    metrics = json.loads((out / "verdict.json").read_text())["metrics"]
+    assert code == EXIT_PASS
+    assert metrics["oracle"] == 0.0 == metrics["value"] == metrics["rel_error"]
+
+
 def test_quasipotential_nlw_feels_the_forcing(tmp_path):
     values = []
     for h in ("0", "0.5"):

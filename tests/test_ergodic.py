@@ -16,6 +16,7 @@ from wavemix.ergodic import (
     slln_check,
     two_state_chain,
 )
+from wavemix.stats import running_trapezoid
 from wavemix.toys import OrnsteinUhlenbeck, simulate_toy
 
 
@@ -28,10 +29,9 @@ def ou():
 
 
 def test_occupation_ou_second_moment(ou):
-    t, paths, ints = simulate_toy(ou, None, dt=0.01, horizon=400.0, seed=4,
-                                  n_traj=16, record_stride=20,
-                                  integrand=lambda u: u ** 2)
-    avg = ints[:, -1] / t[-1]
+    # u^2 along every step of the recorded path, as simulate_toy integrates u
+    t, paths, _ = simulate_toy(ou, ou.eps, dt=0.01, horizon=400.0, seed=4, n_traj=16)
+    avg = running_trapezoid(t, paths ** 2)[:, -1] / t[-1]
     target = ou.stationary_var
     se = avg.std(ddof=1) / math.sqrt(avg.size)
     assert abs(avg.mean() - target) < 3 * se + 0.01
@@ -47,9 +47,8 @@ def test_slln_constant_observable():
 
 
 def test_slln_ou_exponent(ou):
-    t, paths, ints = simulate_toy(ou, None, dt=0.01, horizon=400.0, seed=5,
-                                  n_traj=200, record_stride=100,
-                                  integrand=lambda u: u)
+    t, paths, ints = simulate_toy(ou, ou.eps, dt=0.01, horizon=400.0, seed=5,
+                                  n_traj=200, record_stride=100)
     with np.errstate(invalid="ignore", divide="ignore"):
         avgs = ints / t
     avgs[:, 0] = 0.0
@@ -60,9 +59,8 @@ def test_slln_ou_exponent(ou):
 
 def test_clt_ou_green_kubo(ou):
     horizon = 100.0
-    t, paths, ints = simulate_toy(ou, None, dt=0.01, horizon=horizon, seed=6,
-                                  n_traj=1500, record_stride=10 ** 6,
-                                  integrand=lambda u: u)
+    t, paths, ints = simulate_toy(ou, ou.eps, dt=0.01, horizon=horizon, seed=6,
+                                  n_traj=1500, record_stride=10 ** 6)
     rep = clt_check(horizon, ints[:, -1], centering=0.0)
     assert rep.sigma ** 2 == pytest.approx(ou.clt_variance(), abs=0.1)
     assert rep.passed
@@ -91,10 +89,9 @@ def test_fk_ou_pressure(ou):
     # V = beta*u on the OU process: pressure beta^2/2
     horizon = 50.0
     for beta in (0.25, -0.25):
-        t, _, ints = simulate_toy(ou, None, dt=0.01, horizon=horizon, seed=7,
-                                  n_traj=3000, record_stride=10 ** 6,
-                                  integrand=lambda u: beta * u)
-        est = feynman_kac_estimate(ints[:, -1], horizon)
+        t, _, ints = simulate_toy(ou, ou.eps, dt=0.01, horizon=horizon, seed=7,
+                                  n_traj=3000, record_stride=10 ** 6)
+        est = feynman_kac_estimate(beta * ints[:, -1], horizon)
         assert abs(est.value - ou.pressure(beta)) < 3 * est.stderr + 0.01
 
 
@@ -230,9 +227,8 @@ def test_ldp1_ou_interval(ou):
     horizons = [8.0, 16.0, 32.0]
     avgs = []
     for k, T in enumerate(horizons):
-        t, _, ints = simulate_toy(ou, None, dt=0.01, horizon=T, seed=9 + k,
-                                  n_traj=6000, record_stride=10 ** 6,
-                                  integrand=lambda u: u)
+        t, _, ints = simulate_toy(ou, ou.eps, dt=0.01, horizon=T, seed=9 + k,
+                                  n_traj=6000, record_stride=10 ** 6)
         avgs.append(ints[:, -1] / T)
     betas = np.linspace(-1.2, 1.2, 49)
     curve = PressureCurve(betas, np.array([ou.pressure(b) for b in betas]),
@@ -259,11 +255,10 @@ def test_fk_initial_condition_uniformity(ou):
     beta = 0.25
     values = []
     for k, u0 in enumerate((-1.0, 0.0, 1.0)):
-        _, _, ints = simulate_toy(ou, None, dt=0.01, horizon=horizon,
+        _, _, ints = simulate_toy(ou, ou.eps, dt=0.01, horizon=horizon,
                                   seed=600 + k, n_traj=4000,
-                                  record_stride=10 ** 6, u0=u0,
-                                  integrand=lambda u: beta * u)
-        values.append(feynman_kac_estimate(ints[:, -1], horizon).value)
+                                  record_stride=10 ** 6, u0=u0)
+        values.append(feynman_kac_estimate(beta * ints[:, -1], horizon).value)
     assert max(values) - min(values) <= 0.02
 
 

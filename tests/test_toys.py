@@ -135,22 +135,14 @@ def _count_drift(monkeypatch, cls=GradientSDE):
 
 
 def test_nan_start_stops_in_first_chunk(monkeypatch):
-    calls = []
-
-    def integrand(u):
-        calls.append(1)
-        return u
-
     model = builtin_cubic()
     monkeypatch.setattr(toys, "_NOISE_BLOCK_BYTES", 8 * 3 * 4096)  # 4096-step chunks
     drift_sizes = _count_drift(monkeypatch)
     with pytest.raises(BlowupError, match=r"nonfinite toy state at t=0\.001 \(path 1\);"):
         simulate_toy(model, 0.1, dt=1e-3, horizon=12.288, seed=0,
-                     n_traj=3, u0=np.array([0.0, np.nan, 0.0]), integrand=integrand)
+                     n_traj=3, u0=np.array([0.0, np.nan, 0.0]))
     # the first 4096-step chunk ran on all paths; its check stopped the run
-    # before its records, so the integrand saw the start value only
     assert drift_sizes == [3] * 4096
-    assert len(calls) == 1
 
 
 def test_noise_block_cap_keeps_paths_bitwise(monkeypatch):
@@ -158,7 +150,7 @@ def test_noise_block_cap_keeps_paths_bitwise(monkeypatch):
 
     def run(u0):
         return simulate_toy(model, 0.1, dt=1e-3, horizon=1.0, seed=4,
-                            n_traj=5, u0=u0, record_stride=7, integrand=np.square)
+                            n_traj=5, u0=u0, record_stride=7)
 
     full = run(0.5)
     monkeypatch.setattr(toys, "_NOISE_BLOCK_BYTES", 8 * 5 * 100)  # 100 steps
@@ -180,19 +172,18 @@ def test_block_scaled_noise_matches_per_step_scaling(monkeypatch):
     n_steps = 1000
     monkeypatch.setattr(toys, "_NOISE_BLOCK_BYTES", 8 * n_traj * 64)
     t, paths, ints = simulate_toy(model, eps, dt, n_steps * dt, seed, n_traj=n_traj,
-                                  u0=0.5, record_stride=stride, integrand=np.square)
+                                  u0=0.5, record_stride=stride)
 
     xi = np.random.Generator(np.random.Philox(np.random.SeedSequence(
         entropy=seed, spawn_key=()))).standard_normal((n_steps, n_traj))
     root_eps_dt = math.sqrt(eps * dt)
     u = np.full(n_traj, 0.5)
-    acc, prev = np.zeros(n_traj), np.square(u)
+    acc, prev = np.zeros(n_traj), u
     want_paths, want_ints = [u], [acc.copy()]
     for s in range(n_steps):
         u = u - model.drift(u) * dt + root_eps_dt * xi[s]
-        cur = np.square(u)
-        acc += 0.5 * dt * (prev + cur)
-        prev = cur
+        acc += 0.5 * dt * (prev + u)
+        prev = u
         if (s + 1) % stride == 0 or s + 1 == n_steps:
             want_paths.append(u)
             want_ints.append(acc.copy())
@@ -208,9 +199,9 @@ def test_drift_runs_once_per_step_on_all_paths(monkeypatch):
     monkeypatch.setattr(toys, "_NOISE_BLOCK_BYTES", 8 * 5 * 64)
     gradient_sizes = _count_drift(monkeypatch, GradientSDE)
     ou_sizes = _count_drift(monkeypatch, OrnsteinUhlenbeck)
-    simulate_toy(cubic, 0.1, dt=1e-3, horizon=0.25, seed=0, n_traj=5, integrand=np.square)
+    simulate_toy(cubic, 0.1, dt=1e-3, horizon=0.25, seed=0, n_traj=5)
     assert gradient_sizes == [5] * 250
-    simulate_toy(ou, None, dt=1e-3, horizon=0.25, seed=0, n_traj=5, record_stride=9)
+    simulate_toy(ou, ou.eps, dt=1e-3, horizon=0.25, seed=0, n_traj=5, record_stride=9)
     assert ou_sizes == [5] * 250
     gradient_sizes.clear()
     boundary_chain(dw, BoundaryChainConfig(), eps=1.0, seed=0, n_replicas=5,
@@ -274,27 +265,26 @@ def _simulate_toy_before_driver(model, eps, dt, horizon, seed, n_traj=1, u0=None
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(ou=st.booleans(), n_traj=st.integers(0, 6), n_steps=st.integers(1, 300),
        stride=st.integers(1, 40), cap_steps=st.integers(1, 64),
-       integrand=st.sampled_from([None, np.square, lambda u: u]),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_simulate_toy_matches_loop_before_driver_bitwise(ou, n_traj, n_steps, stride,
-                                                         cap_steps, integrand, seed):
-    # the identity integrand returns a view of the noise block the next chunk
+                                                         cap_steps, seed):
+    # the integral's last state is a row of the noise block the next chunk
     # overwrites, so the trapezoid must not read it back
-    model, eps = (OrnsteinUhlenbeck(1.5, 0.8), None) if ou else (builtin_cubic(), 0.4)
+    model, eps = (OrnsteinUhlenbeck(1.5, 0.8), 0.8 ** 2) if ou else (builtin_cubic(), 0.4)
     args = (model, eps, 0.01, n_steps * 0.01, seed)
     kwargs = dict(n_traj=n_traj, u0=np.linspace(-0.5, 3.5, n_traj), record_stride=stride,
-                  integrand=integrand, stream=(seed % 3,))
+                  stream=(seed % 3,))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(toys, "_NOISE_BLOCK_BYTES", 8 * n_traj * cap_steps)
         got = simulate_toy(*args, **kwargs)
-    want = _simulate_toy_before_driver(*args, **kwargs)
+    want = _simulate_toy_before_driver(*args, **kwargs, integrand=lambda u: u)
     for a, b in zip(got, want):
-        assert (a is None and b is None) or np.array_equal(a, b)
+        assert np.array_equal(a, b)
 
 
 def test_ou_stationary_variance():
     ou = OrnsteinUhlenbeck(1.0, 1.0)
-    t, paths, _ = simulate_toy(ou, None, dt=0.01, horizon=200.0, seed=1,
+    t, paths, _ = simulate_toy(ou, ou.eps, dt=0.01, horizon=200.0, seed=1,
                                n_traj=64, record_stride=100)
     tail = paths[:, t > 20]
     var = tail.var()
