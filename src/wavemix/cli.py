@@ -641,8 +641,10 @@ def _cmd_ldp1(cfg: RunConfig, out: _RunDir) -> int:
 
 
 def _rel_error(value: float, oracle: float) -> float:
-    """|value - oracle| over a positive oracle, over 1 at V(z, z) = 0."""
-    return abs(value - oracle) / (oracle if oracle > 0 else 1.0)
+    """|value - oracle| over the oracle, taken as at least ``newton.RTOL`` (the
+    solver's resolution of actions below 1) and as 1 when it is 0: a target at
+    the start or downhill of it, where a solve keeps an absolute remainder."""
+    return abs(value - oracle) / (max(oracle, newton.RTOL) if oracle > 0 else 1.0)
 
 
 def _cmd_quasipotential(cfg: RunConfig, out: _RunDir) -> int:
@@ -652,10 +654,13 @@ def _cmd_quasipotential(cfg: RunConfig, out: _RunDir) -> int:
     if kind in ("cubic", "doublewell"):
         model = _build_toy(cfg)
         a, b = cfg["experiment"]["from_point"], cfg["experiment"]["to_point"]
-        # the oracle is the quasipotential from an equilibrium, not from any point
-        if np.min(np.abs(model.equilibria()[0] - a)) > 1e-6:
+        # the oracle is the quasipotential from an equilibrium, not from any
+        # point: a start beside one is moved onto it
+        a_eq = float(min(model.equilibria()[0], key=lambda e: abs(e - a)))
+        if abs(a_eq - a) > 1e-6:
             raise ConfigError(f"experiment.from_point={a} is not an equilibrium of "
                               f"the {kind} model")
+        a = a_eq
         res = rates.toy_quasipotential(model, a, b)
         oracle = rates.toy_quasipotential_oracle(model, a, b)
         out.write_csv("quasipotential.csv", ["t", "phi"],

@@ -216,25 +216,33 @@ def simulate_toy(model, eps: float, dt: float, horizon: float, seed: int,
     ``BlowupError`` naming its earliest step and the lowest such path.
     """
     n_steps = max(int(round(horizon / dt)), 1)
-    rec = record_steps(n_steps, record_stride)
-    t = np.array(list(rec)) * dt
+    steps = np.array(list(record_steps(n_steps, record_stride)))
+    t = steps * dt
 
     rng = generator(seed, stream)
     u = np.broadcast_to(np.asarray(0.0 if u0 is None else u0, float), (n_traj,)).copy()
-    out = np.empty((n_traj, len(rec)))
+    out = np.empty((n_traj, steps.size))
     out[:, 0] = u
-    out_int = np.zeros((n_traj, len(rec)))
+    out_int = np.zeros((n_traj, steps.size))
     acc, prev = np.zeros(n_traj), u
 
     def on_chunk(done, path):
         nonlocal acc, prev
-        for step, u in enumerate(path, done + 1):
-            acc += 0.5 * dt * (prev + u)
-            prev = u
-            if step in rec:
-                out[:, rec[step]] = u
-                out_int[:, rec[step]] = acc
-        prev = prev.copy()  # a row of the block the next chunk's draws overwrite
+        # each step's trapezoid, then their running sum from acc, added in
+        # step order as a loop over the steps adds them
+        run = np.concatenate([prev[None], path[:-1]])
+        run += path
+        run *= 0.5 * dt
+        run[0] += acc
+        if len(path) > n_traj:  # np.cumsum runs one inner loop per path
+            np.cumsum(run, axis=0, out=run)
+        else:
+            for a, b in zip(run, run[1:]):
+                b += a
+        lo, hi = np.searchsorted(steps, [done + 1, done + len(path) + 1])
+        rows = steps[lo:hi] - done - 1
+        out[:, lo:hi], out_int[:, lo:hi] = path[rows].T, run[rows].T
+        acc, prev = run[-1], path[-1].copy()  # the next chunk's draws overwrite path
 
     _em_drive(model, u, eps, dt, n_steps, [rng], on_chunk)
     return t, out, out_int

@@ -561,10 +561,18 @@ def test_quasipotential_nlw_judges_the_linear_oracle(tmp_path, monkeypatch):
     assert "oracle" not in kg["metrics"] and "rel_error_max" not in kg["tolerances"]
 
 
-def test_quasipotential_toy_judges_a_zero_oracle(tmp_path, monkeypatch):
-    # a downhill target costs nothing, V(1, 0) = 0 on the cubic, so a solve
-    # that converges to 0.5 misses the oracle by 0.5 absolute and fails
-    args = ["quasipotential", "--model", "cubic", "--from-point", "1", "--to-point", "0"]
+@pytest.mark.parametrize("start, target, oracle", [
+    ("1", "0", 0.0),                    # downhill: V(1, 0) = 0 on the cubic
+    ("1.0000001", "0", 0.0),            # the start is moved onto the equilibrium 1
+    ("0.9999999", "2.999", 0.0),        # downhill, where the solve keeps 6e-6
+    ("0", "1e-7", pytest.approx(3e-14, rel=1e-6)),  # far below the solver's RTOL
+])
+def test_quasipotential_toy_judges_a_zero_oracle(tmp_path, monkeypatch, start, target,
+                                                 oracle):
+    # a vanishing oracle passes the solve's own value, and fails a solve that
+    # converges to 0.5, a miss of 0.5 absolute
+    args = ["quasipotential", "--model", "cubic", "--from-point", start,
+            "--to-point", target]
     real = cli.rates.toy_quasipotential
 
     def edited(*args, **kwargs):
@@ -579,7 +587,7 @@ def test_quasipotential_toy_judges_a_zero_oracle(tmp_path, monkeypatch):
         code = main(args + ["--out", str(tmp_path / name)])
         verdicts.append((code, json.loads((tmp_path / name / "verdict.json").read_text())))
     (code, plain), (edited_code, changed) = verdicts
-    assert code == EXIT_PASS and plain["metrics"]["oracle"] == 0.0
+    assert code == EXIT_PASS and plain["metrics"]["oracle"] == oracle
     assert edited_code == EXIT_FAIL and changed["status"] == "fail"
     assert changed["metrics"]["value"] == 0.5
 
